@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import pathlib
 import types
 
 import pytest
@@ -38,6 +39,25 @@ def invoke(tmp_path, capsys):
 
 def payload_of(out):
     return json.loads(out)["payload"]
+
+
+# cg-cuts and icr-search envelopes (stdout and exit code) recorded from the
+# per-cone implementation that the flat cone record replaced
+CUT_ENVELOPES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cut_envelopes.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    CUT_ENVELOPES,
+    ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(CUT_ENVELOPES)],
+)
+def test_cut_envelopes_match_the_recording(case, capsys, monkeypatch):
+    stdin = types.SimpleNamespace(buffer=io.BytesIO(case["input"].encode()))
+    monkeypatch.setattr(cli.sys, "stdin", stdin)
+    rc = cli.main(case["argv"] + ["-"])
+    assert (rc, capsys.readouterr().out) == (case["rc"], case["stdout"])
 
 
 class TestEnvelope:
