@@ -11,18 +11,10 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 from itertools import product
 
 from intcone import cuts
 from intcone.cuts import GeneratorStream
-
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    n: int = 3
-    max_height: int = 6
-    word_cap: int = 6
 
 
 def cone_points(n: int, max_height: int):
@@ -38,16 +30,15 @@ def main(argv=None) -> int:
     parser.add_argument("--max-height", type=int, default=6)
     parser.add_argument("--word-cap", type=int, default=6)
     args = parser.parse_args(argv)
-    cfg = ProfileConfig(n=args.n, max_height=args.max_height, word_cap=args.word_cap)
 
-    bound = 2 * cfg.n - 2
+    bound = 2 * args.n - 2
     stream = GeneratorStream(
-        cone="soc", n=cfg.n, word_cap=cfg.word_cap, cap=cfg.max_height
+        cone="soc", n=args.n, word_cap=args.word_cap, cap=args.max_height
     )
     histogram: dict[int, int] = {}
     worst = None
     t0 = time.perf_counter()
-    for s in cone_points(cfg.n, cfg.max_height):
+    for s in cone_points(args.n, args.max_height):
         result = cuts.icr_search(s, stream, cap=bound)
         if result.status != "ok":
             print(f"  {s}: {result.status} at cap {bound}")
@@ -58,7 +49,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - t0
 
     total = sum(histogram.values())
-    print(f"T_{cfg.n}, height <= {cfg.max_height}: {total} points ({elapsed:.1f}s)")
+    print(f"T_{args.n}, height <= {args.max_height}: {total} points ({elapsed:.1f}s)")
     for count in sorted(histogram):
         share = histogram[count] / total
         print(f"  rank {count}: {histogram[count]:>6} points ({share:.1%})")

@@ -10,34 +10,26 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from intcone import soc
-
-
-@dataclass(frozen=True)
-class GrowthConfig:
-    dims: tuple[int, ...] = (3, 4, 5)
-    heights: tuple[int, ...] = (10, 20, 40, 80)
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5])
     parser.add_argument("--heights", type=int, nargs="+", default=[10, 20, 40, 80])
     args = parser.parse_args(argv)
-    cfg = GrowthConfig(dims=tuple(args.dims), heights=tuple(sorted(args.heights)))
+    heights = sorted(args.heights)
 
-    for n in cfg.dims:
+    for n in args.dims:
         if not soc.MIN_DIM <= n <= soc.MAX_DIM:
             parser.error(f"dimension {n} outside {soc.MIN_DIM}..{soc.MAX_DIM}")
 
-    header = " ".join(f"{f'h<={h}':>10}" for h in cfg.heights)
+    header = " ".join(f"{f'h<={h}':>10}" for h in heights)
     print(f"{'n':>3} {header} {'time':>8}")
-    for n in cfg.dims:
+    for n in args.dims:
         t0 = time.perf_counter()
         counts = []
-        for h in cfg.heights:
+        for h in heights:
             counts.append(len(soc.pythagorean_orbit(n, h)))
         elapsed = time.perf_counter() - t0
         cells = " ".join(f"{c:>10}" for c in counts)

@@ -14,17 +14,9 @@ from __future__ import annotations
 import argparse
 import time
 from collections import Counter
-from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from intcone import soc
-
-
-@dataclass(frozen=True)
-class CensusConfig:
-    dims: tuple[int, ...] = (3, 4, 5, 6, 7)
-    max_height: int = 20
-
 
 def normalized_prefixes(length: int, cap: int, budget: int):
     """Non-increasing nonnegative tuples of the given length whose squares
@@ -32,7 +24,7 @@ def normalized_prefixes(length: int, cap: int, budget: int):
     if length == 0:
         yield ()
         return
-    top = min(cap, int(budget**0.5))
+    top = min(cap, isqrt(budget))
     for v in range(top, -1, -1):
         for rest in normalized_prefixes(length - 1, v, budget - v * v):
             yield (v,) + rest
@@ -59,18 +51,17 @@ def main(argv=None) -> int:
     parser.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5, 6, 7])
     parser.add_argument("--max-height", type=int, default=20)
     args = parser.parse_args(argv)
-    cfg = CensusConfig(dims=tuple(args.dims), max_height=args.max_height)
 
-    for n in cfg.dims:
+    for n in args.dims:
         if not soc.MIN_DIM <= n <= soc.MAX_DIM:
             parser.error(f"dimension {n} outside {soc.MIN_DIM}..{soc.MAX_DIM}")
 
     print(f"{'n':>3} {'h':>4} {'pythagorean':>12} {'sporadic':>9} {'interior':>9}")
-    for n in cfg.dims:
+    for n in args.dims:
         t0 = time.perf_counter()
         totals = [0, 0, 0]
         forms: Counter = Counter()
-        for h in range(1, cfg.max_height + 1):
+        for h in range(1, args.max_height + 1):
             row = census_row(n, h, forms)
             totals = [a + b for a, b in zip(totals, row)]
             if row[1]:

@@ -41,6 +41,11 @@ def _vec(obj):
         raise MalformedInput(f"expected a vector of integers: {exc}")
 
 
+# the cut commands read an element in its cone's native shape: the entries
+# must be integers (exit 2), the shape is checked where it is used (exit 1)
+_READERS = {"matrix": _rows, "vector": _vec}
+
+
 def _load(raw: bytes):
     try:
         return json.loads(raw.decode("utf-8"))
@@ -166,9 +171,8 @@ def _system_input(doc):
         raise MalformedInput(f"bad system document: {exc!r}")
     roots = None
     if roots_doc is not None:
-        roots = tuple(
-            _rows(r) if system.cone == "psd" else _vec(r) for r in roots_doc
-        )
+        read = _READERS[cuts.cone_record(system.cone, system.n).shape]
+        roots = tuple(read(r) for r in roots_doc)
     return system, roots
 
 
@@ -192,24 +196,17 @@ def _cmd_cg_cuts(doc, args):
 
 
 def _cmd_icr_search(doc, args):
-    cone = _field(doc, "cone")
+    name = str(_field(doc, "cone"))
     n = int(_field(doc, "n"))
     raw = _field(doc, "element")
-    element = _rows(raw) if cone == "psd" else _vec(raw)
-    ambient = n * (n + 1) // 2 if cone == "psd" else n
-    bound = 2 * ambient - 2
+    cone = cuts.cone_record(name, n)
+    element = _READERS[cone.shape](raw)
+    bound = 2 * cone.ambient_dim - 2
     cap = args.cap if args.cap is not None else bound
-    gen = GeneratorStream(cone=cone, n=n, word_cap=args.word_cap)
+    gen = GeneratorStream(cone=name, n=n, word_cap=args.word_cap)
     got = cuts.icr_search(element, gen, cap=cap)
-    terms = [
-        {
-            "lambda": lam,
-            "element": [list(r) for r in t] if cone == "psd" else list(t),
-        }
-        for lam, t in got.terms
-    ]
     return {
-        "result": {"status": got.status, "count": got.count, "terms": terms},
+        "result": got.to_json(),
         "bound": bound,
         "cap": cap,
         "word_cap": args.word_cap,
@@ -260,13 +257,13 @@ def _verify_soc_descent(payload):
 
 def _verify_cut_list(payload):
     system = LCISystem.from_json(_field(payload, "system"))
-    for blob in _field(payload, "cuts"):
-        cut = CGCut.from_json(blob)
-        y = cuts.apply_group_word(system.cone, system.n, cut.word, cut.root)
-        u = tuple(cuts.pair(system.cone, y, ai) for ai in system.a)
-        rhs = cuts.pair(system.cone, y, system.c)
-        if u != cut.u or rhs != cut.rhs:
-            return f"cut {list(cut.u)} <= {cut.rhs} does not replay"
+    blobs = _field(payload, "cuts")
+    if not isinstance(blobs, list):
+        raise MalformedInput("field 'cuts' must be a list")
+    for blob in blobs:
+        reason = cuts.check_cut(system, CGCut.from_json(blob))
+        if reason is not None:
+            return reason
     return None
 
 
@@ -286,7 +283,10 @@ def _cmd_verify(doc, args):
     checker = _VERIFIERS.get(kind)
     if checker is None:
         raise MalformedInput(f"unknown certificate kind {kind!r}")
-    reason = checker(payload)
+    try:
+        reason = checker(payload)
+    except (TypeError, KeyError) as exc:
+        raise MalformedInput(f"bad {kind} payload: {exc!r}")
     if reason is not None:
         raise ValueError(f"verification failed: {reason}")
     return {"verified": True, "kind": kind}

@@ -3,77 +3,128 @@
 A linear conical inequality system keeps x feasible while c - A(x) stays in
 the cone.  Pairing any dual-cone semigroup element y against the system
 yields the valid inequality y*A(x) <= y*c; since both implemented cones are
-self-dual, the generator streams of the PSD and SOC modules supply the y's
-directly, tagged with the (root, word) provenance that produced them.
+self-dual, the generator streams supply the y's directly, tagged with the
+(root, word) provenance that produced them.  Inside, every element is a
+flat integer tuple (an SOC point as it is, a PSD matrix as its n^2
+row-major entries) and a `Cone` record holds all that differs between the
+cones; public functions take and return vectors for SOC, matrices for PSD.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg, psd, soc
+from .linalg import Rows
+
+Flat = tuple[int, ...]
 
 
-def _is_matrix(x) -> bool:
-    return bool(x) and isinstance(x[0], tuple)
+@dataclass(frozen=True)
+class Cone:
+    """One cone in one dimension.  `flatten` reads a native element (a
+    matrix or a vector, entries coerced with int()) and checks its shape."""
+
+    shape: str  # "matrix" or "vector"
+    ambient_dim: int
+    flatten: Callable[[object], Flat]
+    unflatten: Callable[[Flat], object]
+    member: Callable[[Flat], bool]
+    weight: Flat  # the dot product with it is the trace or the height
+    generators: dict[str, Rows]  # label -> matrix acting on flat elements
+    roots: tuple  # the default roots, native
 
 
-def _freeze_element(cone: str, n: int, obj):
-    if cone == "psd":
-        rows = tuple(tuple(int(v) for v in row) for row in obj)
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _psd_cone(n: int) -> Cone:
+    def flatten(obj):
+        rows = [tuple(row) for row in obj]  # a non-list row fails before a bad entry
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix element has the wrong shape")
         if not linalg.is_symmetric(rows):
             raise ValueError("matrix element must be symmetric")
-        return rows
-    vec = tuple(int(v) for v in obj)
-    if len(vec) != n:
-        raise ValueError("vector element has the wrong length")
-    return vec
+        return tuple(v for row in rows for v in row)
+
+    def unflatten(y):
+        return tuple(y[i * n : (i + 1) * n] for i in range(n))
+
+    e1 = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))
+    return Cone(
+        shape="matrix",
+        ambient_dim=n * (n + 1) // 2,
+        flatten=flatten,
+        unflatten=unflatten,
+        member=lambda y: linalg.is_psd_exact(unflatten(y)),
+        weight=tuple(int(i == j) for i in range(n) for j in range(n)),
+        # X -> g X g^T on row-major entries is the Kronecker square of g
+        generators={
+            label: tuple(tuple(a * b for a in gi for b in gj) for gi in g for gj in g)
+            for label, g in psd.gl_generators(n).items()
+        },
+        roots=(e1,) + psd.sporadic_catalog(n),
+    )
+
+
+def _soc_cone(n: int) -> Cone:
+    def flatten(obj):
+        vec = tuple(int(v) for v in obj)
+        if len(vec) != n:
+            raise ValueError("vector element has the wrong length")
+        return vec
+
+    return Cone(
+        shape="vector",
+        ambient_dim=n,
+        flatten=flatten,
+        unflatten=lambda y: y,
+        member=soc.in_cone,
+        weight=tuple(int(i == n - 1) for i in range(n)),
+        generators={
+            label: soc.generator_matrix(label, n).rows
+            for label in soc.generator_labels(n)
+        },
+        roots=soc.roots(n),
+    )
+
+
+_CONES = {"psd": _psd_cone, "soc": _soc_cone}
+
+
+@lru_cache(maxsize=None)
+def cone_record(name: str, n: int) -> Cone:
+    """The record of cone `name` in dimension n, built once."""
+    if name not in _CONES:
+        raise ValueError("cone must be " + " or ".join(map(repr, _CONES)))
+    return _CONES[name](n)
 
 
 def pair(cone: str, y, other) -> int:
     """Dual pairing: trace inner product for PSD, dot product for SOC."""
-    if cone == "psd":
-        n = len(y)
-        return sum(y[i][j] * other[i][j] for i in range(n) for j in range(n))
-    return sum(a * b for a, b in zip(y, other))
+    rec = cone_record(cone, len(y))
+    return _dot(rec.flatten(y), rec.flatten(other))
 
 
-def element_weight(cone: str, y) -> int:
-    """Additive size of a semigroup element: trace for PSD, height for SOC."""
-    if cone == "psd":
-        return sum(y[i][i] for i in range(len(y)))
-    return y[-1]
-
-
-def in_semigroup(cone: str, y) -> bool:
-    if cone == "psd":
-        return linalg.is_psd_exact(y)
-    return soc.in_cone(y)
+def in_semigroup(cone: Cone, y: Flat) -> bool:
+    return cone.member(y)
 
 
 def apply_group_word(cone: str, n: int, word, root):
     """Transport a root along a word: congruence for PSD, left action for SOC."""
-    if cone == "psd":
-        gens = psd.gl_generators(n)
-        cur = tuple(tuple(int(v) for v in row) for row in root)
-        for label in reversed(word):
-            g = gens[label]
-            cur = linalg.mat_mul(g, linalg.mat_mul(cur, linalg.transpose(g)))
-        return cur
-    return soc.apply_word(word, tuple(root))
-
-
-def _default_roots(cone: str, n: int):
-    if cone == "psd":
-        e1 = tuple(
-            tuple(1 if i == 0 and j == 0 else 0 for j in range(n))
-            for i in range(n)
-        )
-        return (e1,) + psd.sporadic_catalog(n)
-    return soc.roots(n)
+    rec = cone_record(cone, n)
+    y = rec.flatten(root)
+    for label in reversed(word):
+        g = rec.generators.get(label)
+        if g is None:
+            raise ValueError(f"unknown generator label {label!r}")
+        y = linalg.mat_vec(g, y)
+    return rec.unflatten(y)
 
 
 @dataclass
@@ -86,10 +137,11 @@ class LCISystem:
     a: tuple
 
     def __post_init__(self):
-        if self.cone not in ("psd", "soc"):
-            raise ValueError("cone must be 'psd' or 'soc'")
-        self.c = _freeze_element(self.cone, self.n, self.c)
-        self.a = tuple(_freeze_element(self.cone, self.n, ai) for ai in self.a)
+        rec = self._cone = cone_record(self.cone, self.n)
+        self._c = rec.flatten(self.c)
+        self._a = tuple(rec.flatten(ai) for ai in self.a)
+        self.c = rec.unflatten(self._c)
+        self.a = tuple(rec.unflatten(ai) for ai in self._a)
 
     @property
     def m(self) -> int:
@@ -98,37 +150,27 @@ class LCISystem:
     @property
     def ambient_dim(self) -> int:
         """Dimension of the space the cone lives in."""
-        if self.cone == "psd":
-            return self.n * (self.n + 1) // 2
-        return self.n
+        return self._cone.ambient_dim
 
     def slack(self, x):
         """c - A(x) as a cone element."""
         if len(x) != self.m:
             raise ValueError("variable vector has the wrong length")
-        if self.cone == "psd":
-            out = [list(row) for row in self.c]
-            for xi, ai in zip(x, self.a):
-                for i in range(self.n):
-                    for j in range(self.n):
-                        out[i][j] -= xi * ai[i][j]
-            return tuple(tuple(r) for r in out)
-        out = list(self.c)
-        for xi, ai in zip(x, self.a):
-            for i in range(self.n):
-                out[i] -= xi * ai[i]
-        return tuple(out)
+        out = list(self._c)
+        for xi, ai in zip(x, self._a):
+            for k, v in enumerate(ai):
+                out[k] -= xi * v
+        return self._cone.unflatten(tuple(out))
 
     def is_feasible(self, x) -> bool:
-        return in_semigroup(self.cone, self.slack(x))
+        return in_semigroup(self._cone, self._cone.flatten(self.slack(x)))
 
     def to_json(self) -> dict:
-        unpack = (lambda e: [list(r) for r in e]) if self.cone == "psd" else list
         return {
             "cone": self.cone,
             "n": self.n,
-            "c": unpack(self.c),
-            "A": [unpack(ai) for ai in self.a],
+            "c": _lists(self.c),
+            "A": [_lists(ai) for ai in self.a],
         }
 
     @classmethod
@@ -136,12 +178,18 @@ class LCISystem:
         return cls(
             cone=str(obj["cone"]),
             n=int(obj["n"]),
-            c=tuple(tuple(r) for r in obj["c"]) if obj["cone"] == "psd" else tuple(obj["c"]),
-            a=tuple(
-                tuple(tuple(r) for r in ai) if obj["cone"] == "psd" else tuple(ai)
-                for ai in obj["A"]
-            ),
+            c=tuple(obj["c"]),
+            a=tuple(tuple(ai) for ai in obj["A"]),
         )
+
+
+def _lists(e):
+    """A native element as JSON: nested tuples become nested lists."""
+    return [_lists(v) for v in e] if isinstance(e, tuple) else e
+
+
+def _tuples(obj):
+    return tuple(_tuples(v) if isinstance(v, list) else v for v in obj)
 
 
 @dataclass(frozen=True)
@@ -154,28 +202,41 @@ class CGCut:
     word: tuple[str, ...]
 
     def to_json(self) -> dict:
-        root = [list(r) for r in self.root] if _is_matrix(self.root) else list(self.root)
         return {
             "u": list(self.u),
             "rhs": self.rhs,
-            "root": root,
+            "root": _lists(self.root),
             "word": list(self.word),
         }
 
     @classmethod
     def from_json(cls, obj) -> "CGCut":
-        raw = obj["root"]
-        root = (
-            tuple(tuple(int(v) for v in r) for r in raw)
-            if raw and isinstance(raw[0], list)
-            else tuple(int(v) for v in raw)
-        )
         return cls(
             u=tuple(int(v) for v in obj["u"]),
             rhs=int(obj["rhs"]),
-            root=root,
+            root=_tuples(obj["root"]),
             word=tuple(str(w) for w in obj["word"]),
         )
+
+
+def check_cut(sys: LCISystem, cut: CGCut) -> str | None:
+    """Why `cut` is not the cut its provenance generates for `sys`, or None.
+
+    The root must lie in the cone (then so does every image of it), and
+    carrying it along the word must give back u and rhs exactly.
+    """
+    rec = sys._cone
+    try:
+        root = rec.flatten(cut.root)
+    except (TypeError, ValueError):
+        return f"cut root {_lists(cut.root)} does not fit the system's cone"
+    if not rec.member(root):
+        return f"cut root {_lists(cut.root)} lies outside the cone"
+    y = rec.flatten(apply_group_word(sys.cone, sys.n, cut.word, cut.root))
+    u = tuple(_dot(y, ai) for ai in sys._a)
+    if u != cut.u or _dot(y, sys._c) != cut.rhs:
+        return f"cut {list(cut.u)} <= {cut.rhs} does not replay"
+    return None
 
 
 @dataclass
@@ -184,7 +245,7 @@ class GeneratorStream:
 
     Deduplicates by element, so each element carries its first (shortest)
     word.  `cap` optionally filters emissions by height/trace.  Iterating
-    starts the walk over; `cursor` counts emissions of the latest walk.
+    starts the walk over.
     """
 
     cone: str
@@ -192,48 +253,31 @@ class GeneratorStream:
     word_cap: int
     roots: tuple | None = None
     cap: int | None = None
-    cursor: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.cone not in ("psd", "soc"):
-            raise ValueError("cone must be 'psd' or 'soc'")
+        rec = self._cone = cone_record(self.cone, self.n)
         if self.word_cap < 0:
             raise ValueError("word_cap must be nonnegative")
         if self.roots is None:
-            self.roots = _default_roots(self.cone, self.n)
-        self.roots = tuple(
-            _freeze_element(self.cone, self.n, r) for r in self.roots
-        )
-        for r in self.roots:
-            flat = [v for row in r for v in row] if self.cone == "psd" else r
-            if not any(flat):
-                raise ValueError("roots must be nonzero")
-
-    def _labels(self):
-        if self.cone == "psd":
-            return tuple(psd.gl_generators(self.n))
-        return soc.generator_labels(self.n)
-
-    def _step(self, label, y):
-        if self.cone == "psd":
-            g = psd.gl_generators(self.n)[label]
-            return linalg.mat_mul(g, linalg.mat_mul(y, linalg.transpose(g)))
-        return linalg.mat_vec(soc.generator_matrix(label, self.n).rows, y)
+            self.roots = rec.roots
+        self._roots = tuple(rec.flatten(r) for r in self.roots)
+        if not all(any(r) for r in self._roots):
+            raise ValueError("roots must be nonzero")
+        self.roots = tuple(rec.unflatten(r) for r in self._roots)
 
     def __iter__(self):
-        self.cursor = 0
-        labels = self._labels()
-        seen = set(self.roots)
-        queue = deque((r, r, ()) for r in self.roots)
+        rec = self._cone
+        gens = tuple(rec.generators.items())
+        seen = set(self._roots)
+        queue = deque((y, r, ()) for y, r in zip(self._roots, self.roots))
         while queue:
             y, root, word = queue.popleft()
-            if self.cap is None or element_weight(self.cone, y) <= self.cap:
-                self.cursor += 1
-                yield y, root, word
+            if self.cap is None or _dot(rec.weight, y) <= self.cap:
+                yield rec.unflatten(y), root, word
             if len(word) == self.word_cap:
                 continue
-            for label in labels:
-                child = self._step(label, y)
+            for label, g in gens:
+                child = linalg.mat_vec(g, y)
                 if child not in seen:
                     seen.add(child)
                     queue.append((child, root, (label,) + word))
@@ -252,8 +296,9 @@ def cg_cuts(sys: LCISystem, gen: GeneratorStream) -> list[CGCut]:
     out = []
     seen = set()
     for y, root, word in gen:
-        u = tuple(pair(sys.cone, y, ai) for ai in sys.a)
-        rhs = pair(sys.cone, y, sys.c)
+        y = sys._cone.flatten(y)
+        u = tuple(_dot(y, ai) for ai in sys._a)
+        rhs = _dot(y, sys._c)
         g = linalg.vec_gcd(u)
         if g > 1 and rhs % g == 0:
             key = (tuple(v // g for v in u), rhs // g)
@@ -285,6 +330,10 @@ class IcrResult:
     count: int | None = None
     terms: tuple = ()  # (multiplicity, element) pairs
 
+    def to_json(self) -> dict:
+        terms = [{"lambda": lam, "element": _lists(t)} for lam, t in self.terms]
+        return {"status": self.status, "count": self.count, "terms": terms}
+
 
 def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     """Fewest distinct generators writing s = sum of lambda_i b_i.
@@ -301,36 +350,24 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     candidate's feasible multiplicities are a contiguous range, scanned
     from the largest down.
     """
-    cone = gen.cone
-    if not in_semigroup(cone, s):
+    rec = gen._cone
+    s = rec.flatten(s)
+    if not in_semigroup(rec, s):
         raise ValueError("element is outside the cone")
-    total = element_weight(cone, s)
+    total = _dot(rec.weight, s)
     cands = []
     for y, _, _ in gen:
-        w = element_weight(cone, y)
+        y = rec.flatten(y)
+        w = _dot(rec.weight, y)
         if 1 <= w <= total:
             cands.append((y, w))
     cands.sort(key=lambda yw: -yw[1])
-
-    def subtract(a, b, lam):
-        if cone == "psd":
-            n = len(a)
-            return tuple(
-                tuple(a[i][j] - lam * b[i][j] for j in range(n))
-                for i in range(n)
-            )
-        return tuple(x - lam * y for x, y in zip(a, b))
-
-    def zero(a):
-        if cone == "psd":
-            return all(v == 0 for row in a for v in row)
-        return not any(a)
 
     chosen = []
 
     def dfs(res, res_weight, k_left, i0):
         if res_weight == 0:
-            return zero(res)
+            return not any(res)
         if k_left == 0:
             return False
         for i in range(i0, len(cands)):
@@ -338,8 +375,8 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
             if w > res_weight:
                 continue
             for lam in range(res_weight // w, 0, -1):
-                nxt = subtract(res, y, lam)
-                if not in_semigroup(cone, nxt):
+                nxt = tuple(a - lam * b for a, b in zip(res, y))
+                if not in_semigroup(rec, nxt):
                     continue
                 chosen.append((lam, y))
                 if dfs(nxt, res_weight - lam * w, k_left - 1, i + 1):
@@ -351,7 +388,8 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     for k in range(depth_limit + 1):
         chosen.clear()
         if dfs(s, total, k, 0):
-            return IcrResult(status="ok", count=k, terms=tuple(chosen))
+            terms = tuple((lam, rec.unflatten(y)) for lam, y in chosen)
+            return IcrResult(status="ok", count=k, terms=terms)
     if cap >= min(total, len(cands)):
         return IcrResult(status="infeasible")
     return IcrResult(status="exceeded")

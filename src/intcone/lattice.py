@@ -20,14 +20,6 @@ from math import isqrt
 from . import linalg
 
 
-@dataclass(frozen=True)
-class HermiteBound:
-    """Value of gamma_n^ (... the n-th power of the Hermite constant)."""
-
-    value: Fraction
-    exact: bool
-
-
 _GAMMA_EXACT = {
     1: Fraction(1),
     2: Fraction(4, 3),
@@ -41,7 +33,7 @@ _GAMMA_EXACT = {
 }
 
 
-def hermite_gamma(n: int) -> HermiteBound:
+def hermite_gamma(n: int) -> Fraction:
     """gamma_n^n: exact for n <= 8 and n = 24, Mordell-style bound otherwise.
 
     These are the constants in lambda_1(L)^n <= gamma_n^n * det(Gram), i.e.
@@ -50,8 +42,8 @@ def hermite_gamma(n: int) -> HermiteBound:
     if n < 1:
         raise ValueError("n must be positive")
     if n in _GAMMA_EXACT:
-        return HermiteBound(_GAMMA_EXACT[n], True)
-    return HermiteBound(Fraction(4, 3) ** (n * (n - 1) // 2), False)
+        return _GAMMA_EXACT[n]
+    return Fraction(4, 3) ** (n * (n - 1) // 2)
 
 
 def _floor_div_surd(p: int, d: int, q: int) -> int:
@@ -168,20 +160,6 @@ def shortest_nonzero(a):
 
 def _form(a, x):
     return sum(a[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
-
-
-def kx_nonzero_point(x_rows):
-    """First nonzero integer point of K(X) = {x : X - x x^T is PSD}.
-
-    Full-rank X reduces to the exact ellipsoid x^T adj(X) x <= det(X);
-    rank-deficient X is split through reduce_rank and the block solution is
-    mapped back (kernel coordinates padded with zeros).  Returns None when
-    K(X) has no nonzero integer point.
-    """
-    x_rows = linalg.freeze(x_rows)
-    if not linalg.is_psd_exact(x_rows):
-        raise ValueError("kx_nonzero_point expects a PSD matrix")
-    return _kx_first(x_rows)
 
 
 def _kx_first(x_rows):

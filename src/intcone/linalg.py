@@ -354,22 +354,6 @@ class SymIntMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def det(self) -> int:
-        return det(self.rows)
-
-    def adjugate(self) -> "SymIntMatrix":
-        return SymIntMatrix(adjugate(self.rows))
-
-    def is_psd(self) -> bool:
-        return is_psd_exact(self.rows)
-
-    def rank(self) -> int:
-        return rank(self.rows)
-
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import isqrt
 
 from . import lattice, linalg
 from .lattice import QuadFormQuery
@@ -38,7 +37,7 @@ def sporadic_catalog(n: int) -> tuple[Rows, ...]:
 
 def sporadic_det_bound(n: int) -> Fraction:
     """Upper bound on the determinant of any sporadic matrix in dimension n."""
-    return lattice.hermite_gamma(n).value
+    return lattice.hermite_gamma(n)
 
 
 def rank1_step(x_rows):
@@ -182,52 +181,6 @@ def decompose(x_rows) -> Rank1Certificate:
     return Rank1Certificate(
         n=n, vectors=tuple(vectors), remainder=SymIntMatrix(cur), witness=witness
     )
-
-
-def _squarefree_part(m: int) -> int:
-    out = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e % 2:
-                out *= p
-        p += 1 if p == 2 else 2
-    return out * m
-
-
-def rank1_factor(x_rows):
-    """Write a rank-one PSD integer matrix as lambda * x x^T.
-
-    lambda is the squarefree part of the first nonzero diagonal entry; x is
-    primitive with positive leading entry, its signs read off the matching
-    matrix row.
-    """
-    x_rows = linalg.freeze(x_rows)
-    if not linalg.is_psd_exact(x_rows):
-        raise ValueError("rank1_factor expects a PSD matrix")
-    if linalg.rank(x_rows) != 1:
-        raise ValueError("rank1_factor expects a rank-one matrix")
-    n = len(x_rows)
-    k = next(i for i in range(n) if x_rows[i][i] != 0)
-    lam = _squarefree_part(x_rows[k][k])
-    xk = isqrt(x_rows[k][k] // lam)
-    x = [0] * n
-    x[k] = xk
-    for i in range(n):
-        if i != k:
-            q, rem = divmod(x_rows[k][i], lam * xk)
-            if rem:
-                raise ValueError("matrix is not an integral rank-one outer product")
-            x[i] = q
-    if any(
-        x_rows[i][j] != lam * x[i] * x[j] for i in range(n) for j in range(n)
-    ):
-        raise ValueError("matrix is not an integral rank-one outer product")
-    return lam, tuple(x)
 
 
 def _shell_counts(rows, cap):
@@ -461,7 +414,7 @@ def _check_leaf(a, n, adj, d, bound, reps):
     reps.append(rows)
 
 
-# -- the three generators of GL(n, Z), used for random congruence words -----
+# -- the three generators of GL(n, Z), acting on the cut generator stream -----
 
 
 def gl_generators(n: int) -> dict[str, Rows]:
@@ -491,11 +444,3 @@ def gl_generators(n: int) -> dict[str, Rows]:
         "addrow_inv": linalg.inverse_unimodular(addrow),
     }
 
-
-def random_unimodular(n: int, length: int, rng) -> Rows:
-    """Product of `length` random generator letters; seeded by the caller."""
-    gens = list(gl_generators(n).values())
-    u = linalg.identity(n)
-    for _ in range(length):
-        u = linalg.mat_mul(u, rng.choice(gens))
-    return u

@@ -36,39 +36,6 @@ def in_cone(s) -> bool:
     return s[-1] >= 0 and sum(v * v for v in s[:-1]) <= s[-1] * s[-1]
 
 
-@dataclass(frozen=True)
-class ConePoint:
-    """Integer vector with its last coordinate read as a height."""
-
-    n: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(v) for v in self.coords))
-        if self.n != len(self.coords):
-            raise ValueError("n does not match coordinate count")
-        if self.n < 2:
-            raise ValueError("need at least two coordinates")
-
-    @property
-    def height(self) -> int:
-        return self.coords[-1]
-
-    @property
-    def form(self) -> int:
-        return lorentz_form(self.coords, self.coords)
-
-    def in_cone(self) -> bool:
-        return in_cone(self.coords)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "coords": list(self.coords)}
-
-    @classmethod
-    def from_json(cls, obj) -> "ConePoint":
-        return cls(n=int(obj["n"]), coords=tuple(int(v) for v in obj["coords"]))
-
-
 # -- generator group --------------------------------------------------------
 
 
@@ -146,14 +113,6 @@ def invert_label(label: str) -> str:
     return label  # sign flips and transpositions are involutions
 
 
-def evaluate_word(word, n: int) -> Rows:
-    """Product of the generator matrices in list order."""
-    out = linalg.identity(n)
-    for label in word:
-        out = linalg.mat_mul(out, _gen_rows(label, n))
-    return out
-
-
 def apply_word(word, s):
     """Apply the word's matrix to s, folding right-to-left so no matrix
     product is ever formed."""
@@ -166,11 +125,6 @@ def apply_word(word, s):
 
 def invert_word(word) -> tuple[str, ...]:
     return tuple(invert_label(label) for label in reversed(word))
-
-
-def form_invariance_check(word, s) -> bool:
-    moved = apply_word(word, s)
-    return lorentz_form(moved, moved) == lorentz_form(s, s)
 
 
 # -- membership classes -----------------------------------------------------

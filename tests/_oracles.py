@@ -1,12 +1,17 @@
 """Independent brute-force oracles used to pin down expected values.
 
 Everything here is deliberately naive (cofactor recursion, box scans,
-principal-minor tests) and shares no code with the package internals.
+principal-minor tests, explicit congruences) and shares no code with the
+package internals; evaluate_word alone takes the second-order cone's
+generator matrices from the package, to multiply them here.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+
+from intcone import soc
 
 
 def det_cofactor(rows):
@@ -142,3 +147,72 @@ def sporadic_by_search(s):
         if cone_member(tuple(a - b for a, b in zip(s, p))):
             return False
     return True
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def evaluate_word(word, n):
+    """Product of the SOC generator matrices in list order."""
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for label in word:
+        out = mat_mul(out, soc.generator_matrix(label, n).rows)
+    return out
+
+
+def gl_letters(n):
+    """The GL(n, Z) letters of the PSD generator stream, in its label order:
+    cyclic shift, the row addition e_1 -> e_1 + e_0, the first
+    transposition, and the inverses of the first two."""
+
+    def perm(image):
+        return tuple(tuple(int(j == image(i)) for j in range(n)) for i in range(n))
+
+    def addrow(c):
+        return tuple(
+            tuple(int(i == j) + c * int((i, j) == (1, 0)) for j in range(n))
+            for i in range(n)
+        )
+
+    swap = {0: 1, 1: 0}
+    return {
+        "shift": perm(lambda i: (i + 1) % n),
+        "addrow": addrow(1),
+        "swap": perm(lambda i: swap.get(i, i)),
+        "shift_inv": perm(lambda i: (i - 1) % n),
+        "addrow_inv": addrow(-1),
+    }
+
+
+def random_unimodular(n, length, rng):
+    """Product of `length` random GL(n, Z) letters; seeded by the caller."""
+    letters = list(gl_letters(n).values())
+    u = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for _ in range(length):
+        u = mat_mul(u, rng.choice(letters))
+    return u
+
+
+def congruence_walk(roots, letters, word_cap):
+    """(y, root, word) for every distinct y = g X g^T reachable from a root
+    by at most word_cap letters, breadth first, letters in dict order; the
+    newest letter is applied last and written first."""
+    seen = set(roots)
+    queue = deque((r, r, ()) for r in roots)
+    out = []
+    while queue:
+        y, root, word = queue.popleft()
+        out.append((y, root, word))
+        if len(word) == word_cap:
+            continue
+        for label, g in letters.items():
+            gt = tuple(zip(*g))
+            child = mat_mul(g, mat_mul(y, gt))
+            if child not in seen:
+                seen.add(child)
+                queue.append((child, root, (label,) + word))
+    return out

@@ -37,6 +37,10 @@ def invoke(tmp_path, capsys):
     return run
 
 
+SOC3 = {"cone": "soc", "n": 3, "c": [0, 0, 1], "A": [[1, 0, 0]]}
+PSD2 = {"cone": "psd", "n": 2, "c": [[1, 0], [0, 1]], "A": [[[1, 0], [0, 0]]]}
+
+
 def payload_of(out):
     return json.loads(out)["payload"]
 
@@ -353,6 +357,50 @@ class TestVerify:
         rc, out2 = invoke(["verify"], env)
         assert rc == 1
         assert "witness" in payload_of(out2)["error"]
+
+    @pytest.mark.parametrize(
+        "system, cut",
+        [
+            # replays to 5x <= 0, yet x = 1 is feasible
+            (SOC3, {"u": [5], "rhs": 0, "root": [5, 0, 0], "word": []}),
+            (PSD2, {"u": [1], "rhs": 1, "root": [[1, 1], [0, 0]], "word": []}),
+        ],
+        ids=["soc", "psd-asymmetric"],
+    )
+    def test_cut_root_outside_the_cone_fails(self, invoke, system, cut):
+        payload = {"kind": "cut-list", "system": system, "cuts": [cut]}
+        rc, out = invoke(["verify"], payload)
+        assert rc == 1
+        assert "cut root" in payload_of(out)["error"]
+
+    @pytest.mark.parametrize(
+        "system, other_shape",
+        [(SOC3, [[1, 0], [0, 1]]), (PSD2, [1, 0, 0, 1])],
+        ids=["soc", "psd"],
+    )
+    @pytest.mark.parametrize(
+        "mutate, rc",
+        [
+            (lambda p, cut, other: cut.update(word=["Zed"]), 1),
+            (lambda p, cut, other: cut.update(root=other), 1),
+            (lambda p, cut, other: cut.pop("u"), 2),
+            (lambda p, cut, other: p["system"].pop("A"), 2),
+            (lambda p, cut, other: p["system"].update(c=5), 2),
+            (lambda p, cut, other: p.update(cuts=5), 2),
+            (lambda p, cut, other: p.update(cuts={}), 2),
+        ],
+        ids=["label", "root-shape", "no-u", "no-A", "scalar-c", "cuts-int", "cuts-dict"],
+    )
+    def test_malformed_cut_list_exits_cleanly(
+        self, invoke, system, other_shape, mutate, rc
+    ):
+        # a missing key or a wrong JSON type is malformed (2); an unknown
+        # label or a root of another cone's shape is a false claim (1)
+        _, out = invoke(["cg-cuts", "--word-cap", "1"], system)
+        payload = json.loads(out)["payload"]
+        mutate(payload, payload["cuts"][-1], other_shape)
+        got, out2 = invoke(["verify"], payload)
+        assert (got, json.loads(out2)["status"]) == (rc, "error")
 
     def test_tampered_cut_fails(self, invoke):
         doc = {"cone": "soc", "n": 3, "c": [0, 0, 1], "A": [[1, 0, 0]]}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import congruence_walk, gl_letters
 from intcone import cuts, linalg, psd, soc
 from intcone.cuts import CGCut, GeneratorStream, IcrResult, LCISystem
 
@@ -84,7 +85,6 @@ class TestGeneratorStream:
         out = list(gen)
         assert [e for e, _, _ in out] == list(soc.roots(3))
         assert all(w == () for _, _, w in out)
-        assert gen.cursor == 2
 
     def test_default_psd_roots(self):
         assert GeneratorStream(cone="psd", n=2, word_cap=0).roots == (E11_2,)
@@ -104,6 +104,12 @@ class TestGeneratorStream:
         # Q1 also maps (1,0,1) there, but Aplus comes first in label order
         words = {e: (r, w) for e, r, w in out}
         assert words[(-1, 0, 1)] == ((1, 0, 1), ("Aplus",))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_psd_walk_matches_explicit_congruences(self, n):
+        e11 = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))
+        expected = congruence_walk((e11,), gl_letters(n), word_cap=2)
+        assert list(GeneratorStream(cone="psd", n=n, word_cap=2)) == expected
 
     def test_replay_matches_emission(self):
         for cone, n, cap in (("soc", 4, 2), ("psd", 2, 2)):

@@ -9,10 +9,9 @@ from intcone.lattice import (
     QuadFormQuery,
     enumerate_below,
     hermite_gamma,
-    kx_nonzero_point,
     shortest_nonzero,
 )
-from test_linalg import M6, M6_ADJ
+from test_linalg import M6_ADJ
 
 
 def random_pd(rng, n, spread=3):
@@ -35,13 +34,10 @@ class TestHermiteGamma:
             24: Fraction(4) ** 24,
         }
         for n, v in expected.items():
-            g = hermite_gamma(n)
-            assert g.value == v and g.exact
+            assert hermite_gamma(n) == v
 
     def test_fallback(self):
-        g = hermite_gamma(9)
-        assert g.value == Fraction(4, 3) ** 36
-        assert not g.exact
+        assert hermite_gamma(9) == Fraction(4, 3) ** 36
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -109,7 +105,7 @@ class TestShortestNonzero:
             n = rng.randint(1, 6)
             a = random_pd(rng, n, 2)
             lam, _ = shortest_nonzero(a)
-            assert Fraction(lam) ** n <= hermite_gamma(n).value * linalg.det(a)
+            assert Fraction(lam) ** n <= hermite_gamma(n) * linalg.det(a)
 
     def test_minimum_matches_oracle(self):
         rng = random.Random(41)
@@ -120,45 +116,3 @@ class TestShortestNonzero:
             t0 = min(a[i][i] for i in range(n))
             vals = [form_value(a, x) for x in points_below_box(a, t0)]
             assert lam == min(vals)
-
-
-class TestKxNonzeroPoint:
-    def test_identity(self):
-        for n in (1, 2, 3, 5):
-            assert kx_nonzero_point(linalg.identity(n)) == (1,) + (0,) * (n - 1)
-
-    def test_m6_has_none(self):
-        assert kx_nonzero_point(M6) is None
-
-    def test_two_by_two(self):
-        assert kx_nonzero_point(((2, 1), (1, 1))) == (1, 0)
-
-    def test_singular(self):
-        x = ((1, 0), (0, 0))
-        v = kx_nonzero_point(x)
-        assert v is not None
-        assert linalg.is_psd_exact(linalg.mat_sub(x, linalg.outer(v)))
-
-    def test_zero_matrix(self):
-        assert kx_nonzero_point(((0, 0), (0, 0))) is None
-
-    def test_rejects_non_psd(self):
-        with pytest.raises(ValueError):
-            kx_nonzero_point(((1, 2), (2, 1)))
-
-    def test_remainder_always_psd(self):
-        rng = random.Random(43)
-        for _ in range(80):
-            n = rng.randint(1, 5)
-            total = [[0] * n for _ in range(n)]
-            for _ in range(rng.randint(1, n)):
-                v = [rng.randint(-4, 4) for _ in range(n)]
-                for i in range(n):
-                    for j in range(n):
-                        total[i][j] += v[i] * v[j]
-            x = tuple(map(tuple, total))
-            got = kx_nonzero_point(x)
-            if got is None:
-                continue
-            assert any(got)
-            assert linalg.is_psd_exact(linalg.mat_sub(x, linalg.outer(got)))

@@ -253,8 +253,6 @@ class TestDataclasses:
             SymIntMatrix(((1, 2), (3, 4)))
         m = SymIntMatrix(M6)
         assert m.n == 6
-        assert m.trace == 12
-        assert m.det() == 3
 
     def test_sym_matrix_json_roundtrip(self):
         m = SymIntMatrix(M6)

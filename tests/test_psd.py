@@ -1,12 +1,9 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from _oracles import psd_by_minors, subtractable_vector_box
+from _oracles import psd_by_minors, random_unimodular, subtractable_vector_box
 from intcone import linalg, psd
 from intcone.psd import (
     M6,
@@ -14,8 +11,6 @@ from intcone.psd import (
     decompose,
     gl_generators,
     is_sporadic,
-    random_unimodular,
-    rank1_factor,
     rank1_step,
     search_sporadic,
     sporadic_catalog,
@@ -69,13 +64,15 @@ class TestSporadicDetBound:
 
 class TestRank1Step:
     def test_identity(self):
-        assert rank1_step(((1, 0), (0, 1))) == (1, 0)
+        for n in (1, 2, 3, 5):
+            assert rank1_step(linalg.identity(n)) == (1,) + (0,) * (n - 1)
 
     def test_m6_has_no_step(self):
         assert rank1_step(M6) is None
 
     def test_small_example(self):
         assert rank1_step(((2, 1), (1, 1))) == (1, 0)
+        assert rank1_step(((1, 0), (0, 0))) == (1, 0)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -88,7 +85,7 @@ class TestRank1Step:
     def test_step_keeps_psd(self):
         rng = random.Random(11)
         for _ in range(120):
-            n = rng.randint(2, 5)
+            n = rng.randint(1, 5)
             a = random_psd_sum(rng, n, rng.randint(1, n))
             if not any(v for row in a for v in row):
                 continue
@@ -132,42 +129,6 @@ class TestIsSporadic:
                 continue
             u = random_unimodular(n, rng.randint(1, 5), rng)
             assert is_sporadic(a) == is_sporadic(conjugate(u, a)) == False
-
-
-class TestRank1Factor:
-    def test_plain(self):
-        assert rank1_factor(((4, 6), (6, 9))) == (1, (2, 3))
-
-    def test_squarefree_scale(self):
-        assert rank1_factor(((2, 2), (2, 2))) == (2, (1, 1))
-
-    def test_unit(self):
-        assert rank1_factor(((1, 0), (0, 0))) == (1, (1, 0))
-
-    def test_negative_entries(self):
-        lam, x = rank1_factor(((4, -2), (-2, 1)))
-        assert lam == 1
-        assert x == (2, -1)
-
-    def test_rejects_higher_rank(self):
-        with pytest.raises(ValueError):
-            rank1_factor(((1, 0), (0, 1)))
-
-    @given(
-        st.integers(min_value=1, max_value=8),
-        st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_roundtrip(self, lam, xs):
-        if not any(xs):
-            return
-        a = tuple(tuple(lam * p * q for q in xs) for p in xs)
-        lam2, x2 = rank1_factor(a)
-        assert tuple(tuple(lam2 * p * q for q in x2) for p in x2) == a
-        for p in range(2, isqrt(lam2) + 1):
-            assert lam2 % (p * p) != 0
-        first = next(v for v in x2 if v)
-        assert first > 0
 
 
 class TestDecompose:
