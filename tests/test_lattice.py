@@ -116,3 +116,34 @@ class TestShortestNonzero:
             t0 = min(a[i][i] for i in range(n))
             vals = [form_value(a, x) for x in points_below_box(a, t0)]
             assert lam == min(vals)
+
+
+class TestKxNonzeroPoint:
+    # lattice._kx_first finds the first nonzero integer point of
+    # K(X) = {x : X - x x^T is PSD}; psd.rank1_step is its public wrapper
+    def test_identity(self):
+        for n in (1, 2, 3, 5):
+            assert lattice._kx_first(linalg.identity(n)) == (1,) + (0,) * (n - 1)
+
+    def test_singular(self):
+        x = ((1, 0), (0, 0))
+        v = lattice._kx_first(x)
+        assert v is not None
+        assert linalg.is_psd_exact(linalg.mat_sub(x, linalg.outer(v)))
+
+    def test_remainder_always_psd(self):
+        rng = random.Random(43)
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            total = [[0] * n for _ in range(n)]
+            for _ in range(rng.randint(1, n)):
+                v = [rng.randint(-4, 4) for _ in range(n)]
+                for i in range(n):
+                    for j in range(n):
+                        total[i][j] += v[i] * v[j]
+            x = tuple(map(tuple, total))
+            got = lattice._kx_first(x)
+            if got is None:
+                continue
+            assert any(got)
+            assert linalg.is_psd_exact(linalg.mat_sub(x, linalg.outer(got)))
