@@ -45,23 +45,39 @@ def payload_of(out):
     return json.loads(out)["payload"]
 
 
-# cg-cuts and icr-search envelopes (stdout and exit code) recorded from the
-# per-cone implementation that the flat cone record replaced
-CUT_ENVELOPES = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "cut_envelopes.json").read_text()
-)
+def _recording(name):
+    return json.loads((pathlib.Path(__file__).parent / "data" / name).read_text())
 
 
-@pytest.mark.parametrize(
-    "case",
-    CUT_ENVELOPES,
-    ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(CUT_ENVELOPES)],
-)
-def test_cut_envelopes_match_the_recording(case, capsys, monkeypatch):
+def _replay(case, capsys, monkeypatch):
     stdin = types.SimpleNamespace(buffer=io.BytesIO(case["input"].encode()))
     monkeypatch.setattr(cli.sys, "stdin", stdin)
     rc = cli.main(case["argv"] + ["-"])
     assert (rc, capsys.readouterr().out) == (case["rc"], case["stdout"])
+
+
+def _ids(cases):
+    return [f"{i}-{c['argv'][0]}" for i, c in enumerate(cases)]
+
+
+# cg-cuts and icr-search envelopes (stdout and exit code) recorded from the
+# per-cone implementation that the flat cone record replaced
+CUT_ENVELOPES = _recording("cut_envelopes.json")
+
+# psd-decompose, psd-sporadic and psd-equiv envelopes recorded from the
+# Fraction-based elimination and the recursive first-peel search that the
+# integer-only peel path replaced
+PSD_ENVELOPES = _recording("psd_envelopes.json")
+
+
+@pytest.mark.parametrize("case", CUT_ENVELOPES, ids=_ids(CUT_ENVELOPES))
+def test_cut_envelopes_match_the_recording(case, capsys, monkeypatch):
+    _replay(case, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("case", PSD_ENVELOPES, ids=_ids(PSD_ENVELOPES))
+def test_psd_envelopes_match_the_recording(case, capsys, monkeypatch):
+    _replay(case, capsys, monkeypatch)
 
 
 class TestEnvelope:
