@@ -216,18 +216,27 @@ def _cmd_icr_search(doc, args):
 def _verify_psd_certificate(payload):
     x = _rows(_field(payload, "matrix"))
     cert = Rank1Certificate.from_json(_field(payload, "certificate"))
+    rem, wit = cert.remainder, cert.witness
+    sizes = [cert.n] + [len(vec) for vec, _ in cert.vectors]
+    sizes += [m.n for m in (rem, wit) if m is not None]
+    if any(size != len(x) for size in sizes):
+        return "certificate does not fit the size of the matrix"
     if cert.reconstruct() != x:
         return "reconstruction does not match the matrix"
     for vec, lam in cert.vectors:
         if lam < 1:
             return "nonpositive multiplicity"
-    if cert.witness is not None and cert.remainder is not None:
-        u = cert.witness.rows
-        moved = linalg.mat_mul(
-            u, linalg.mat_mul(cert.remainder.rows, linalg.transpose(u))
-        )
-        if moved not in psd.sporadic_catalog(cert.n):
-            return "witness does not map the remainder onto the catalog"
+    if rem is None:
+        return None if wit is None else "witness without a remainder"
+    if not linalg.is_psd_exact(rem.rows) or not psd.is_sporadic(rem.rows):
+        return "remainder is not a nonzero sporadic PSD matrix"
+    catalog = psd.sporadic_catalog(cert.n)
+    if wit is None:
+        return "remainder has no catalog witness" if catalog else None
+    u = wit.rows
+    moved = linalg.mat_mul(u, linalg.mat_mul(rem.rows, linalg.transpose(u)))
+    if moved not in catalog:
+        return "witness does not map the remainder onto the catalog"
     return None
 
 

@@ -245,7 +245,7 @@ class GeneratorStream:
 
     Deduplicates by element, so each element carries its first (shortest)
     word.  `cap` optionally filters emissions by height/trace.  Iterating
-    starts the walk over.
+    starts the walk over.  Roots must be nonzero elements of the cone.
     """
 
     cone: str
@@ -263,6 +263,8 @@ class GeneratorStream:
         self._roots = tuple(rec.flatten(r) for r in self.roots)
         if not all(any(r) for r in self._roots):
             raise ValueError("roots must be nonzero")
+        if not all(rec.member(r) for r in self._roots):
+            raise ValueError("roots must lie in the cone")
         self.roots = tuple(rec.unflatten(r) for r in self._roots)
 
     def __iter__(self):

@@ -1,10 +1,12 @@
 """Enumeration of integer vectors below a quadratic-form bound.
 
 Given a positive definite integer matrix A, walk every nonzero integer x
-with x^T A x <= t.  The recursion splits the form as sum_k D_k (x_k +
-sum_{j>k} R_kj x_j)^2 with R unit upper-triangular, so the last coordinate
-is chosen outermost; each coordinate then ranges over an interval computed
-exactly from integer square roots (no floats).  Of the pair {x, -x} only
+with x^T A x <= t.  Symmetric Bareiss elimination writes the form as
+sum_k (d_{k+1} x_k + N_k)^2 / (d_k d_{k+1}), with d_k the leading principal
+minors and N_k an integer combination of the coordinates after k, so the
+last coordinate is chosen outermost; each coordinate then ranges over an
+interval computed exactly from integer square roots, with integers only
+(Fincke-Pohst enumeration, kept fraction-free).  Of the pair {x, -x} only
 the representative whose first nonzero entry is positive is produced, in
 ascending order per level, which fixes a deterministic total order used by
 every "first hit" consumer in the package.
@@ -53,27 +55,28 @@ def _floor_div_surd(p: int, d: int, q: int) -> int:
 
 
 def _decompose(rows):
-    """LDL^T split of a positive definite A, returned as (L^T, D).
+    """Fraction-free LDL^T split of a positive definite A, as (d, M).
 
-    With L unit lower-triangular the form is sum_k D_k (x_k + sum_{j>k}
-    L_jk x_j)^2, so once the coordinates after position k are fixed the
-    k-th one ranges over an interval.  Raises if A is not positive definite.
+    Symmetric Bareiss elimination: d[k] is the leading principal minor of
+    order k (d[0] = 1) and row k of M holds the entries M[k][j], j > k, of
+    the k-th elimination step, so that L_jk = M[k][j] / d[k+1] and
+    D_k = d[k+1] / d[k].  Raises if A is not positive definite.
     """
     n = len(rows)
-    b = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
-    l = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for j in range(n):
-        s = b[j][j] - sum(l[j][k] * l[j][k] * d[k] for k in range(j))
-        if s <= 0:
+    m = [list(row) for row in rows]
+    d = [1]
+    for k in range(n):
+        row_k = m[k]
+        p = row_k[k]
+        if p <= 0:
             raise ValueError("matrix is not positive definite")
-        d[j] = s
-        l[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            v = b[i][j] - sum(l[i][k] * l[j][k] * d[k] for k in range(j))
-            l[i][j] = v / s
-    r = [[l[j][i] for j in range(n)] for i in range(n)]
-    return r, d
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (p * row_i[j] - lead * row_k[j]) // d[k]
+        d.append(p)
+    return d, m
 
 
 @dataclass(frozen=True)
@@ -101,28 +104,21 @@ class QuadFormQuery:
 
     def points(self):
         """Yield the canonical nonzero solutions in deterministic order."""
-        r, d = self._split
-        n = len(d)
+        d, m = self._split
+        n = len(d) - 1
         if n == 0:
             return
         x = [0] * n
-        zero = Fraction(0)
 
-        def level(k, rem, off):
-            dk = d[k]
-            ok = off[k]
-            cap = rem / dk
-            p_num, q_den = cap.numerator, cap.denominator
-            a_num, b_den = ok.numerator, ok.denominator
-            # |v + ok| <= sqrt(cap):  v in [ceil(-ok - s), floor(-ok + s)]
-            big_p = -a_num * q_den
-            big_d = p_num * q_den * b_den * b_den
-            big_q = b_den * q_den
-            hi = _floor_div_surd(big_p, big_d, big_q)
-            lo = -_floor_div_surd(a_num * q_den, big_d, big_q)
+        def level(k, e, offs):
+            # e = d[k+1] * (budget left); coordinate k may take v exactly
+            # when (v d[k+1] + offs[k])^2 <= d[k] e
+            dk, nk = d[k + 1], offs[k]
+            cap = d[k] * e
+            hi = _floor_div_surd(-nk, cap, dk)
+            lo = -_floor_div_surd(nk, cap, dk)
             for v in range(lo, hi + 1):
                 x[k] = v
-                used = dk * (v + ok) ** 2
                 if k == 0:
                     for xi in x:
                         if xi > 0:
@@ -131,12 +127,12 @@ class QuadFormQuery:
                         if xi < 0:
                             break
                 else:
-                    rem2 = rem - used
-                    off2 = [off[i] + r[i][k] * v for i in range(k)]
-                    yield from level(k - 1, rem2, off2)
+                    w = v * dk + nk
+                    offs2 = [offs[i] + m[i][k] * v for i in range(k)]
+                    yield from level(k - 1, (cap - w * w) // dk, offs2)
             x[k] = 0
 
-        yield from level(n - 1, Fraction(self.bound), [zero] * n)
+        yield from level(n - 1, d[n] * self.bound, [0] * n)
 
 
 def enumerate_below(a, t: int) -> list[tuple[int, ...]]:
@@ -144,43 +140,35 @@ def enumerate_below(a, t: int) -> list[tuple[int, ...]]:
     return list(QuadFormQuery(a, t).points())
 
 
-def shortest_nonzero(a):
-    """(lambda_1, minimizer): the minimum of the form over nonzero integer
-    vectors and the first vector attaining it in enumeration order."""
-    a = linalg.freeze(a)
-    t0 = min(a[i][i] for i in range(len(a)))
-    best = None
-    best_x = None
-    for x in QuadFormQuery(a, t0).points():
-        v = _form(a, x)
-        if best is None or v < best:
-            best, best_x = v, x
-    return best, best_x
-
-
 def _form(a, x):
     return sum(a[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
 
 
-def _kx_first(x_rows):
-    n = len(x_rows)
-    if n == 0:
-        return None
-    r = linalg.rank(x_rows)
-    if r == n:
-        adj = linalg.adjugate(x_rows)
-        d = linalg.det(x_rows)
-        return next(QuadFormQuery(adj, d).points(), None)
+def _peel_data(x_rows):
+    """The first-peel search of a PSD X, as (lift, adj(B), det(B)).
+
+    linalg.reduce_rank gives U^T X U = diag(0, B) with B full rank, and the
+    peels of X (x with X - x x^T PSD) are exactly x = lift y with lift the
+    last len(B) columns of U^{-T} and y a peel of B, i.e. y^T adj(B) y <=
+    det(B).  A peel lies in the range of X, so X - x x^T keeps the kernel of
+    X, and while its rank holds the same U reduces it, to B - y y^T.
+    """
     u, block = linalg.reduce_rank(x_rows)
-    if not block:
-        return None
-    y = _kx_first(block)
-    if y is None:
-        return None
-    padded = (0,) * (n - len(block)) + y
+    zeros = len(u) - len(block)
     u_inv_t = linalg.transpose(linalg.inverse_unimodular(u))
-    lifted = linalg.mat_vec(u_inv_t, padded)
-    first = next(v for v in lifted if v)
-    if first < 0:
-        lifted = tuple(-v for v in lifted)
-    return lifted
+    lift = tuple(row[zeros:] for row in u_inv_t)
+    return lift, linalg.adjugate(block), linalg.det(block)
+
+
+def _lift(lift, y):
+    """The peel of X that the peel y of B lifts to, signed so that its first
+    nonzero entry is positive."""
+    x = linalg.mat_vec(lift, y)
+    return x if next(v for v in x if v) > 0 else tuple(-v for v in x)
+
+
+def _kx_first(x_rows):
+    """The first point of K(X) = {x != 0 : X - x x^T is PSD}, or None."""
+    lift, adj, d = _peel_data(x_rows)
+    y = next(QuadFormQuery(adj, d).points(), None)
+    return None if y is None else _lift(lift, y)

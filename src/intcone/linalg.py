@@ -1,17 +1,17 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything in here works on small dense matrices represented as tuples (or
-lists) of rows of Python ints.  No floats anywhere: determinants and
-adjugates are computed fraction-free (Bareiss), semidefiniteness through a
-rational Schur-complement recursion, kernels and unimodular completions over
-exact rationals.  Matrices stay well under 11x11 in this package, so the
+lists) of rows of Python ints.  No floats and no fractions anywhere:
+determinants, semidefiniteness, rank and kernels all come from
+fraction-free (Bareiss) elimination, whose entries are minors of the input,
+so every division in it is exact; unimodular completions come from a gcd
+ladder.  Matrices stay well under 11x11 in this package, so the
 implementations favour clarity over asymptotics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 Rows = tuple[tuple[int, ...], ...]
@@ -47,10 +47,6 @@ def mat_mul(a, b) -> Rows:
 
 def mat_vec(a, v) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_sub(a, b) -> Rows:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def outer(x) -> Rows:
@@ -127,17 +123,19 @@ def adjugate(rows) -> Rows:
 
 
 def is_psd_exact(rows) -> bool:
-    """Exact positive-semidefiniteness over the rationals.
+    """Exact positive-semidefiniteness by symmetric Bareiss elimination.
 
-    Recursive Schur elimination: a negative diagonal entry refutes, a zero
-    diagonal entry with a nonzero row refutes, otherwise pivot on the first
-    positive diagonal entry and recurse on the rational Schur complement.
-    The zero (or empty) matrix is PSD.
+    A negative diagonal entry refutes, a zero diagonal entry with a nonzero
+    row refutes, otherwise pivot on the first positive diagonal entry and
+    eliminate.  The remaining entries are the Schur complement scaled by
+    the last pivot, a positive principal minor, so every sign test reads
+    the Schur complement itself.  The zero (or empty) matrix is PSD.
     """
     if not is_symmetric(rows):
         raise ValueError("is_psd_exact expects a symmetric matrix")
-    a = [[Fraction(v) for v in row] for row in rows]
+    a = [list(row) for row in rows]
     idx = list(range(len(a)))
+    prev = 1
     while idx:
         pivot_i = None
         for i in idx:
@@ -145,94 +143,86 @@ def is_psd_exact(rows) -> bool:
             if d < 0:
                 return False
             if d == 0:
-                if any(a[i][j] != 0 for j in idx):
+                if any(a[i][j] for j in idx):
                     return False
             elif pivot_i is None:
                 pivot_i = i
         if pivot_i is None:
             return True  # all remaining rows are zero
-        p = a[pivot_i][pivot_i]
+        row_p = a[pivot_i]
+        p = row_p[pivot_i]
         idx.remove(pivot_i)
-        col = {j: a[j][pivot_i] for j in idx}
         for i in idx:
-            ci = col[i]
-            if ci == 0:
-                continue
             row_i = a[i]
-            row_p = a[pivot_i]
+            ci = row_i[pivot_i]
             for j in idx:
-                row_i[j] -= ci * row_p[j] / p
+                row_i[j] = (p * row_i[j] - ci * row_p[j]) // prev
+        prev = p
     return True
 
 
-def rank(rows) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    a = [[Fraction(v) for v in row] for row in rows]
+def _echelon(rows):
+    """Fraction-free row echelon form (Bareiss) and its pivot columns.
+
+    Row k of the result is final once it holds the k-th pivot; its pivot
+    entry is, up to sign, the leading minor on the first k + 1 pivot rows
+    and columns.
+    """
+    a = [list(row) for row in rows]
     n = len(a)
     m = len(a[0]) if a else 0
-    r = 0
-    col = 0
-    while r < n and col < m:
-        piv = next((i for i in range(r, n) if a[i][col] != 0), None)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(m):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][col]), None)
         if piv is None:
-            col += 1
             continue
         a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
+        row_r = a[r]
+        p = row_r[col]
         for i in range(r + 1, n):
-            f = a[i][col] / pv
-            if f:
-                for j in range(col, m):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        col += 1
-    return r
+            row_i = a[i]
+            lead = row_i[col]
+            for j in range(col + 1, m):
+                row_i[j] = (p * row_i[j] - lead * row_r[j]) // prev
+            row_i[col] = 0
+        prev = p
+        pivots.append(col)
+    return a, pivots
+
+
+def rank(rows) -> int:
+    """Rank: the number of pivots of the fraction-free echelon form."""
+    return len(_echelon(rows)[1])
 
 
 def primitive_kernel_vector(rows):
     """A primitive integer kernel vector of a rank-deficient matrix.
 
-    Deterministic: reduced row echelon over Q, take the first free column,
-    back-substitute, clear denominators, divide by the gcd, and flip so the
-    first nonzero entry is positive.  Returns None for full column rank.
+    Deterministic: in the fraction-free echelon form the first free column
+    f follows f pivot columns, so the kernel has exactly one direction
+    supported on columns 0..f.  Back-substitution with z_f set to the last
+    pivot minor stays integral (Cramer's rule); divide by the gcd and flip
+    so the first nonzero entry is positive.  Returns None for full column
+    rank.
     """
-    a = [[Fraction(v) for v in row] for row in rows]
-    n = len(a)
+    a, pivots = _echelon(rows)
     m = len(a[0]) if a else 0
-    pivots = {}  # column -> row
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots[col] = r
-        r += 1
-        if r == n:
-            break
-    free = next((c for c in range(m) if c not in pivots), None)
-    if free is None:
+    free = next((c for c, col in enumerate(pivots) if col != c), len(pivots))
+    if free == m:
         return None
-    z = [Fraction(0)] * m
-    z[free] = Fraction(1)
-    for col, row in pivots.items():
-        z[col] = -a[row][free]
-    den = 1
-    for x in z:
-        den = den * x.denominator // gcd(den, x.denominator)
-    w = [int(x * den) for x in z]
-    g = vec_gcd(w)
-    w = [x // g for x in w]
-    first = next(x for x in w if x != 0)
-    if first < 0:
-        w = [-x for x in w]
-    return tuple(w)
+    z = [0] * m
+    z[free] = a[free - 1][free - 1] if free else 1
+    for k in range(free - 1, -1, -1):
+        row_k = a[k]
+        z[k] = -sum(row_k[j] * z[j] for j in range(k + 1, free + 1)) // row_k[k]
+    g = vec_gcd(z)
+    if z[next(c for c in range(m) if z[c])] < 0:
+        g = -g
+    return tuple(v // g for v in z)
 
 
 def _xgcd(a: int, b: int):
@@ -282,7 +272,8 @@ def extend_to_unimodular(z) -> Rows:
         for r in range(n):
             u[r][0] = -u[r][0]
     out = freeze(u)
-    assert tuple(row[0] for row in out) == z
+    if tuple(row[0] for row in out) != z:
+        raise RuntimeError("unimodular completion lost its first column")
     return out
 
 
@@ -307,36 +298,24 @@ def reduce_rank(rows):
     if not is_psd_exact(x):
         raise ValueError("reduce_rank expects a PSD matrix")
     n = len(x)
-    r = rank(x)
-    if r == n:
-        return identity(n), x
     u_total = identity(n)
     cur = x
-    zeros = 0
-    while True:
-        m = len(cur)
-        if m == 0 or rank(cur) == m:
-            break
-        z = primitive_kernel_vector(cur)
+    z = primitive_kernel_vector(cur)
+    while z is not None:
+        zeros = n - len(cur)
         u1 = extend_to_unimodular(z)
         b = mat_mul(transpose(u1), mat_mul(cur, u1))
-        assert all(b[0][j] == 0 for j in range(m)) and all(
-            b[i][0] == 0 for i in range(m)
-        )
-        lift = [[0] * n for _ in range(n)]
-        for i in range(zeros):
-            lift[i][i] = 1
-        for i in range(m):
-            for j in range(m):
-                lift[zeros + i][zeros + j] = u1[i][j]
-        u_total = mat_mul(u_total, lift)
+        if any(b[0]):  # b is symmetric, so its first column is zero too
+            raise RuntimeError("kernel vector left a nonzero first row")
+        # u_total diag(I, u1): u1 acts on the columns after the kernel block
+        tail = mat_mul([row[zeros:] for row in u_total], u1)
+        u_total = tuple(row[:zeros] + t for row, t in zip(u_total, tail))
         cur = tuple(row[1:] for row in b[1:])
-        zeros += 1
-    block = cur
+        z = primitive_kernel_vector(cur)
     full = mat_mul(transpose(u_total), mat_mul(x, u_total))
-    for i in range(zeros):
-        assert all(full[i][j] == 0 for j in range(n))
-    return u_total, block
+    if any(any(row) for row in full[: n - len(cur)]):
+        raise RuntimeError("reduce_rank left a nonzero row in the kernel block")
+    return u_total, cur
 
 
 @dataclass(frozen=True)
@@ -379,9 +358,6 @@ class UnimodularMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def inverse(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(inverse_unimodular(self.rows))
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}

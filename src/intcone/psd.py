@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from math import ceil
 
 from . import lattice, linalg
 from .lattice import QuadFormQuery
@@ -128,11 +129,13 @@ def _sub_outer(rows, x):
 def decompose(x_rows) -> Rank1Certificate:
     """Peel deterministic rank-one summands until zero or a sporadic residue.
 
-    Chooses the same vector as rank1_step at every step.  While the residue
-    stays full rank the ellipsoid data (adjugate and determinant) is carried
-    along by an exact integer rank-one downdate instead of being recomputed;
-    once the rank drops the general path takes over.  The run takes at most
-    tr(X) steps since every peel lowers the trace.
+    Chooses the same vector as rank1_step at every step.  The residue is
+    reduced to its full-rank block B once, and the first peel y of B is
+    lifted back; after each peel the ellipsoid data (adjugate and
+    determinant) of B - y y^T comes from an exact integer rank-one downdate
+    of B's.  Only when that determinant reaches 0, i.e. the rank drops, is
+    the residue reduced again.  The run takes at most tr(X) steps since
+    every peel lowers the trace.
     """
     x0 = linalg.freeze(x_rows)
     if not linalg.is_psd_exact(x0):
@@ -140,46 +143,33 @@ def decompose(x_rows) -> Rank1Certificate:
     n = len(x0)
     cur = x0
     found: list[tuple[int, ...]] = []
-    full_rank = n > 0 and linalg.rank(x0) == n
-    adj = linalg.adjugate(x0) if full_rank else None
-    d = linalg.det(x0) if full_rank else 0
+    d = 0
     while any(v for row in cur for v in row):
-        if full_rank:
-            x = next(QuadFormQuery(adj, d).points(), None)
-        else:
-            x = lattice._kx_first(cur)
-        if x is None:
+        if d == 0:
+            lift, adj, d = lattice._peel_data(cur)
+        y = next(QuadFormQuery(adj, d).points(), None)
+        if y is None:
             break
+        x = lattice._lift(lift, y)
         found.append(x)
         cur = _sub_outer(cur, x)
-        if full_rank:
-            ax = linalg.mat_vec(adj, x)
-            d2 = d - sum(a * b for a, b in zip(ax, x))
-            if d2 == 0:
-                full_rank, adj, d = False, None, 0
-            else:
-                adj = tuple(
-                    tuple((d2 * adj[i][j] + ax[i] * ax[j]) // d for j in range(n))
-                    for i in range(n)
-                )
-                d = d2
-    vectors: list[tuple[tuple[int, ...], int]] = []
-    for x in found:
-        if vectors and vectors[-1][0] == x:
-            vectors[-1] = (x, vectors[-1][1] + 1)
-        else:
-            vectors.append((x, 1))
-    if not any(v for row in cur for v in row):
-        return Rank1Certificate(
-            n=n, vectors=tuple(vectors), remainder=None, witness=None
+        ay = linalg.mat_vec(adj, y)
+        d2 = d - sum(a * b for a, b in zip(ay, y))
+        adj = tuple(
+            tuple((d2 * adj_i[j] + ay_i * ay[j]) // d for j in range(len(y)))
+            for adj_i, ay_i in zip(adj, ay)
         )
+        d = d2
+    vectors = tuple((x, len(list(run))) for x, run in groupby(found))
+    if not any(v for row in cur for v in row):
+        return Rank1Certificate(n=n, vectors=vectors, remainder=None, witness=None)
     witness = None
     for cat in sporadic_catalog(n):
         witness = unimodular_witness(cur, cat)
         if witness is not None:
             break
     return Rank1Certificate(
-        n=n, vectors=tuple(vectors), remainder=SymIntMatrix(cur), witness=witness
+        n=n, vectors=vectors, remainder=SymIntMatrix(cur), witness=witness
     )
 
 
@@ -234,7 +224,7 @@ def unimodular_witness(x_rows, y_rows):
         u = linalg.mat_mul(
             uy_inv_t, linalg.mat_mul(linalg.freeze(w), linalg.transpose(ux))
         )
-        assert linalg.mat_mul(u, linalg.mat_mul(x, linalg.transpose(u))) == y
+        _check_witness(u, x, y)
         return UnimodularMatrix(u)
     cap = max(y[i][i] for i in range(n))
     if _shell_counts(x, cap) != _shell_counts(y, cap):
@@ -271,8 +261,13 @@ def unimodular_witness(x_rows, y_rows):
     if not backtrack(0):
         return None
     u = tuple(rows_u)
-    assert linalg.mat_mul(u, linalg.mat_mul(x, linalg.transpose(u))) == y
+    _check_witness(u, x, y)
     return UnimodularMatrix(u)
+
+
+def _check_witness(u, x, y):
+    if linalg.mat_mul(u, linalg.mat_mul(x, linalg.transpose(u))) != y:
+        raise RuntimeError("congruence witness does not map X onto Y")
 
 
 def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
@@ -298,7 +293,7 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     """
     if n < 2 or diag_bound < 1:
         raise ValueError("need n >= 2 and diag_bound >= 1")
-    bound = sporadic_det_bound(n)
+    bound = ceil(sporadic_det_bound(n))  # an integer det is below it iff below ceil
     reps: list[Rows] = []
     for diag in combinations_with_replacement(range(1, diag_bound + 1), n):
         a = [[0] * n for _ in range(n)]

@@ -11,9 +11,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from _oracles import primitive_pythagorean_signed
+from _oracles import form_value, points_below_box, primitive_pythagorean_signed
 
-from intcone import cuts, lattice, linalg, psd, soc
+from intcone import cuts, linalg, psd, soc
 from intcone.cuts import GeneratorStream, LCISystem
 
 M6 = (
@@ -97,7 +97,7 @@ def test_criterion_01_m6_regression():
     t0 = time.monotonic()
     det = linalg.det(M6)
     adj = linalg.adjugate(M6)
-    minimum, _ = lattice.shortest_nonzero(adj)
+    minimum = min(form_value(adj, x) for x in points_below_box(adj, adj[0][0]))
     at_e1 = adj[0][0]
     sporadic = psd.is_sporadic(M6)
     elapsed = time.monotonic() - t0

@@ -19,6 +19,7 @@ M6 = (
     (1, 1, 1, 1, 2, 1),
     (1, 1, 1, 1, 1, 2),
 )
+I2 = [[1, 0], [0, 1]]
 
 
 @pytest.fixture
@@ -373,6 +374,44 @@ class TestVerify:
         rc, out2 = invoke(["verify"], env)
         assert rc == 1
         assert "witness" in payload_of(out2)["error"]
+
+    @pytest.mark.parametrize(
+        "matrix, n, vectors, remainder, witness",
+        [
+            # sums to I2, but the remainder is not PSD
+            (I2, 2, [[2, 0]], [[-3, 0], [0, 1]], None),
+            # sums to I2, but I2 is not sporadic: it has peels
+            (I2, 2, [], I2, None),
+            ([[2, 1], [1, 1]], 2, [[1, 0], [1, 1]], None, I2),
+            (I2, 2, [[1], [0, 1]], None, None),
+            (I2, 3, [[1, 0], [0, 1]], None, None),
+            # M6 is sporadic, but n = 6 has a complete catalog to witness it
+            (M6, 6, [], M6, None),
+        ],
+        ids=[
+            "remainder-not-psd",
+            "remainder-not-sporadic",
+            "witness-without-remainder",
+            "short-vector",
+            "wrong-n",
+            "remainder-without-witness",
+        ],
+    )
+    def test_false_psd_certificate_fails(
+        self, invoke, matrix, n, vectors, remainder, witness
+    ):
+        def square(rows):
+            return None if rows is None else {"n": len(rows), "rows": rows}
+
+        cert = {
+            "n": n,
+            "vectors": [{"x": x, "lambda": 1} for x in vectors],
+            "remainder": square(remainder),
+            "witness": square(witness),
+        }
+        payload = {"kind": "psd-certificate", "matrix": matrix, "certificate": cert}
+        rc, out = invoke(["verify"], payload)
+        assert (rc, json.loads(out)["status"]) == (1, "error")
 
     @pytest.mark.parametrize(
         "system, cut",

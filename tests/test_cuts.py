@@ -139,6 +139,16 @@ class TestGeneratorStream:
                 cone="psd", n=2, word_cap=0, roots=(((0, 0), (0, 0)),)
             )
 
+    @pytest.mark.parametrize(
+        "cone, root",
+        [("soc", (5, 0, 0)), ("psd", ((1, 2), (2, 1)))],
+        ids=["soc", "psd"],
+    )
+    def test_rejects_root_outside_the_cone(self, cone, root):
+        # its cuts are not valid, and verify rejects them
+        with pytest.raises(ValueError, match="lie in the cone"):
+            GeneratorStream(cone=cone, n=len(root), word_cap=0, roots=(root,))
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             GeneratorStream(cone="soc", n=3, word_cap=-1)

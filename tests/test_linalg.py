@@ -222,6 +222,12 @@ class TestReduceRank:
         with pytest.raises(ValueError):
             reduce_rank(((0, 1), (1, 0)))
 
+    def test_wrong_kernel_vector_raises(self, monkeypatch):
+        # (1, 0) is primitive but not in the kernel of [[1, 1], [1, 1]]
+        monkeypatch.setattr(linalg, "primitive_kernel_vector", lambda rows: (1, 0))
+        with pytest.raises(RuntimeError):
+            reduce_rank(((1, 1), (1, 1)))
+
     def test_block_structure_random(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -262,4 +268,4 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             UnimodularMatrix(((2, 0), (0, 1)))
         u = UnimodularMatrix(((1, 1), (0, 1)))
-        assert u.inverse().rows == ((1, -1), (0, 1))
+        assert inverse_unimodular(u.rows) == ((1, -1), (0, 1))
