@@ -51,9 +51,13 @@ def _recording(name):
 
 
 def _replay(case, capsys, monkeypatch):
-    stdin = types.SimpleNamespace(buffer=io.BytesIO(case["input"].encode()))
-    monkeypatch.setattr(cli.sys, "stdin", stdin)
-    rc = cli.main(case["argv"] + ["-"])
+    # a recorded input of null marks a command that reads no input
+    argv = case["argv"]
+    if case["input"] is not None:
+        stdin = types.SimpleNamespace(buffer=io.BytesIO(case["input"].encode()))
+        monkeypatch.setattr(cli.sys, "stdin", stdin)
+        argv = argv + ["-"]
+    rc = cli.main(argv)
     assert (rc, capsys.readouterr().out) == (case["rc"], case["stdout"])
 
 
@@ -67,7 +71,9 @@ CUT_ENVELOPES = _recording("cut_envelopes.json")
 
 # psd-decompose, psd-sporadic and psd-equiv envelopes recorded from the
 # Fraction-based elimination and the recursive first-peel search that the
-# integer-only peel path replaced
+# integer-only peel path replaced; the last two, psd-search-sporadic at
+# n = 6, diag-bound 2, plain and --lines, from the search that filtered
+# column order and the determinant only at the leaves
 PSD_ENVELOPES = _recording("psd_envelopes.json")
 
 

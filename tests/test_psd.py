@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -290,6 +292,31 @@ class TestSearchSporadic:
             search_sporadic(1, 2)
         with pytest.raises(ValueError):
             search_sporadic(3, 0)
+
+
+# the matrices that passed psd._swap_minimal, in order, for each search,
+# recorded from the walk that tested column order only at the leaves
+SURVIVORS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "sporadic_survivors.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "search", SURVIVORS, ids=[f"n{s['n']}b{s['diag_bound']}" for s in SURVIVORS]
+)
+def test_swap_survivors_match_the_recording(search, monkeypatch):
+    swap_minimal = psd._swap_minimal
+    passed = []
+
+    def recording(rows, n):
+        ok = swap_minimal(rows, n)
+        if ok:
+            passed.append([list(r) for r in rows])
+        return ok
+
+    monkeypatch.setattr(psd, "_swap_minimal", recording)
+    search_sporadic(search["n"], search["diag_bound"])
+    assert passed == search["survivors"]
 
 
 class TestGlGenerators:
