@@ -27,16 +27,23 @@ class MalformedInput(Exception):
     pass
 
 
+def _int(v):
+    # a JSON integer only: bool, float and str input is never coerced
+    if type(v) is not int:
+        raise ValueError(f"{json.dumps(v)} is not an integer")
+    return v
+
+
 def _rows(obj):
     try:
-        return tuple(tuple(int(v) for v in row) for row in obj)
+        return tuple(tuple(_int(v) for v in row) for row in obj)
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"expected a matrix of integers: {exc}")
 
 
 def _vec(obj):
     try:
-        return tuple(int(v) for v in obj)
+        return tuple(_int(v) for v in obj)
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"expected a vector of integers: {exc}")
 
@@ -197,7 +204,10 @@ def _cmd_cg_cuts(doc, args):
 
 def _cmd_icr_search(doc, args):
     name = str(_field(doc, "cone"))
-    n = int(_field(doc, "n"))
+    try:
+        n = _int(_field(doc, "n"))
+    except ValueError as exc:
+        raise MalformedInput(f"field 'n': {exc}")
     raw = _field(doc, "element")
     cone = cuts.cone_record(name, n)
     element = _READERS[cone.shape](raw)

@@ -140,10 +140,6 @@ def enumerate_below(a, t: int) -> list[tuple[int, ...]]:
     return list(QuadFormQuery(a, t).points())
 
 
-def _form(a, x):
-    return sum(a[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
-
-
 def _peel_data(x_rows):
     """The first-peel search of a PSD X, as (lift, adj(B), det(B)).
 

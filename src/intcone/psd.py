@@ -173,21 +173,27 @@ def decompose(x_rows) -> Rank1Certificate:
     )
 
 
-def _shell_counts(rows, cap):
-    counts = [0] * (cap + 1)
-    for x in lattice.enumerate_below(rows, cap):
-        counts[lattice._form(rows, x)] += 1
-    return tuple(counts)
+def _shells(rows, cap):
+    """The pairs (v, A v) of the enumeration below cap, keyed by v^T A v."""
+    shells: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {
+        val: [] for val in range(1, cap + 1)
+    }
+    for v in lattice.enumerate_below(rows, cap):
+        av = linalg.mat_vec(rows, v)
+        shells[sum(a * b for a, b in zip(v, av))].append((v, av))
+    return shells
 
 
 def unimodular_witness(x_rows, y_rows):
     """A unimodular U with U X U^T = Y, or None when none exists.
 
-    Cheap congruence invariants first (determinant, rank, the count of
-    vectors at each form value up to the largest diagonal entry of Y), then
-    a row-by-row backtracking search over the exact vector shells of X with
-    all cross products pinned by Y.  Singular pairs are compared through
-    their full-rank cores.
+    Cheap congruence invariants first: determinant, rank, and the count of
+    vectors at each form value up to the largest diagonal entry of Y.  One
+    enumeration of each matrix below that value gives these counts, and
+    X's pass also keeps every vector v with X v, grouped by v^T X v: the
+    shells of a row-by-row backtracking search with all cross products
+    pinned by Y.  Singular pairs are compared through their full-rank
+    cores.
     """
     x = linalg.freeze(x_rows)
     y = linalg.freeze(y_rows)
@@ -227,13 +233,10 @@ def unimodular_witness(x_rows, y_rows):
         _check_witness(u, x, y)
         return UnimodularMatrix(u)
     cap = max(y[i][i] for i in range(n))
-    if _shell_counts(x, cap) != _shell_counts(y, cap):
+    shells = _shells(x, cap)
+    y_shells = _shells(y, cap)
+    if any(len(shells[val]) != len(y_shells[val]) for val in shells):
         return None
-    shells: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {
-        v: [] for v in range(1, cap + 1)
-    }
-    for vec in lattice.enumerate_below(x, cap):
-        shells[lattice._form(x, vec)].append((vec, linalg.mat_vec(x, vec)))
     for val in shells:
         shells[val] = shells[val] + [
             (tuple(-a for a in v), tuple(-a for a in xv))
@@ -283,13 +286,19 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     ellipsoid data for free.
 
     Permutations of equal diagonal entries and basis sign flips are
-    unimodular, so the walk is restricted to orbit representatives: each
-    column's first nonzero entry is nonnegative, and a leaf is dropped when
-    swapping an adjacent equal-diagonal pair yields a lexicographically
-    smaller sign-normalized matrix (the orbit minimum always survives).
-    Survivors are filtered by det < gamma_n, by cheap subtraction probes,
-    and by the full sporadicity test, then deduplicated up to unimodular
-    congruence.  Deterministic order throughout.
+    unimodular, so the walk keeps to orbit representatives.  Each column's
+    first nonzero entry is positive.  Where X_{k-1,k-1} = X_kk, column k's
+    entries above row k-1 are lexicographically at least column k-1's, the
+    order that swapping k-1 and k would otherwise lower; the walk raises
+    each entry's lower end while that prefix is tied.  At the last column
+    the determinant is known before the bordered update, and a matrix with
+    det >= gamma_n^n is dropped there, before its adjugate is built.  A
+    leaf that remains is filtered by cheap subtraction probes, then by
+    _swap_minimal (each adjacent equal-diagonal swap, sign-normalized, must
+    not give a lexicographically smaller matrix; it decides the ties and
+    the swap of the first two rows, and the orbit minimum always survives),
+    then by the full sporadicity test, and is finally deduplicated up to
+    unimodular congruence.  Deterministic order throughout.
     """
     if n < 2 or diag_bound < 1:
         raise ValueError("need n >= 2 and diag_bound >= 1")
@@ -307,17 +316,24 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
 
 def _fill_column(a, k, n, adjs, dets, bound, reps):
     if k == n:
-        _check_leaf(a, n, adjs[-1], dets[-1], bound, reps)
+        _check_leaf(a, n, adjs[-1], dets[-1], reps)
         return
     t = a[k][k]
     col = [0] * k
+    # with a[k-1][k-1] == t, swapping k-1 and k moves col[:k-1] into column
+    # k-1 unflipped (its first nonzero entry is positive), so the leaf
+    # survives _swap_minimal only if col[:k-1] >= a[:k-1][k-1] in lex order
+    prev = [a[i][k - 1] for i in range(k - 1)] if a[k - 1][k - 1] == t else []
 
-    def entry(i, q, seen):
+    def entry(i, q, seen, tight):
         # q is col^T adj(A_i) col for the i entries chosen so far; seen
-        # marks whether any of them was nonzero (sign normalization)
+        # marks whether any of them was nonzero (sign normalization); tight
+        # whether they equal prev[:i] (column order)
         if i == k:
             d_old = dets[-1]
             d_new = t * d_old - q
+            if k == n - 1 and d_new >= bound:
+                return  # det >= gamma_n^n: not sporadic, skip the adjugate
             p = adjs[-1]
             u = [sum(p[r][j] * col[j] for j in range(k)) for r in range(k)]
             top = [
@@ -349,12 +365,20 @@ def _fill_column(a, k, n, adjs, dets, bound, reps):
         lo = -lattice._floor_div_surd(beta, disc, alpha)
         if not seen and lo < 0:
             lo = 0
+        tight = tight and i < len(prev)
+        if tight:
+            lo = max(lo, prev[i])
         for v in range(lo, hi + 1):
             col[i] = v
-            entry(i + 1, alpha * v * v + 2 * beta * v + rho, seen or v != 0)
+            entry(
+                i + 1,
+                alpha * v * v + 2 * beta * v + rho,
+                seen or v != 0,
+                tight and v == prev[i],
+            )
         col[i] = 0
 
-    entry(0, 0, False)
+    entry(0, 0, False, True)
 
 
 def _sign_normalize(m, n):
@@ -387,9 +411,7 @@ def _swap_minimal(rows, n):
     return True
 
 
-def _check_leaf(a, n, adj, d, bound, reps):
-    if d >= bound:
-        return
+def _check_leaf(a, n, adj, d, reps):
     for i in range(n):
         if adj[i][i] <= d:
             return  # X - e_i e_i^T stays PSD, so not sporadic

@@ -8,7 +8,7 @@ generator matrices from the package, to multiply them here.
 
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
 from intcone import soc
@@ -83,6 +83,61 @@ def _inverse_diagonal(a):
                 m[r] = [v - g * w for v, w in zip(m[r], m[col])]
                 inv[r] = [v - g * w for v, w in zip(inv[r], inv[col])]
     return [inv[i][i] for i in range(n)]
+
+
+# ceil(gamma_n^n) for gamma_2^2 = 4/3, gamma_3^3 = 2, gamma_4^4 = 4
+HERMITE_CEIL = {2: 2, 3: 2, 4: 4}
+
+
+def sporadic_leaf_candidates(n, b):
+    """Every positive definite integer n x n matrix with nondecreasing
+    diagonal <= b, each column's first nonzero entry above the diagonal
+    positive, no adjacent equal-diagonal swap making it smaller, and
+    determinant below ceil(gamma_n^n), by a plain scan of the box
+    X_ij^2 < X_ii X_jj that positive definiteness implies."""
+    out = []
+    for diag in combinations_with_replacement(range(1, b + 1), n):
+        columns = []
+        for j in range(1, n):
+            box = [range(-r, r + 1) for r in (isqrt(diag[i] * diag[j] - 1) for i in range(j))]
+            columns.append([c for c in product(*box) if next((v for v in c if v), 1) > 0])
+        for cols in product(*columns):
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                m[i][i] = diag[i]
+            for j, col in enumerate(cols, start=1):
+                for i, v in enumerate(col):
+                    m[i][j] = m[j][i] = v
+            minors = [det_cofactor([r[:k] for r in m[:k]]) for k in range(1, n + 1)]
+            if min(minors) <= 0 or minors[-1] >= HERMITE_CEIL[n]:
+                continue
+            if _swap_minimal(m):
+                out.append(tuple(map(tuple, m)))
+    return out
+
+
+def _upper(m):
+    return tuple(m[i][j] for j in range(1, len(m)) for i in range(j))
+
+
+def _swap_minimal(m):
+    """No transposition of adjacent equal-diagonal basis vectors, followed by
+    the sign flips that make each column's first nonzero entry above the
+    diagonal positive (columns left to right), gives a smaller _upper."""
+    n = len(m)
+    for k in range(n - 1):
+        if m[k][k] != m[k + 1][k + 1]:
+            continue
+        p = list(range(n))
+        p[k], p[k + 1] = k + 1, k
+        sw = [[m[p[i]][p[j]] for j in range(n)] for i in range(n)]
+        for j in range(1, n):
+            if next((sw[i][j] for i in range(j) if sw[i][j]), 0) < 0:
+                for i in range(n):
+                    sw[i][j], sw[j][i] = -sw[i][j], -sw[j][i]
+        if _upper(sw) < _upper(m):
+            return False
+    return True
 
 
 def subtractable_vector_box(rows, radius):

@@ -126,6 +126,24 @@ class TestEnvelope:
         rc, _ = invoke(["psd-sporadic", "/no/such/file.json"])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["psd-decompose"], lambda b: [[1, 0], [0, b]]),
+            (["psd-equiv"], lambda b: {"x": I2, "y": [[b, 0], [0, 1]]}),
+            (["soc-decompose"], lambda b: [3, 4, b]),
+            (["icr-search"], lambda b: {"cone": "soc", "n": 3, "element": [b, 0, 1]}),
+            (["icr-search"], lambda b: {"cone": "soc", "n": b, "element": [0, 0, 1]}),
+        ],
+        ids=["matrix", "equiv", "vector", "element", "n"],
+    )
+    def test_non_integer_input_is_malformed(self, invoke, argv, doc, bad):
+        rc, out = invoke(argv, doc(bad))
+        assert rc == 2
+        assert json.loads(out)["status"] == "error"
+        assert "is not an integer" in payload_of(out)["error"]
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import psd_by_minors, random_unimodular, subtractable_vector_box
+from _oracles import (
+    psd_by_minors,
+    random_unimodular,
+    sporadic_leaf_candidates,
+    subtractable_vector_box,
+)
 from intcone import linalg, psd
 from intcone.psd import (
     M6,
@@ -317,6 +322,26 @@ def test_swap_survivors_match_the_recording(search, monkeypatch):
     monkeypatch.setattr(psd, "_swap_minimal", recording)
     search_sporadic(search["n"], search["diag_bound"])
     assert passed == search["survivors"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_walk_prunes_only_non_minimal_leaves(n, monkeypatch):
+    # the walk's column-order bound and determinant test may drop a leaf
+    # only when the brute-force oracle drops it too
+    check_leaf = psd._check_leaf
+    reached = set()
+
+    def recording(a, *rest):
+        reached.add(tuple(map(tuple, a)))
+        return check_leaf(a, *rest)
+
+    monkeypatch.setattr(psd, "_check_leaf", recording)
+    for b in (1, 2, 3):
+        reached.clear()
+        search_sporadic(n, b)
+        expected = sporadic_leaf_candidates(n, b)
+        assert expected
+        assert set(expected) <= reached
 
 
 class TestGlGenerators:
