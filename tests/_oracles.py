@@ -86,7 +86,7 @@ def _inverse_diagonal(a):
 
 
 # ceil(gamma_n^n) for gamma_2^2 = 4/3, gamma_3^3 = 2, gamma_4^4 = 4
-HERMITE_CEIL = {2: 2, 3: 2, 4: 4}
+_HERMITE_CEIL = {2: 2, 3: 2, 4: 4}
 
 
 def sporadic_leaf_candidates(n, b):
@@ -99,8 +99,9 @@ def sporadic_leaf_candidates(n, b):
     for diag in combinations_with_replacement(range(1, b + 1), n):
         columns = []
         for j in range(1, n):
-            box = [range(-r, r + 1) for r in (isqrt(diag[i] * diag[j] - 1) for i in range(j))]
-            columns.append([c for c in product(*box) if next((v for v in c if v), 1) > 0])
+            radii = [isqrt(diag[i] * diag[j] - 1) for i in range(j)]
+            box = product(*[range(-r, r + 1) for r in radii])
+            columns.append([c for c in box if next((v for v in c if v), 1) > 0])
         for cols in product(*columns):
             m = [[0] * n for _ in range(n)]
             for i in range(n):
@@ -109,7 +110,7 @@ def sporadic_leaf_candidates(n, b):
                 for i, v in enumerate(col):
                     m[i][j] = m[j][i] = v
             minors = [det_cofactor([r[:k] for r in m[:k]]) for k in range(1, n + 1)]
-            if min(minors) <= 0 or minors[-1] >= HERMITE_CEIL[n]:
+            if min(minors) <= 0 or minors[-1] >= _HERMITE_CEIL[n]:
                 continue
             if _swap_minimal(m):
                 out.append(tuple(map(tuple, m)))
