@@ -27,24 +27,21 @@ class MalformedInput(Exception):
     pass
 
 
-def _int(v):
-    # a JSON integer only: bool, float and str input is never coerced
-    if type(v) is not int:
-        raise ValueError(f"{json.dumps(v)} is not an integer")
-    return v
+# the exit code of each error kind a command may raise (see the module doc)
+_EXIT_CODES = {MalformedInput: 2, ValueError: 1, RuntimeError: 1}
 
 
 def _rows(obj):
     try:
-        return tuple(tuple(_int(v) for v in row) for row in obj)
-    except (TypeError, ValueError) as exc:
+        return linalg.int_rows(obj)
+    except TypeError as exc:
         raise MalformedInput(f"expected a matrix of integers: {exc}")
 
 
 def _vec(obj):
     try:
-        return tuple(_int(v) for v in obj)
-    except (TypeError, ValueError) as exc:
+        return tuple(map(linalg.as_int, obj))
+    except TypeError as exc:
         raise MalformedInput(f"expected a vector of integers: {exc}")
 
 
@@ -205,8 +202,8 @@ def _cmd_cg_cuts(doc, args):
 def _cmd_icr_search(doc, args):
     name = str(_field(doc, "cone"))
     try:
-        n = _int(_field(doc, "n"))
-    except ValueError as exc:
+        n = linalg.as_int(_field(doc, "n"))
+    except TypeError as exc:
         raise MalformedInput(f"field 'n': {exc}")
     raw = _field(doc, "element")
     cone = cuts.cone_record(name, n)
@@ -410,28 +407,10 @@ def main(argv=None) -> int:
     try:
         doc = _load(raw) if needs_input else None
         payload = handler(doc, args)
-    except MalformedInput as exc:
-        print(
-            _dump(
-                {
-                    "status": "error",
-                    "payload": {"error": str(exc)},
-                    "provenance": provenance,
-                }
-            )
-        )
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print(
-            _dump(
-                {
-                    "status": "error",
-                    "payload": {"error": str(exc)},
-                    "provenance": provenance,
-                }
-            )
-        )
-        return 1
+    except tuple(_EXIT_CODES) as exc:
+        error = {"error": str(exc)}
+        print(_dump({"status": "error", "payload": error, "provenance": provenance}))
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
     if lines_key is not None and getattr(args, "lines", False):
         for item in payload[lines_key]:

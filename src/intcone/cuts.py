@@ -26,7 +26,7 @@ Flat = tuple[int, ...]
 @dataclass(frozen=True)
 class Cone:
     """One cone in one dimension.  `flatten` reads a native element (a
-    matrix or a vector, entries coerced with int()) and checks its shape."""
+    matrix or a vector of ints, see linalg.as_int) and checks its shape."""
 
     shape: str  # "matrix" or "vector"
     ambient_dim: int
@@ -45,7 +45,7 @@ def _dot(a, b) -> int:
 def _psd_cone(n: int) -> Cone:
     def flatten(obj):
         rows = [tuple(row) for row in obj]  # a non-list row fails before a bad entry
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = linalg.int_rows(rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix element has the wrong shape")
         if not linalg.is_symmetric(rows):
@@ -74,7 +74,7 @@ def _psd_cone(n: int) -> Cone:
 
 def _soc_cone(n: int) -> Cone:
     def flatten(obj):
-        vec = tuple(int(v) for v in obj)
+        vec = tuple(map(linalg.as_int, obj))
         if len(vec) != n:
             raise ValueError("vector element has the wrong length")
         return vec
@@ -177,7 +177,7 @@ class LCISystem:
     def from_json(cls, obj) -> "LCISystem":
         return cls(
             cone=str(obj["cone"]),
-            n=int(obj["n"]),
+            n=linalg.as_int(obj["n"]),
             c=tuple(obj["c"]),
             a=tuple(tuple(ai) for ai in obj["A"]),
         )
@@ -189,7 +189,7 @@ def _lists(e):
 
 
 def _tuples(obj):
-    return tuple(_tuples(v) if isinstance(v, list) else v for v in obj)
+    return tuple(_tuples(v) if isinstance(v, list) else linalg.as_int(v) for v in obj)
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,8 @@ class CGCut:
     @classmethod
     def from_json(cls, obj) -> "CGCut":
         return cls(
-            u=tuple(int(v) for v in obj["u"]),
-            rhs=int(obj["rhs"]),
+            u=tuple(map(linalg.as_int, obj["u"])),
+            rhs=linalg.as_int(obj["rhs"]),
             root=_tuples(obj["root"]),
             word=tuple(str(w) for w in obj["word"]),
         )

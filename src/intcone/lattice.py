@@ -57,25 +57,18 @@ def _floor_div_surd(p: int, d: int, q: int) -> int:
 def _decompose(rows):
     """Fraction-free LDL^T split of a positive definite A, as (d, M).
 
-    Symmetric Bareiss elimination: d[k] is the leading principal minor of
-    order k (d[0] = 1) and row k of M holds the entries M[k][j], j > k, of
-    the k-th elimination step, so that L_jk = M[k][j] / d[k+1] and
-    D_k = d[k+1] / d[k].  Raises if A is not positive definite.
+    The Bareiss echelon of A: without a row swap its pivots are the leading
+    principal minors, so A is positive definite exactly when the echelon
+    makes no swap and finds n pivots, all positive (Sylvester's criterion).
+    Then d[k] is the leading principal minor of order k (d[0] = 1) and row k
+    of M holds the entries M[k][j], j > k, of the k-th elimination step, so
+    that L_jk = M[k][j] / d[k+1] and D_k = d[k+1] / d[k].  Raises if A is
+    not positive definite.
     """
-    n = len(rows)
-    m = [list(row) for row in rows]
-    d = [1]
-    for k in range(n):
-        row_k = m[k]
-        p = row_k[k]
-        if p <= 0:
-            raise ValueError("matrix is not positive definite")
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (p * row_i[j] - lead * row_k[j]) // d[k]
-        d.append(p)
+    m, pivots, swaps = linalg._echelon(rows)
+    d = [1] + [m[k][k] for k in range(len(pivots))]
+    if swaps or len(pivots) < len(m) or min(d) <= 0:
+        raise ValueError("matrix is not positive definite")
     return d, m
 
 

@@ -1,20 +1,36 @@
 """Exact linear algebra over the integers.
 
 Everything in here works on small dense matrices represented as tuples (or
-lists) of rows of Python ints.  No floats and no fractions anywhere:
-determinants, semidefiniteness, rank and kernels all come from
-fraction-free (Bareiss) elimination, whose entries are minors of the input,
-so every division in it is exact; unimodular completions come from a gcd
-ladder.  Matrices stay well under 11x11 in this package, so the
-implementations favour clarity over asymptotics.
+lists) of rows of Python ints.  No floats and no fractions anywhere: one
+fraction-free (Bareiss) echelon, whose entries are minors of the input so
+that every division in it is exact, serves the determinant, the rank, the
+kernel vector and lattice's positive-definite split; `is_psd_exact` is its
+symmetric variant, pivoting on the diagonal.  Unimodular completions come
+from a gcd ladder.  Matrices stay well under 11x11 in this package, so the
+implementations favour clarity over asymptotics.  `as_int` is the one rule
+for integers read from JSON.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import gcd
 
 Rows = tuple[tuple[int, ...], ...]
+
+
+def as_int(v) -> int:
+    """v itself if it is an int: the one rule for integers read from JSON.
+    bool, float and str input is never coerced but raises TypeError."""
+    if type(v) is not int:
+        raise TypeError(f"{json.dumps(v)} is not an integer")
+    return v
+
+
+def int_rows(obj) -> Rows:
+    """Rows read with as_int; the shape is left to the caller."""
+    return tuple(tuple(map(as_int, row)) for row in obj)
 
 
 def freeze(rows) -> Rows:
@@ -61,35 +77,18 @@ def vec_gcd(v) -> int:
 
 
 def det(rows) -> int:
-    """Determinant by fraction-free Bareiss elimination.
+    """Determinant: the signed last pivot of the fraction-free echelon form.
 
-    The empty 0x0 matrix has determinant 1 (empty product).
+    0 when some column has no pivot; the empty 0x0 matrix has determinant 1
+    (empty product).
     """
     n = len(rows)
     if n == 0:
         return 1
-    a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    a, pivots, swaps = _echelon(rows)
+    if len(pivots) < n:
+        return 0
+    return -a[n - 1][n - 1] if swaps % 2 else a[n - 1][n - 1]
 
 
 def _minor(rows, i, j):
@@ -162,25 +161,31 @@ def is_psd_exact(rows) -> bool:
 
 
 def _echelon(rows):
-    """Fraction-free row echelon form (Bareiss) and its pivot columns.
+    """Fraction-free row echelon form (Bareiss), its pivot columns and its
+    number of row swaps.
 
     Row k of the result is final once it holds the k-th pivot; its pivot
-    entry is, up to sign, the leading minor on the first k + 1 pivot rows
-    and columns.
+    entry is, up to the sign of the swaps, the leading minor on the first
+    k + 1 pivot rows and columns.
     """
     a = [list(row) for row in rows]
     n = len(a)
     m = len(a[0]) if a else 0
     pivots: list[int] = []
+    swaps = 0
     prev = 1
     for col in range(m):
         r = len(pivots)
         if r == n:
             break
-        piv = next((i for i in range(r, n) if a[i][col]), None)
-        if piv is None:
+        piv = r
+        while piv < n and not a[piv][col]:
+            piv += 1
+        if piv == n:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swaps += 1
         row_r = a[r]
         p = row_r[col]
         for i in range(r + 1, n):
@@ -191,7 +196,7 @@ def _echelon(rows):
             row_i[col] = 0
         prev = p
         pivots.append(col)
-    return a, pivots
+    return a, pivots, swaps
 
 
 def rank(rows) -> int:
@@ -209,7 +214,7 @@ def primitive_kernel_vector(rows):
     so the first nonzero entry is positive.  Returns None for full column
     rank.
     """
-    a, pivots = _echelon(rows)
+    a, pivots, _ = _echelon(rows)
     m = len(a[0]) if a else 0
     free = next((c for c, col in enumerate(pivots) if col != c), len(pivots))
     if free == m:
@@ -338,8 +343,8 @@ class SymIntMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "SymIntMatrix":
-        rows = freeze(obj["rows"])
-        if obj.get("n") != len(rows):
+        rows = int_rows(obj["rows"])
+        if as_int(obj["n"]) != len(rows):
             raise ValueError("n does not match row count")
         return cls(rows)
 
@@ -364,7 +369,7 @@ class UnimodularMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "UnimodularMatrix":
-        rows = freeze(obj["rows"])
-        if obj.get("n") != len(rows):
+        rows = int_rows(obj["rows"])
+        if as_int(obj["n"]) != len(rows):
             raise ValueError("n does not match row count")
         return cls(rows)

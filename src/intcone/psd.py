@@ -109,9 +109,9 @@ class Rank1Certificate:
         rem = obj.get("remainder")
         wit = obj.get("witness")
         return cls(
-            n=int(obj["n"]),
+            n=linalg.as_int(obj["n"]),
             vectors=tuple(
-                (tuple(int(v) for v in t["x"]), int(t["lambda"]))
+                (tuple(map(linalg.as_int, t["x"])), linalg.as_int(t["lambda"]))
                 for t in obj["vectors"]
             ),
             remainder=None if rem is None else SymIntMatrix.from_json(rem),

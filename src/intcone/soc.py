@@ -123,10 +123,6 @@ def apply_word(word, s):
     return cur
 
 
-def invert_word(word) -> tuple[str, ...]:
-    return tuple(invert_label(label) for label in reversed(word))
-
-
 # -- membership classes -----------------------------------------------------
 
 
@@ -240,15 +236,6 @@ def _normalize_steps(s):
         cur[0], cur[t] = cur[t], cur[0]
         applied.append(f"P1{t + 1}")
     return tuple(cur), applied
-
-
-def normalize(s):
-    """Nonnegative non-increasing arrangement s' of the first n-1
-    coordinates, with a word mapping s to s' (word times s equals s')."""
-    if not in_cone(s):
-        raise ValueError("point is outside the cone")
-    out, applied = _normalize_steps(s)
-    return out, tuple(reversed(applied))
 
 
 def descend(s):
@@ -386,12 +373,12 @@ class SocCertificate:
     @classmethod
     def from_json(cls, obj) -> "SocCertificate":
         return cls(
-            n=int(obj["n"]),
+            n=linalg.as_int(obj["n"]),
             terms=tuple(
                 (
-                    int(t["lambda"]),
+                    linalg.as_int(t["lambda"]),
                     tuple(str(w) for w in t["word"]),
-                    tuple(int(v) for v in t["root"]),
+                    tuple(map(linalg.as_int, t["root"])),
                 )
                 for t in obj["terms"]
             ),

@@ -87,6 +87,28 @@ def test_psd_envelopes_match_the_recording(case, capsys, monkeypatch):
     _replay(case, capsys, monkeypatch)
 
 
+# payloads that verify when b is read as 1, as int() reads 1.5, true and
+# "1", so a reader that coerces instead of rejecting lets them through: a
+# cut-list emitted by cg-cuts on SOC3 at word cap 0, and certificates for
+# I2 and for the root (0, 0, 1)
+def _soc_cut_list(root=(1, 0, 1), rhs=1, u=(1,), A=((1, 0, 0),)):
+    cut = {"u": list(u), "rhs": rhs, "root": list(root), "word": []}
+    system = {**SOC3, "A": [list(row) for row in A]}
+    return {"kind": "cut-list", "system": system, "cuts": [cut]}
+
+
+def _i2_certificate(lam):
+    vectors = [{"x": [1, 0], "lambda": lam}, {"x": [0, 1], "lambda": 1}]
+    cert = {"n": 2, "vectors": vectors, "remainder": None, "witness": None}
+    return {"kind": "psd-certificate", "matrix": I2, "certificate": cert}
+
+
+def _soc_certificate(lam):
+    terms = [{"lambda": lam, "word": [], "root": [0, 0, 1]}]
+    cert = {"n": 3, "terms": terms}
+    return {"kind": "soc-certificate", "point": [0, 0, 1], "certificate": cert}
+
+
 class TestEnvelope:
     def test_shape_and_provenance(self, invoke, tmp_path):
         doc = [[1, 0], [0, 1]]
@@ -135,8 +157,30 @@ class TestEnvelope:
             (["soc-decompose"], lambda b: [3, 4, b]),
             (["icr-search"], lambda b: {"cone": "soc", "n": 3, "element": [b, 0, 1]}),
             (["icr-search"], lambda b: {"cone": "soc", "n": b, "element": [0, 0, 1]}),
+            (["verify"], lambda b: _soc_cut_list(root=[b, 0, 1])),
+            (["verify"], lambda b: _soc_cut_list(rhs=b)),
+            (["verify"], lambda b: _soc_cut_list(u=[b])),
+            (["verify"], lambda b: _soc_cut_list(A=[[b, 0, 0]])),
+            (["verify"], lambda b: _i2_certificate(b)),
+            (["verify"], lambda b: _soc_certificate(b)),
+            (["cg-cuts"], lambda b: {**SOC3, "c": [0, 0, b]}),
+            (["cg-cuts"], lambda b: {**SOC3, "A": [[b, 0, 0]]}),
         ],
-        ids=["matrix", "equiv", "vector", "element", "n"],
+        ids=[
+            "matrix",
+            "equiv",
+            "vector",
+            "element",
+            "n",
+            "cut-root",
+            "cut-rhs",
+            "cut-u",
+            "cut-system",
+            "psd-lambda",
+            "soc-lambda",
+            "system-c",
+            "system-A",
+        ],
     )
     def test_non_integer_input_is_malformed(self, invoke, argv, doc, bad):
         rc, out = invoke(argv, doc(bad))

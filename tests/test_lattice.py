@@ -71,6 +71,11 @@ class TestEnumerateBelow:
             enumerate_below(((1, 0), (0, 0)), 1)
         with pytest.raises(ValueError):
             enumerate_below(((-1, 0), (0, 1)), 1)
+        # not PSD, det 16: its echelon reaches four positive pivots after
+        # two row swaps, so only "no swap" (not an even count) rejects it
+        swapped = ((0, 0, 2, 0), (0, 0, -1, 2), (2, -1, 0, 0), (0, 2, 0, 0))
+        with pytest.raises(ValueError):
+            enumerate_below(swapped, 1)
 
     def test_matches_box_oracle(self):
         rng = random.Random(31)
