@@ -87,7 +87,7 @@ class QuadFormQuery:
         object.__setattr__(self, "a", linalg.freeze(self.a))
         if not linalg.is_symmetric(self.a):
             raise ValueError("form matrix must be symmetric")
-        if self.bound < 0:
+        if linalg.as_int(self.bound) < 0:
             raise ValueError("bound must be nonnegative")
         self._split  # force PD validation at construction
 

@@ -4,11 +4,12 @@ Everything in here works on small dense matrices represented as tuples (or
 lists) of rows of Python ints.  No floats and no fractions anywhere: one
 fraction-free (Bareiss) echelon, whose entries are minors of the input so
 that every division in it is exact, serves the determinant, the rank, the
-kernel vector and lattice's positive-definite split; `is_psd_exact` is its
-symmetric variant, pivoting on the diagonal.  Unimodular completions come
-from a gcd ladder.  Matrices stay well under 11x11 in this package, so the
+kernel vector and lattice's positive-definite split, and, run on [A | I],
+the adjugate and the unimodular inverse; `is_psd_exact` is its symmetric
+variant, pivoting on the diagonal.  Unimodular completions come from a gcd
+ladder.  Matrices stay well under 11x11 in this package, so the
 implementations favour clarity over asymptotics.  `as_int` is the one rule
-for integers read from JSON.
+for integers read from JSON or passed to a constructor.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ def int_rows(obj) -> Rows:
 
 
 def freeze(rows) -> Rows:
-    """Copy a row-iterable into an immutable tuple-of-tuples of ints."""
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    """A square row-iterable as an immutable tuple-of-tuples, read with
+    as_int: a non-int entry raises TypeError, a ragged shape ValueError."""
+    out = int_rows(rows)
     if any(len(row) != len(out) for row in out):
         raise ValueError("matrix must be square")
     return out
@@ -65,10 +67,6 @@ def mat_vec(a, v) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def outer(x) -> Rows:
-    return tuple(tuple(a * b for b in x) for a in x)
-
-
 def vec_gcd(v) -> int:
     g = 0
     for a in v:
@@ -91,34 +89,43 @@ def det(rows) -> int:
     return -a[n - 1][n - 1] if swaps % 2 else a[n - 1][n - 1]
 
 
-def _minor(rows, i, j):
-    return [
-        [rows[r][c] for c in range(len(rows)) if c != j]
-        for r in range(len(rows))
-        if r != i
-    ]
-
-
-def adjugate_general(rows) -> Rows:
-    """Adjugate via cofactors; defined for singular input too."""
-    n = len(rows)
-    if n == 0:
-        return ()
-    if n == 1:
-        return ((1,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = det(_minor(rows, i, j))
-            adj[j][i] = -c if (i + j) % 2 else c
-    return freeze(adj)
-
-
 def adjugate(rows) -> Rows:
-    """Adjugate of a symmetric matrix (the result is symmetric as well)."""
+    """Adjugate of a symmetric matrix (the result is symmetric as well).
+
+    Singular A has adj(A) = c z z^T, z its primitive kernel vector and c the
+    principal minor at the first z_i != 0 over z_i^2 (0 below rank n - 1).
+    """
     if not is_symmetric(rows):
         raise ValueError("adjugate expects a symmetric matrix")
-    return adjugate_general(rows)
+    adj, _ = _adjugate_det(rows)
+    if adj is not None:
+        return adj
+    z = primitive_kernel_vector(rows)
+    i = next(k for k, v in enumerate(z) if v)
+    rest = [row[:i] + row[i + 1 :] for row in rows[:i] + rows[i + 1 :]]
+    c = det(rest) // (z[i] * z[i])
+    return tuple(tuple(c * a * b for b in z) for a in z)
+
+
+def _adjugate_det(rows):
+    """(adj(A), det(A)) from one echelon of [A | I]; (None, 0) if singular.
+
+    The echelon takes [A | I] to [R | E] with R = E A upper triangular, so
+    R adj(A) = det(A) E: back-substitution from the last row gives adj(A),
+    and every division is exact because adj(A) is integral.
+    """
+    n = len(rows)
+    a, pivots, swaps = _echelon([(*r, *e) for r, e in zip(rows, identity(n))])
+    if pivots != list(range(n)):
+        return None, 0
+    d = (-1) ** swaps * (a[n - 1][n - 1] if n else 1)
+    adj = [[0] * n for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        row_k = a[k]
+        for c in range(n):
+            s = d * row_k[n + c] - sum(row_k[j] * adj[j][c] for j in range(k + 1, n))
+            adj[k][c] = s // row_k[k]
+    return tuple(map(tuple, adj)), d
 
 
 def is_psd_exact(rows) -> bool:
@@ -249,7 +256,7 @@ def extend_to_unimodular(z) -> Rows:
     coordinate into the running gcd, and the inverse steps accumulate into
     the returned matrix.  extend_to_unimodular(e1) is the identity.
     """
-    z = tuple(int(v) for v in z)
+    z = tuple(map(as_int, z))
     n = len(z)
     if n == 0 or all(v == 0 for v in z):
         raise ValueError("z must be nonzero")
@@ -283,11 +290,11 @@ def extend_to_unimodular(z) -> Rows:
 
 
 def inverse_unimodular(u) -> Rows:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    d = det(u)
+    """Exact integer inverse of a matrix with determinant +-1: det(u)
+    adj(u), both from one echelon."""
+    adj, d = _adjugate_det(u)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    adj = adjugate_general(u)
     return tuple(tuple(d * v for v in row) for row in adj)
 
 
@@ -324,15 +331,14 @@ def reduce_rank(rows):
 
 
 @dataclass(frozen=True)
-class SymIntMatrix:
-    """Immutable symmetric integer matrix with validation at construction."""
+class _IntMatrix:
+    """Immutable square integer matrix; each subclass adds its `_check`."""
 
     rows: Rows
 
     def __post_init__(self):
         object.__setattr__(self, "rows", freeze(self.rows))
-        if not is_symmetric(self.rows):
-            raise ValueError("matrix must be symmetric")
+        self._check()
 
     @property
     def n(self) -> int:
@@ -342,7 +348,7 @@ class SymIntMatrix:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
     @classmethod
-    def from_json(cls, obj) -> "SymIntMatrix":
+    def from_json(cls, obj):
         rows = int_rows(obj["rows"])
         if as_int(obj["n"]) != len(rows):
             raise ValueError("n does not match row count")
@@ -350,26 +356,18 @@ class SymIntMatrix:
 
 
 @dataclass(frozen=True)
-class UnimodularMatrix:
+class SymIntMatrix(_IntMatrix):
+    """Immutable symmetric integer matrix with validation at construction."""
+
+    def _check(self):
+        if not is_symmetric(self.rows):
+            raise ValueError("matrix must be symmetric")
+
+
+@dataclass(frozen=True)
+class UnimodularMatrix(_IntMatrix):
     """Integer matrix with determinant +-1."""
 
-    rows: Rows
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", freeze(self.rows))
+    def _check(self):
         if det(self.rows) not in (1, -1):
             raise ValueError("matrix must have determinant +-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json(cls, obj) -> "UnimodularMatrix":
-        rows = int_rows(obj["rows"])
-        if as_int(obj["n"]) != len(rows):
-            raise ValueError("n does not match row count")
-        return cls(rows)

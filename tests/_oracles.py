@@ -28,6 +28,22 @@ def det_cofactor(rows):
     return total
 
 
+def adjugate_cofactor(rows):
+    """adj(A)[i][j] = (-1)^(i+j) times the minor of A without row j and
+    column i; defined for singular A too."""
+    n = len(rows)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * det_cofactor(
+                [[r[c] for c in range(n) if c != i] for r in rows[:j] + rows[j + 1 :]]
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 def psd_by_minors(rows):
     """PSD iff every principal minor (all subsets) is nonnegative."""
     n = len(rows)

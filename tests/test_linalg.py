@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import det_cofactor, psd_by_minors
+from _oracles import adjugate_cofactor, det_cofactor, psd_by_minors, random_unimodular
 from intcone import linalg
+from intcone.lattice import enumerate_below
 from intcone.linalg import (
     SymIntMatrix,
     UnimodularMatrix,
@@ -83,6 +84,32 @@ class TestAdjugate:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             adjugate(((1, 2), (3, 4)))
+
+    def test_small_and_singular(self):
+        assert adjugate(()) == ()
+        assert adjugate(((0,),)) == ((1,),)
+        assert adjugate(((5,),)) == ((1,),)
+        assert adjugate(((1, 1), (1, 1))) == ((1, -1), (-1, 1))
+        assert adjugate(((0,) * 3,) * 3) == ((0,) * 3,) * 3
+
+    def test_matches_cofactor_oracle(self):
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            if rng.random() < 0.5:
+                a = random_symmetric(rng, n, -3, 3)
+            else:  # a Gram matrix of k vectors: rank <= k, often singular
+                k = rng.randint(0, n)
+                vs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+                a = tuple(
+                    tuple(sum(v[i] * v[j] for v in vs) for j in range(n))
+                    for i in range(n)
+                )
+            r = rank(a)
+            seen.add("full" if r == n else "n-1" if r == n - 1 else "<=n-2")
+            assert adjugate(a) == adjugate_cofactor(a), a
+        assert seen == {"full", "n-1", "<=n-2"}
 
     @given(st.integers(2, 4), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -204,6 +231,30 @@ class TestExtendToUnimodular:
         assert mat_mul(u, ui) == identity(3)
 
 
+class TestInverseUnimodular:
+    def test_matches_cofactor_oracle(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(2, 6)  # the GL(n, Z) letters need n >= 2
+            u = random_unimodular(n, rng.randint(0, 12), rng)
+            d = det_cofactor(u)
+            inv = inverse_unimodular(u)
+            assert inv == tuple(
+                tuple(d * v for v in row) for row in adjugate_cofactor(u)
+            )
+            assert mat_mul(u, inv) == identity(n)
+
+    def test_rejects_det_0_and_2(self):
+        for m in (
+            ((1, 2), (2, 4)),
+            ((0, 0), (0, 0)),
+            ((2, 0), (0, 1)),
+            ((1, 1), (-1, 1)),
+        ):
+            with pytest.raises(ValueError):
+                inverse_unimodular(m)
+
+
 class TestReduceRank:
     def test_full_rank_passthrough(self):
         u, block = reduce_rank(M6)
@@ -266,6 +317,29 @@ class TestDataclasses:
     def test_sym_matrix_json_roundtrip(self):
         m = SymIntMatrix(M6)
         assert SymIntMatrix.from_json(m.to_json()) == m
+
+    def test_shared_record_keeps_names_and_equality(self):
+        rows = identity(2)
+        assert repr(SymIntMatrix(rows)) == "SymIntMatrix(rows=((1, 0), (0, 1)))"
+        assert repr(UnimodularMatrix(rows)) == (
+            "UnimodularMatrix(rows=((1, 0), (0, 1)))"
+        )
+        assert SymIntMatrix(rows) != UnimodularMatrix(rows)
+        assert UnimodularMatrix(rows).to_json() == {"n": 2, "rows": [[1, 0], [0, 1]]}
+        with pytest.raises(AttributeError):
+            SymIntMatrix(rows).rows = ()
+
+    def test_constructors_reject_non_int_entries(self):
+        with pytest.raises(TypeError):
+            SymIntMatrix(((1.5, 0), (0, True)))
+        with pytest.raises(TypeError):
+            UnimodularMatrix(((1.0, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            enumerate_below(((1.9, 0), (0, 1)), 1)
+        with pytest.raises(TypeError):
+            enumerate_below(identity(2), True)
+        with pytest.raises(TypeError):
+            extend_to_unimodular((1.0, 0))
 
     def test_unimodular_validation(self):
         with pytest.raises(ValueError):
