@@ -76,6 +76,12 @@ CUT_ENVELOPES = _recording("cut_envelopes.json")
 # column order and the determinant only at the leaves
 PSD_ENVELOPES = _recording("psd_envelopes.json")
 
+# soc-decompose (heights up to 50 in n = 3..10, plus taller points),
+# soc-descend, soc-sporadic, soc-roots, soc-tree and verify (each kind
+# once accepted and once tampered) envelopes recorded from the cli that
+# declared each subcommand twice, in a command table and in the parser
+SOC_ENVELOPES = _recording("soc_envelopes.json")
+
 
 @pytest.mark.parametrize("case", CUT_ENVELOPES, ids=_ids(CUT_ENVELOPES))
 def test_cut_envelopes_match_the_recording(case, capsys, monkeypatch):
@@ -84,6 +90,11 @@ def test_cut_envelopes_match_the_recording(case, capsys, monkeypatch):
 
 @pytest.mark.parametrize("case", PSD_ENVELOPES, ids=_ids(PSD_ENVELOPES))
 def test_psd_envelopes_match_the_recording(case, capsys, monkeypatch):
+    _replay(case, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("case", SOC_ENVELOPES, ids=_ids(SOC_ENVELOPES))
+def test_soc_envelopes_match_the_recording(case, capsys, monkeypatch):
     _replay(case, capsys, monkeypatch)
 
 
