@@ -13,9 +13,12 @@ malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import __version__, cuts, linalg, psd, soc
 from .cuts import CGCut, GeneratorStream, LCISystem
@@ -63,17 +66,9 @@ def _field(obj, key):
     return obj[key]
 
 
-def _matrix_input(doc):
-    """Accept either bare rows or {"matrix": rows}."""
-    if isinstance(doc, dict):
-        doc = _field(doc, "matrix")
-    return _rows(doc)
-
-
-def _point_input(doc):
-    if isinstance(doc, dict):
-        doc = _field(doc, "point")
-    return _vec(doc)
+def _unwrap(doc, key):
+    """Accept either the bare value or {key: value}."""
+    return _field(doc, key) if isinstance(doc, dict) else doc
 
 
 def _dump(obj) -> str:
@@ -81,7 +76,7 @@ def _dump(obj) -> str:
 
 
 def _cmd_psd_decompose(doc, args):
-    x = _matrix_input(doc)
+    x = _rows(_unwrap(doc, "matrix"))
     cert = psd.decompose(x)
     if cert.reconstruct() != x:
         raise RuntimeError("certificate failed its reconstruction check")
@@ -93,7 +88,7 @@ def _cmd_psd_decompose(doc, args):
 
 
 def _cmd_psd_sporadic(doc, args):
-    x = _matrix_input(doc)
+    x = _rows(_unwrap(doc, "matrix"))
     return {"sporadic": psd.is_sporadic(x), "det": linalg.det(x)}
 
 
@@ -117,7 +112,7 @@ def _cmd_psd_equiv(doc, args):
 
 
 def _cmd_soc_decompose(doc, args):
-    s = _point_input(doc)
+    s = _vec(_unwrap(doc, "point"))
     cert = soc.decompose_soc(s, minimal_roots=args.minimal_roots)
     if cert.reconstruct() != s:
         raise RuntimeError("certificate failed its reconstruction check")
@@ -129,7 +124,7 @@ def _cmd_soc_decompose(doc, args):
 
 
 def _cmd_soc_descend(doc, args):
-    s = _point_input(doc)
+    s = _vec(_unwrap(doc, "point"))
     root, word = soc.descend(s)
     if soc.apply_word(word, root) != s:
         raise RuntimeError("descent word failed its replay check")
@@ -151,7 +146,7 @@ def _cmd_soc_roots(doc, args):
 
 
 def _cmd_soc_sporadic(doc, args):
-    s = _point_input(doc)
+    s = _vec(_unwrap(doc, "point"))
     return {"sporadic": soc.is_sporadic_soc(s), "form": soc.lorentz_form(s, s)}
 
 
@@ -250,6 +245,8 @@ def _verify_psd_certificate(payload):
 def _verify_soc_certificate(payload):
     s = _vec(_field(payload, "point"))
     cert = SocCertificate.from_json(_field(payload, "certificate"))
+    if any(size != len(s) for size in [cert.n] + [len(r) for _, _, r in cert.terms]):
+        return "certificate does not fit the size of the point"
     if cert.reconstruct() != s:
         return "reconstruction does not match the point"
     for lam, word, root in cert.terms:
@@ -308,22 +305,52 @@ def _cmd_verify(doc, args):
     return {"verified": True, "kind": kind}
 
 
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    reads_input: bool = True  # one JSON document, from a path or stdin
+    lines_key: str | None = None  # the payload list that --lines streams
+    flags: tuple = ()  # (name, add_argument keywords) of its own options
+
+
+_N = ("--n", {"type": int, "required": True})
+_MINIMAL_ROOTS = ("--minimal-roots", {"action": "store_true"})
+_WORD_CAP = ("--word-cap", {"type": int, "default": 2})
+
 _COMMANDS = {
-    "psd-decompose": (_cmd_psd_decompose, True, None),
-    "psd-sporadic": (_cmd_psd_sporadic, True, None),
-    "psd-search-sporadic": (_cmd_psd_search_sporadic, False, "classes"),
-    "psd-equiv": (_cmd_psd_equiv, True, None),
-    "soc-decompose": (_cmd_soc_decompose, True, None),
-    "soc-descend": (_cmd_soc_descend, True, None),
-    "soc-roots": (_cmd_soc_roots, False, "roots"),
-    "soc-sporadic": (_cmd_soc_sporadic, True, None),
-    "soc-tree": (_cmd_soc_tree, False, "points"),
-    "cg-cuts": (_cmd_cg_cuts, True, "cuts"),
-    "icr-search": (_cmd_icr_search, True, None),
-    "verify": (_cmd_verify, True, None),
+    "psd-decompose": _Command(_cmd_psd_decompose, "rank-1 peel a PSD integer matrix"),
+    "psd-sporadic": _Command(_cmd_psd_sporadic, "test a matrix for sporadicity"),
+    "psd-search-sporadic": _Command(
+        _cmd_psd_search_sporadic, "enumerate sporadic classes", False, "classes",
+        flags=(_N, ("--diag-bound", {"type": int, "default": 4})),
+    ),
+    "psd-equiv": _Command(_cmd_psd_equiv, "search for a congruence witness"),
+    "soc-decompose": _Command(
+        _cmd_soc_decompose, "write a cone point as moved roots", flags=(_MINIMAL_ROOTS,)
+    ),
+    "soc-descend": _Command(_cmd_soc_descend, "drive a point down to its root"),
+    "soc-roots": _Command(
+        _cmd_soc_roots, "list the roots for a dimension", False, "roots",
+        flags=(_N, _MINIMAL_ROOTS),
+    ),
+    "soc-sporadic": _Command(_cmd_soc_sporadic, "test a cone point for sporadicity"),
+    "soc-tree": _Command(
+        _cmd_soc_tree, "generate the Pythagorean orbit", False, "points",
+        flags=(_N, ("--max-height", {"type": int, "required": True})),
+    ),
+    "cg-cuts": _Command(
+        _cmd_cg_cuts, "emit Chvatal-Gomory cuts for a system", True, "cuts",
+        flags=(_WORD_CAP, ("--max-height", {"type": int})),
+    ),
+    "icr-search": _Command(
+        _cmd_icr_search, "minimal generator count for an element",
+        flags=(_WORD_CAP, ("--cap", {"type": int})),
+    ),
+    "verify": _Command(_cmd_verify, "re-check an emitted certificate payload"),
 }
 
 
+@functools.cache  # the parser depends on nothing but _COMMANDS: build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intcone",
@@ -331,63 +358,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name, needs_input, lines_key, help_text):
-        p = subs.add_parser(name, help=help_text)
+    for name, cmd in _COMMANDS.items():
+        p = subs.add_parser(name, help=cmd.help)
         p.add_argument(
             "--seed",
             type=int,
-            default=None,
             help="recorded in provenance; fixes any randomized harness",
         )
-        if needs_input:
+        if cmd.reads_input:
             p.add_argument(
                 "input",
                 nargs="?",
                 default="-",
                 help="JSON file path, or - for stdin (the default)",
             )
-        if lines_key is not None:
+        if cmd.lines_key is not None:
             p.add_argument(
                 "--lines",
                 action="store_true",
                 help="stream list items as JSON lines instead of one envelope",
             )
-        return p
-
-    p = sub("psd-decompose", True, None, "rank-1 peel a PSD integer matrix")
-    p = sub("psd-sporadic", True, None, "test a matrix for sporadicity")
-    p = sub("psd-search-sporadic", False, "classes", "enumerate sporadic classes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--diag-bound", type=int, default=4)
-    p = sub("psd-equiv", True, None, "search for a congruence witness")
-    p = sub("soc-decompose", True, None, "write a cone point as moved roots")
-    p.add_argument("--minimal-roots", action="store_true")
-    p = sub("soc-descend", True, None, "drive a point down to its root")
-    p = sub("soc-roots", False, "roots", "list the roots for a dimension")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--minimal-roots", action="store_true")
-    p = sub("soc-sporadic", True, None, "test a cone point for sporadicity")
-    p = sub("soc-tree", False, "points", "generate the Pythagorean orbit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-height", type=int, required=True)
-    p = sub("cg-cuts", True, "cuts", "emit Chvatal-Gomory cuts for a system")
-    p.add_argument("--word-cap", type=int, default=2)
-    p.add_argument("--max-height", type=int, default=None)
-    p = sub("icr-search", True, None, "minimal generator count for an element")
-    p.add_argument("--word-cap", type=int, default=2)
-    p.add_argument("--cap", type=int, default=None)
-    p = sub("verify", True, None, "re-check an emitted certificate payload")
+        for flag, options in cmd.flags:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler, needs_input, lines_key = _COMMANDS[args.command]
+    args = _build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
 
     raw = b""
-    if needs_input:
+    if cmd.reads_input:
         if args.input == "-":
             raw = sys.stdin.buffer.read()
         else:
@@ -405,23 +406,19 @@ def main(argv=None) -> int:
     }
 
     try:
-        doc = _load(raw) if needs_input else None
-        payload = handler(doc, args)
+        doc = _load(raw) if cmd.reads_input else None
+        payload = cmd.handler(doc, args)
     except tuple(_EXIT_CODES) as exc:
         error = {"error": str(exc)}
         print(_dump({"status": "error", "payload": error, "provenance": provenance}))
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
-    if lines_key is not None and getattr(args, "lines", False):
-        for item in payload[lines_key]:
+    if cmd.lines_key is not None and args.lines:
+        for item in payload[cmd.lines_key]:
             print(_dump(item))
         return 0
 
-    print(
-        _dump(
-            {"status": "ok", "payload": payload, "provenance": provenance}
-        )
-    )
+    print(_dump({"status": "ok", "payload": payload, "provenance": provenance}))
     return 0
 
 

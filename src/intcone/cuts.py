@@ -316,7 +316,7 @@ def cg_cuts(sys: LCISystem, gen: GeneratorStream) -> list[CGCut]:
 def validate_cut(sys: LCISystem, cut: CGCut, samples) -> bool:
     """False iff some exactly-feasible sample violates the cut."""
     for x in samples:
-        x = tuple(int(v) for v in x)
+        x = tuple(map(linalg.as_int, x))
         if not sys.is_feasible(x):
             continue
         if sum(a * b for a, b in zip(cut.u, x)) > cut.rhs:
@@ -352,6 +352,8 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     candidate's feasible multiplicities are a contiguous range, scanned
     from the largest down.
     """
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     rec = gen._cone
     s = rec.flatten(s)
     if not in_semigroup(rec, s):

@@ -239,7 +239,10 @@ def evaluate_word(word, n):
 def gl_letters(n):
     """The GL(n, Z) letters of the PSD generator stream, in its label order:
     cyclic shift, the row addition e_1 -> e_1 + e_0, the first
-    transposition, and the inverses of the first two."""
+    transposition, and the inverses of the first two.  The transposition
+    needs two rows, so n = 1 has no such letters."""
+    if n < 2:
+        raise ValueError("the generator stream's letters need n >= 2")
 
     def perm(image):
         return tuple(tuple(int(j == image(i)) for j in range(n)) for i in range(n))
@@ -261,8 +264,9 @@ def gl_letters(n):
 
 
 def random_unimodular(n, length, rng):
-    """Product of `length` random GL(n, Z) letters; seeded by the caller."""
-    letters = list(gl_letters(n).values())
+    """Product of `length` random GL(n, Z) letters; seeded by the caller.
+    GL(1, Z) is {1, -1}, so for n = 1 the letters are the two signs."""
+    letters = list(gl_letters(n).values()) if n > 1 else [((1,),), ((-1,),)]
     u = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for _ in range(length):
         u = mat_mul(u, rng.choice(letters))

@@ -209,6 +209,19 @@ class TestEnvelope:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once_and_keeps_no_flag_values(self, invoke):
+        cli._build_parser.cache_clear()
+        _, lines = invoke(["soc-roots", "--n", "3", "--lines"])
+        _, seeded = invoke(["soc-roots", "--n", "3", "--seed", "3"])
+        _, plain = invoke(["soc-roots", "--n", "3"])
+        assert cli._build_parser.cache_info().misses == 1
+        assert [json.loads(line) for line in lines.splitlines()] == [
+            list(r) for r in soc.roots(3)
+        ]
+        assert json.loads(seeded)["provenance"]["seed"] == 3
+        # one envelope with a null seed: neither --lines nor --seed carried over
+        assert json.loads(plain)["provenance"]["seed"] is None
+
 
 class TestPsdCommands:
     def test_sporadic_on_the_known_class(self, invoke):
@@ -402,6 +415,13 @@ class TestCutCommands:
         assert rc == 0
         assert payload_of(out)["result"]["status"] == "exceeded"
 
+    @pytest.mark.parametrize("flag", ["--cap", "--word-cap"])
+    def test_icr_negative_caps_are_domain_errors(self, invoke, flag):
+        doc = {"cone": "soc", "n": 3, "element": [0, 0, 2]}
+        rc, out = invoke(["icr-search", flag, "-1"], doc)
+        assert rc == 1
+        assert "cap must be nonnegative" in payload_of(out)["error"]
+
     def test_icr_outside_cone_is_a_domain_error(self, invoke):
         doc = {"cone": "soc", "n": 3, "element": [2, 0, 1]}
         rc, _ = invoke(["icr-search"], doc)
@@ -429,6 +449,19 @@ class TestVerify:
         rc, out2 = invoke(["verify"], env)
         assert rc == 1
         assert "reconstruction" in payload_of(out2)["error"]
+
+    @pytest.mark.parametrize(
+        "n, root",
+        [(10**12, [0, 0, 1]), (4, [0, 0, 1]), (3, [0, 0, 0, 1])],
+        ids=["huge-n", "wrong-n", "long-root"],
+    )
+    def test_soc_certificate_of_another_size_fails(self, invoke, n, root):
+        # a huge n used to reach reconstruct() and end in a MemoryError
+        cert = {"n": n, "terms": [{"lambda": 1, "word": [], "root": root}]}
+        payload = {"kind": "soc-certificate", "point": [0, 0, 1], "certificate": cert}
+        rc, out = invoke(["verify"], payload)
+        assert rc == 1
+        assert "does not fit the size of the point" in payload_of(out)["error"]
 
     def test_tampered_descent_word_fails(self, invoke):
         _, out = invoke(["soc-descend"], [20, 21, 29])

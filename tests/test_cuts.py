@@ -240,6 +240,12 @@ class TestValidateCut:
         bad = CGCut(u=(1,), rhs=-100, root=(1, 0, 1), word=())
         assert cuts.validate_cut(soc_system(), bad, [(7,)])
 
+    @pytest.mark.parametrize("sample", [(1.9,), (True,)], ids=["float", "bool"])
+    def test_non_integer_samples_raise(self, sample):
+        # read as int(), (1.9,) would be checked as (1,) and (True,) pass as (1,)
+        with pytest.raises(TypeError):
+            cuts.validate_cut(soc_system(), self.cut(), [sample])
+
     @given(st.integers(min_value=-4, max_value=4))
     @settings(max_examples=30, deadline=None)
     def test_every_feasible_point_satisfies_the_cut(self, x1):
@@ -320,6 +326,11 @@ class TestIcrSearch:
         gen = GeneratorStream(cone="soc", n=3, word_cap=1)
         with pytest.raises(ValueError):
             cuts.icr_search((3, 0, 1), gen, cap=3)
+
+    def test_rejects_a_negative_cap(self):
+        gen = GeneratorStream(cone="soc", n=3, word_cap=1)
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            cuts.icr_search((0, 0, 2), gen, cap=-1)
 
     def test_soc_counts_stay_under_the_ambient_bound(self):
         # 2N-2 = 4 in dimension three
