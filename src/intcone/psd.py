@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from math import ceil
+from operator import mul
 
 from . import lattice, linalg
 from .lattice import QuadFormQuery
@@ -173,15 +174,72 @@ def decompose(x_rows) -> Rank1Certificate:
     )
 
 
-def _shells(rows, cap):
-    """The pairs (v, A v) of the enumeration below cap, keyed by v^T A v."""
-    shells: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {
-        val: [] for val in range(1, cap + 1)
-    }
+@dataclass(frozen=True)
+class _ShellRecord:
+    """A positive definite A's congruence data up to the form value cap =
+    len(counts).
+
+    det is det(A); counts[val - 1] is the number of canonical vectors v
+    with v^T A v = val; shells[val] holds the signed pairs (v, A v), the
+    canonical v in enumeration order followed by their negatives.
+    """
+
+    rows: Rows
+    det: int
+    counts: tuple[int, ...]
+    shells: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]
+
+
+def _shell_record(rows, d, cap) -> _ShellRecord:
+    """The record of a positive definite A with det(A) = d, from one
+    enumeration below cap."""
+    shells: dict = {val: [] for val in range(1, cap + 1)}
     for v in lattice.enumerate_below(rows, cap):
         av = linalg.mat_vec(rows, v)
-        shells[sum(a * b for a, b in zip(v, av))].append((v, av))
-    return shells
+        shells[sum(map(mul, v, av))].append((v, av))
+    counts = tuple(len(s) for s in shells.values())
+    for s in shells.values():
+        s += [(tuple(-a for a in v), tuple(-a for a in av)) for v, av in s]
+    return _ShellRecord(rows, d, counts, shells)
+
+
+def _shell_counts(rows, cap) -> tuple[int, ...]:
+    """The counts of _shell_record, without keeping the vectors."""
+    counts = [0] * cap
+    for v in lattice.enumerate_below(rows, cap):
+        counts[sum(map(mul, v, [sum(map(mul, r, v)) for r in rows])) - 1] += 1
+    return tuple(counts)
+
+
+def _congruence(rec: _ShellRecord, y):
+    """The first U with U A U^T = Y whose rows come from rec's shells, or
+    None; Y must have det(A) as its determinant and no diagonal entry above
+    rec's cap.
+
+    Row i of U is a vector of the shell Y_ii whose cross products with
+    rows 0..i-1 match Y, backtracking row by row (Plesken-Souvignier); the
+    first row skips the negatives, as a global sign flip is free.  A
+    complete U has det(U)^2 det(A) = det(Y) = det(A) != 0, so it is
+    unimodular.
+    """
+    n = len(y)
+    rows_u: list[tuple[int, ...]] = []
+
+    def backtrack(i):
+        if i == n:
+            return True
+        pool = rec.shells[y[i][i]]
+        if i == 0:
+            pool = pool[: len(pool) // 2]
+        for v, av in pool:
+            if all(sum(map(mul, rows_u[j], av)) == y[i][j] for j in range(i)):
+                rows_u.append(v)
+                if backtrack(i + 1):
+                    return True
+                rows_u.pop()
+        return False
+
+    return tuple(rows_u) if backtrack(0) else None
 
 
 def unimodular_witness(x_rows, y_rows):
@@ -190,10 +248,9 @@ def unimodular_witness(x_rows, y_rows):
     Cheap congruence invariants first: determinant, rank, and the count of
     vectors at each form value up to the largest diagonal entry of Y.  One
     enumeration of each matrix below that value gives these counts, and
-    X's pass also keeps every vector v with X v, grouped by v^T X v: the
-    shells of a row-by-row backtracking search with all cross products
-    pinned by Y.  Singular pairs are compared through their full-rank
-    cores.
+    X's pass also keeps its shells (_shell_record), which _congruence
+    searches for the first U.  Singular pairs are compared through their
+    full-rank cores.
     """
     x = linalg.freeze(x_rows)
     y = linalg.freeze(y_rows)
@@ -205,7 +262,8 @@ def unimodular_witness(x_rows, y_rows):
             raise ValueError("unimodular_witness expects PSD matrices")
     if n == 0:
         return UnimodularMatrix(())
-    if linalg.det(x) != linalg.det(y):
+    d = linalg.det(x)
+    if d != linalg.det(y):
         return None
     r = linalg.rank(x)
     if r != linalg.rank(y):
@@ -233,37 +291,12 @@ def unimodular_witness(x_rows, y_rows):
         _check_witness(u, x, y)
         return UnimodularMatrix(u)
     cap = max(y[i][i] for i in range(n))
-    shells = _shells(x, cap)
-    y_shells = _shells(y, cap)
-    if any(len(shells[val]) != len(y_shells[val]) for val in shells):
+    rec = _shell_record(x, d, cap)
+    if rec.counts != _shell_counts(y, cap):
         return None
-    for val in shells:
-        shells[val] = shells[val] + [
-            (tuple(-a for a in v), tuple(-a for a in xv))
-            for v, xv in shells[val]
-        ]
-    rows_u: list[tuple[int, ...]] = []
-
-    def backtrack(i):
-        if i == n:
-            return linalg.det(tuple(rows_u)) in (1, -1)
-        pool = shells[y[i][i]]
-        if i == 0:
-            pool = pool[: len(pool) // 2]  # a global sign flip is free
-        for v, xv in pool:
-            if all(
-                sum(a * b for a, b in zip(rows_u[j], xv)) == y[i][j]
-                for j in range(i)
-            ):
-                rows_u.append(v)
-                if backtrack(i + 1):
-                    return True
-                rows_u.pop()
-        return False
-
-    if not backtrack(0):
+    u = _congruence(rec, y)
+    if u is None:
         return None
-    u = tuple(rows_u)
     _check_witness(u, x, y)
     return UnimodularMatrix(u)
 
@@ -292,32 +325,51 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     order that swapping k-1 and k would otherwise lower; the walk raises
     each entry's lower end while that prefix is tied.  At the last column
     the determinant is known before the bordered update, and a matrix with
-    det >= gamma_n^n is dropped there, before its adjugate is built.  A
-    leaf that remains is filtered by cheap subtraction probes, then by
-    _swap_minimal (each adjacent equal-diagonal swap, sign-normalized, must
-    not give a lexicographically smaller matrix; it decides the ties and
-    the swap of the first two rows, and the orbit minimum always survives),
-    then by the full sporadicity test, and is finally deduplicated up to
-    unimodular congruence.  Deterministic order throughout.
+    det >= gamma_n^n is dropped there.  The diagonal of the leaf's adjugate
+    is known too, as (d_new p_rr + u_r^2) / d_old and then d_old (p the
+    adjugate of the leading block, u = p c for the last column c), and
+    _check_leaf first drops a leaf with an entry <= det (some X - e_i e_i^T
+    stays PSD); only a leaf that passes builds the rest of its adjugate.
+    Next come the e_i +- e_j probes, then _swap_minimal (each adjacent
+    equal-diagonal swap, sign-normalized, must not give a lexicographically
+    smaller matrix; it decides the ties and the swap of the first two rows,
+    and the orbit minimum always survives), then the full sporadicity test.
+    A sporadic leaf is compared only with the classes found so far that
+    share its determinant and its shell counts up to diag_bound (one
+    enumeration of the leaf), by a backtrack through each class's shells,
+    which are enumerated once, when the class is found.  Deterministic order
+    throughout.
     """
+    n = linalg.as_int(n)
+    diag_bound = linalg.as_int(diag_bound)
     if n < 2 or diag_bound < 1:
         raise ValueError("need n >= 2 and diag_bound >= 1")
     bound = ceil(sporadic_det_bound(n))  # an integer det is below it iff below ceil
-    reps: list[Rows] = []
+    reps: list[_ShellRecord] = []
     for diag in combinations_with_replacement(range(1, diag_bound + 1), n):
         a = [[0] * n for _ in range(n)]
         for i in range(n):
             a[i][i] = diag[i]
         adjs: list[Rows] = [((1,),)]
         dets = [diag[0]]
-        _fill_column(a, 1, n, adjs, dets, bound, reps)
-    return reps
+        _fill_column(a, 1, n, adjs, dets, bound, diag_bound, reps)
+    return [rec.rows for rec in reps]
 
 
-def _fill_column(a, k, n, adjs, dets, bound, reps):
-    if k == n:
-        _check_leaf(a, n, adjs[-1], dets[-1], reps)
-        return
+def _border(p, u, d_old, d_new) -> Rows:
+    """adj(A) for A = [[B, c], [c^T, t]] with det(A) = d_new, from p =
+    adj(B), d_old = det(B) and u = p c: the bordered-inverse identity, every
+    division exact.  Its diagonal is (d_new p_rr + u_r^2) / d_old, then
+    d_old."""
+    k = len(u)
+    top = [
+        [(d_new * p[r][j] + u[r] * u[j]) // d_old for j in range(k)] + [-u[r]]
+        for r in range(k)
+    ]
+    return tuple(tuple(r) for r in top + [[-v for v in u] + [d_old]])
+
+
+def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
     t = a[k][k]
     col = [0] * k
     # with a[k-1][k-1] == t, swapping k-1 and k moves col[:k-1] into column
@@ -336,18 +388,20 @@ def _fill_column(a, k, n, adjs, dets, bound, reps):
                 return  # det >= gamma_n^n: not sporadic, skip the adjugate
             p = adjs[-1]
             u = [sum(p[r][j] * col[j] for j in range(k)) for r in range(k)]
-            top = [
-                [(d_new * p[r][j] + u[r] * u[j]) // d_old for j in range(k)]
-                + [-u[r]]
-                for r in range(k)
-            ]
-            adjs.append(tuple(tuple(r) for r in top + [[-v for v in u] + [d_old]]))
-            dets.append(d_new)
             for j in range(k):
                 a[j][k] = a[k][j] = col[j]
-            _fill_column(a, k + 1, n, adjs, dets, bound, reps)
-            adjs.pop()
-            dets.pop()
+            if k == n - 1:
+                diag = [(d_new * p[r][r] + u[r] ** 2) // d_old for r in range(k)]
+                diag.append(d_old)
+                _check_leaf(
+                    a, n, diag, lambda: _border(p, u, d_old, d_new), d_new, cap, reps
+                )
+            else:
+                adjs.append(_border(p, u, d_old, d_new))
+                dets.append(d_new)
+                _fill_column(a, k + 1, n, adjs, dets, bound, cap, reps)
+                adjs.pop()
+                dets.pop()
             for j in range(k):
                 a[j][k] = a[k][j] = 0
             return
@@ -411,10 +465,15 @@ def _swap_minimal(rows, n):
     return True
 
 
-def _check_leaf(a, n, adj, d, reps):
-    for i in range(n):
-        if adj[i][i] <= d:
-            return  # X - e_i e_i^T stays PSD, so not sporadic
+def _check_leaf(a, n, diag, build_adj, d, cap, reps):
+    """Append the leaf a to reps when it is a new sporadic class.
+
+    diag is the diagonal of adj(a), build_adj() builds all of adj(a), and
+    d = det(a).  reps holds one _ShellRecord below cap per class so far.
+    """
+    if min(diag) <= d:
+        return  # some X - e_i e_i^T stays PSD, so not sporadic
+    adj = build_adj()
     for i in range(n):
         for j in range(i):
             cross = 2 * adj[i][j]
@@ -425,10 +484,29 @@ def _check_leaf(a, n, adj, d, reps):
     if next(QuadFormQuery(adj, d).points(), None) is not None:
         return
     rows = tuple(tuple(r) for r in a)
-    for r in reps:
-        if unimodular_witness(rows, r) is not None:
-            return
-    reps.append(rows)
+    if _class_of(rows, d, cap, reps) is None:
+        reps.append(_shell_record(rows, d, cap))
+
+
+def _class_of(rows, d, cap, reps):
+    """The record in reps congruent to the positive definite rows, or None.
+
+    Only records with rows' determinant d and shell counts below cap are
+    searched, each for some U with U R U^T = rows; every find is checked.
+    """
+    counts = None
+    for rec in reps:
+        if rec.det != d:
+            continue
+        if counts is None:
+            counts = _shell_counts(rows, cap)
+        if rec.counts != counts:
+            continue
+        u = _congruence(rec, rows)
+        if u is not None:
+            _check_witness(u, rec.rows, rows)
+            return rec
+    return None
 
 
 # -- the three generators of GL(n, Z), acting on the cut generator stream -----

@@ -298,6 +298,104 @@ class TestSearchSporadic:
         with pytest.raises(ValueError):
             search_sporadic(3, 0)
 
+    def test_rejects_non_integer_arguments(self):
+        for args in ((3, True), (True, 2), (3, 2.0), (3.0, 2), (6, False)):
+            with pytest.raises(TypeError):
+                search_sporadic(*args)
+
+
+# non-congruent, with equal determinant 32 and equal shell counts below 3
+SAME_COUNTS_4 = (
+    ((2, -1, 0, 0), (-1, 3, -1, -1), (0, -1, 3, 1), (0, -1, 1, 3)),
+    ((2, 0, 0, 0), (0, 3, -1, -1), (0, -1, 3, -1), (0, -1, -1, 3)),
+)
+
+
+def dedup_streams():
+    rng = random.Random(53)
+    m6_conjugates = [
+        conjugate(random_unimodular(6, rng.randint(1, 4), rng), M6) for _ in range(6)
+    ]
+    diag3 = tuple(
+        tuple(int(i == j) * (3 if i == 5 else 1) for j in range(6)) for i in range(6)
+    )
+    a, b = SAME_COUNTS_4
+    swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    binary = [
+        ((2, 1), (1, 12)),  # det 23, not congruent to the next
+        ((4, 1), (1, 6)),
+        ((1, 0), (0, 4)),  # det 4, shell counts unlike the next
+        ((2, 0), (0, 2)),
+        ((4, -1), (-1, 6)),
+        ((2, 2), (2, 4)),
+        ((12, 1), (1, 2)),
+    ]
+    return [
+        [M6, diag3] + m6_conjugates,
+        binary,
+        [a, b, conjugate(swap, a), conjugate(swap, b), b],
+    ]
+
+
+def test_dedup_agrees_with_unimodular_witness(monkeypatch):
+    congruence = psd._congruence
+    outcomes = []
+
+    def recording(rec, y):
+        # the backtrack runs only against records with y's invariants
+        assert rec.det == linalg.det(y)
+        assert rec.counts == psd._shell_counts(y, len(rec.counts))
+        u = congruence(rec, y)
+        outcomes.append(u is not None)
+        return u
+
+    monkeypatch.setattr(psd, "_congruence", recording)
+    count_mismatches = 0
+    for stream in dedup_streams():
+        cap = max(m[i][i] for m in stream for i in range(len(m)))
+        reps = []
+        for m in stream:
+            d = linalg.det(m)
+            found = psd._class_of(m, d, cap, reps)
+            expected = [r for r in reps if unimodular_witness(m, r.rows) is not None]
+            assert len(expected) <= 1
+            assert found is (expected[0] if expected else None)
+            count_mismatches += any(
+                r.det == d and r.counts != psd._shell_counts(m, cap) for r in reps
+            )
+            if found is None:
+                reps.append(psd._shell_record(m, d, cap))
+        assert [r.rows for r in reps] == [
+            m
+            for i, m in enumerate(stream)
+            if all(unimodular_witness(m, p) is None for p in stream[:i])
+        ]
+    assert True in outcomes and False in outcomes  # a backtrack that fails
+    assert count_mismatches  # and records skipped on their counts
+
+
+@pytest.mark.parametrize("n, b", [(5, 3), (6, 2)])
+def test_leaf_adjugate_is_the_bordered_update(n, b, monkeypatch):
+    check_leaf = psd._check_leaf
+    built = []
+
+    def recording(a, n, diag, adj, d, *rest):
+        leaf = tuple(map(tuple, a))
+        assert d == linalg.det(leaf)
+        assert diag == [row[i] for i, row in enumerate(linalg.adjugate(leaf))]
+
+        def full():
+            built.append((leaf, adj()))
+            return built[-1][1]
+
+        return check_leaf(a, n, diag, full, d, *rest)
+
+    monkeypatch.setattr(psd, "_check_leaf", recording)
+    search_sporadic(n, b)
+    assert built
+    for leaf, adj in built:
+        assert adj == linalg.adjugate(leaf)
+
 
 # the matrices that passed psd._swap_minimal, in order, for each search,
 # recorded from the walk that tested column order only at the leaves
