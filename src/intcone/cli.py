@@ -66,6 +66,15 @@ def _field(obj, key):
     return obj[key]
 
 
+def _read_field(obj, key, rule):
+    """The field read by `rule` (linalg.as_int or as_str): a value of the
+    wrong type is malformed input."""
+    try:
+        return rule(_field(obj, key))
+    except TypeError as exc:
+        raise MalformedInput(f"field {key!r}: {exc}")
+
+
 def _unwrap(doc, key):
     """Accept either the bare value or {key: value}."""
     return _field(doc, key) if isinstance(doc, dict) else doc
@@ -195,11 +204,8 @@ def _cmd_cg_cuts(doc, args):
 
 
 def _cmd_icr_search(doc, args):
-    name = str(_field(doc, "cone"))
-    try:
-        n = linalg.as_int(_field(doc, "n"))
-    except TypeError as exc:
-        raise MalformedInput(f"field 'n': {exc}")
+    name = _read_field(doc, "cone", linalg.as_str)
+    n = _read_field(doc, "n", linalg.as_int)
     raw = _field(doc, "element")
     cone = cuts.cone_record(name, n)
     element = _READERS[cone.shape](raw)
@@ -260,7 +266,7 @@ def _verify_soc_certificate(payload):
 def _verify_soc_descent(payload):
     s = _vec(_field(payload, "point"))
     root = _vec(_field(payload, "root"))
-    word = tuple(str(w) for w in _field(payload, "word"))
+    word = tuple(map(linalg.as_str, _field(payload, "word")))
     if root not in soc.roots(len(s)):
         return "unknown root"
     if soc.apply_word(word, root) != s:
@@ -292,7 +298,7 @@ def _cmd_verify(doc, args):
     payload = doc
     if isinstance(doc, dict) and "payload" in doc:
         payload = doc["payload"]
-    kind = _field(payload, "kind")
+    kind = _read_field(payload, "kind", linalg.as_str)
     checker = _VERIFIERS.get(kind)
     if checker is None:
         raise MalformedInput(f"unknown certificate kind {kind!r}")

@@ -176,7 +176,7 @@ class LCISystem:
     @classmethod
     def from_json(cls, obj) -> "LCISystem":
         return cls(
-            cone=str(obj["cone"]),
+            cone=linalg.as_str(obj["cone"]),
             n=linalg.as_int(obj["n"]),
             c=tuple(obj["c"]),
             a=tuple(tuple(ai) for ai in obj["A"]),
@@ -215,7 +215,7 @@ class CGCut:
             u=tuple(map(linalg.as_int, obj["u"])),
             rhs=linalg.as_int(obj["rhs"]),
             root=_tuples(obj["root"]),
-            word=tuple(str(w) for w in obj["word"]),
+            word=tuple(map(linalg.as_str, obj["word"])),
         )
 
 

@@ -136,15 +136,15 @@ def enumerate_below(a, t: int) -> list[tuple[int, ...]]:
 def _peel_data(x_rows):
     """The first-peel search of a PSD X, as (lift, adj(B), det(B)).
 
-    linalg.reduce_rank gives U^T X U = diag(0, B) with B full rank, and the
-    peels of X (x with X - x x^T PSD) are exactly x = lift y with lift the
-    last len(B) columns of U^{-T} and y a peel of B, i.e. y^T adj(B) y <=
-    det(B).  A peel lies in the range of X, so X - x x^T keeps the kernel of
-    X, and while its rank holds the same U reduces it, to B - y y^T.
+    linalg.reduce_rank gives U^T X U = diag(0, B) with B full rank, and
+    U^{-T} from the same gcd ladder.  The peels of X (x with X - x x^T PSD)
+    are exactly x = lift y with lift the last len(B) columns of U^{-T} and
+    y a peel of B, i.e. y^T adj(B) y <= det(B).  A peel lies in the range of
+    X, so X - x x^T keeps the kernel of X, and while its rank holds the same
+    U reduces it, to B - y y^T.
     """
-    u, block = linalg.reduce_rank(x_rows)
-    zeros = len(u) - len(block)
-    u_inv_t = linalg.transpose(linalg.inverse_unimodular(u))
+    _, u_inv_t, block = linalg.reduce_rank(x_rows)
+    zeros = len(u_inv_t) - len(block)
     lift = tuple(row[zeros:] for row in u_inv_t)
     return lift, linalg.adjugate(block), linalg.det(block)
 

@@ -6,10 +6,11 @@ fraction-free (Bareiss) echelon, whose entries are minors of the input so
 that every division in it is exact, serves the determinant, the rank, the
 kernel vector and lattice's positive-definite split, and, run on [A | I],
 the adjugate and the unimodular inverse; `is_psd_exact` is its symmetric
-variant, pivoting on the diagonal.  Unimodular completions come from a gcd
-ladder.  Matrices stay well under 11x11 in this package, so the
-implementations favour clarity over asymptotics.  `as_int` is the one rule
-for integers read from JSON or passed to a constructor.
+variant, pivoting on the diagonal.  One gcd ladder per primitive vector
+gives its unimodular completion and, in place, the rank split's U and
+U^{-T}.  Matrices stay well under 11x11 here, so the code favours clarity
+over asymptotics.  `as_int` is the one rule for integers read from JSON or
+passed to a constructor, `as_str` the one for JSON strings.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ def as_int(v) -> int:
     bool, float and str input is never coerced but raises TypeError."""
     if type(v) is not int:
         raise TypeError(f"{json.dumps(v)} is not an integer")
+    return v
+
+
+def as_str(v) -> str:
+    """v itself if it is a str: the one rule for labels, names and kinds
+    read from JSON.  Any other value raises TypeError."""
+    if type(v) is not str:
+        raise TypeError(f"{json.dumps(v)} is not a string")
     return v
 
 
@@ -238,6 +247,7 @@ def primitive_kernel_vector(rows):
 
 
 def _xgcd(a: int, b: int):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -246,45 +256,45 @@ def _xgcd(a: int, b: int):
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return (old_r, old_s, old_t) if old_r >= 0 else (-old_r, -old_s, -old_t)
+
+
+def _ladder(z):
+    """The gcd ladder of a primitive z: steps (i, p, q, a, b) taking columns
+    (0, i) to (p c0 + q ci, a ci - b c0), a p + b q = 1, that fold each z_i
+    into the running gcd, and the sign left on column 0.  The inverse
+    transpose of a step is (i, a, b, p, q), that of the sign the sign."""
+    z = tuple(map(as_int, z))
+    if vec_gcd(z) != 1:
+        raise ValueError("z must be a nonzero primitive vector")
+    steps, g = [], z[0]
+    for i, zi in enumerate(z[1:], 1):
+        if zi:
+            g2, a, b = _xgcd(g, zi)
+            steps.append((i, g // g2, zi // g2, a, b))
+            g = g2
+    return steps, g
+
+
+def _apply_ladder(m, steps, sign, at=0):
+    """Right-multiply the list rows m in place by diag(I_at, the ladder)."""
+    for i, p, q, a, b in steps:
+        i += at
+        for row in m:
+            c0, ci = row[at], row[i]
+            row[at], row[i] = c0 * p + ci * q, ci * a - c0 * b
+    if sign < 0:
+        for row in m:
+            row[at] = -row[at]
 
 
 def extend_to_unimodular(z) -> Rows:
-    """A unimodular matrix whose first column is the primitive vector z.
-
-    Built from a deterministic gcd ladder: 2x2 elementary steps fold each
-    coordinate into the running gcd, and the inverse steps accumulate into
-    the returned matrix.  extend_to_unimodular(e1) is the identity.
-    """
-    z = tuple(map(as_int, z))
-    n = len(z)
-    if n == 0 or all(v == 0 for v in z):
-        raise ValueError("z must be nonzero")
-    if abs(vec_gcd(z)) != 1:
-        raise ValueError("z must be primitive")
-    u = [list(row) for row in identity(n)]
-    g = z[0]
-    for i in range(1, n):
-        zi = z[i]
-        if zi == 0 and g != 0:
-            continue
-        g2, a, b = _xgcd(g, zi)
-        if g2 == 0:
-            continue  # both still zero, nothing to fold yet
-        if g2 < 0:
-            g2, a, b = -g2, -a, -b
-        # inverse of the row op [[a, b], [-zi/g2, g/g2]] on coords (0, i)
-        p, q = g // g2, zi // g2
-        for r in range(n):
-            c0, ci = u[r][0], u[r][i]
-            u[r][0] = c0 * p + ci * q
-            u[r][i] = -c0 * b + ci * a
-        g = g2
-    if g < 0:
-        for r in range(n):
-            u[r][0] = -u[r][0]
+    """A unimodular matrix whose first column is the primitive vector z: its
+    gcd ladder applied to the identity, so e1 gives the identity."""
+    u = [list(row) for row in identity(len(z))]
+    _apply_ladder(u, *_ladder(z))
     out = freeze(u)
-    if tuple(row[0] for row in out) != z:
+    if tuple(row[0] for row in out) != tuple(z):
         raise RuntimeError("unimodular completion lost its first column")
     return out
 
@@ -301,33 +311,39 @@ def inverse_unimodular(u) -> Rows:
 def reduce_rank(rows):
     """Split off the kernel of a singular PSD matrix.
 
-    Returns (U, block) with U unimodular and U^T X U = diag(0, ..., 0, block)
-    where the zero block collects the kernel (top-left) and block is full
-    rank.  Full-rank input returns (identity, X) unchanged; the all-zero
-    matrix returns (identity, ()) with an empty block.
+    Returns (U, U^{-T}, block) with U unimodular and U^T X U = diag(0, ...,
+    0, block) where the zero block collects the kernel (top-left) and block
+    is full rank.  Each kernel vector's gcd ladder acts in place on the
+    block, on U and, inverse-transposed, on U^{-T}: nothing is inverted.
+    Full-rank input returns (identity, identity, X) unchanged; the all-zero
+    matrix returns an empty block.
     """
     x = freeze(rows)
     if not is_psd_exact(x):
         raise ValueError("reduce_rank expects a PSD matrix")
     n = len(x)
-    u_total = identity(n)
+    u, u_inv_t = ([list(row) for row in identity(n)] for _ in range(2))
     cur = x
     z = primitive_kernel_vector(cur)
     while z is not None:
         zeros = n - len(cur)
-        u1 = extend_to_unimodular(z)
-        b = mat_mul(transpose(u1), mat_mul(cur, u1))
-        if any(b[0]):  # b is symmetric, so its first column is zero too
+        steps, sign = _ladder(z)
+        w = [list(row) for row in cur]
+        _apply_ladder(w, steps, sign)  # cur u1
+        w = [list(col) for col in zip(*w)]  # u1^T cur, as cur is symmetric
+        _apply_ladder(w, steps, sign)
+        if any(w[0]):  # w is symmetric, so its first column is zero too
             raise RuntimeError("kernel vector left a nonzero first row")
-        # u_total diag(I, u1): u1 acts on the columns after the kernel block
-        tail = mat_mul([row[zeros:] for row in u_total], u1)
-        u_total = tuple(row[:zeros] + t for row, t in zip(u_total, tail))
-        cur = tuple(row[1:] for row in b[1:])
+        _apply_ladder(u, steps, sign, zeros)  # U diag(I, u1)
+        inv_t = [(i, a, b, p, q) for i, p, q, a, b in steps]
+        _apply_ladder(u_inv_t, inv_t, sign, zeros)
+        cur = tuple(tuple(row[1:]) for row in w[1:])
         z = primitive_kernel_vector(cur)
-    full = mat_mul(transpose(u_total), mat_mul(x, u_total))
+    u, u_inv_t = tuple(map(tuple, u)), tuple(map(tuple, u_inv_t))
+    full = mat_mul(transpose(u), mat_mul(x, u))
     if any(any(row) for row in full[: n - len(cur)]):
         raise RuntimeError("reduce_rank left a nonzero row in the kernel block")
-    return u_total, cur
+    return u, u_inv_t, cur
 
 
 @dataclass(frozen=True)

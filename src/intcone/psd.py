@@ -269,8 +269,8 @@ def unimodular_witness(x_rows, y_rows):
     if r != linalg.rank(y):
         return None
     if r < n:
-        ux, bx = linalg.reduce_rank(x)
-        uy, by = linalg.reduce_rank(y)
+        ux, _, bx = linalg.reduce_rank(x)
+        _, uy_inv_t, by = linalg.reduce_rank(y)
         if r == 0:
             core: Rows = ()
         else:
@@ -278,16 +278,8 @@ def unimodular_witness(x_rows, y_rows):
             if wit is None:
                 return None
             core = wit.rows
-        w = [[0] * n for _ in range(n)]
-        for i in range(n - r):
-            w[i][i] = 1
-        for i in range(r):
-            for j in range(r):
-                w[n - r + i][n - r + j] = core[i][j]
-        uy_inv_t = linalg.transpose(linalg.inverse_unimodular(uy))
-        u = linalg.mat_mul(
-            uy_inv_t, linalg.mat_mul(linalg.freeze(w), linalg.transpose(ux))
-        )
+        w = linalg.identity(n)[: n - r] + tuple((0,) * (n - r) + row for row in core)
+        u = linalg.mat_mul(uy_inv_t, linalg.mat_mul(w, linalg.transpose(ux)))
         _check_witness(u, x, y)
         return UnimodularMatrix(u)
     cap = max(y[i][i] for i in range(n))
@@ -408,9 +400,9 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
         p = adjs[i]
         alpha = p[i][i]
         beta = sum(p[j][i] * col[j] for j in range(i))
-        rho = sum(
-            p[j][l] * col[j] * col[l] for j in range(i) for l in range(i)
-        )
+        # with u = adjs[i-1] a[:i][i], adjs[i] has top-left block (dets[i]
+        # adjs[i-1] + u u^T) / dets[i-1] and last column -u: beta = -u . col
+        rho = (dets[i] * q + beta * beta) // dets[i - 1]
         # alpha v^2 + 2 beta v + rho <= t * det(A_{i+1}) - 1
         disc = beta * beta + alpha * (t * dets[i] - 1 - rho)
         if disc < 0:

@@ -377,7 +377,7 @@ class SocCertificate:
             terms=tuple(
                 (
                     linalg.as_int(t["lambda"]),
-                    tuple(str(w) for w in t["word"]),
+                    tuple(map(linalg.as_str, t["word"])),
                     tuple(map(linalg.as_int, t["root"])),
                 )
                 for t in obj["terms"]

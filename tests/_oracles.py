@@ -3,7 +3,9 @@
 Everything here is deliberately naive (cofactor recursion, box scans,
 principal-minor tests, explicit congruences) and shares no code with the
 package internals; evaluate_word alone takes the second-order cone's
-generator matrices from the package, to multiply them here.
+generator matrices from the package, to multiply them here, and
+reduce_rank_dense its kernel vectors, so that both rank splits fold the
+same vectors.
 """
 
 from collections import deque
@@ -11,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
-from intcone import soc
+from intcone import linalg, soc
 
 
 def det_cofactor(rows):
@@ -292,3 +294,67 @@ def congruence_walk(roots, letters, word_cap):
                 seen.add(child)
                 queue.append((child, root, (label,) + word))
     return out
+
+
+def _xgcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def unimodular_completion(z):
+    """A unimodular matrix with first column the primitive z, built as a
+    dense matrix by the gcd ladder: each 2x2 step that folds z_i into the
+    running gcd acts on columns (0, i) of the whole matrix."""
+    n = len(z)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    g = z[0]
+    for i in range(1, n):
+        zi = z[i]
+        if zi == 0 and g != 0:
+            continue
+        g2, a, b = _xgcd(g, zi)
+        if g2 == 0:
+            continue
+        if g2 < 0:
+            g2, a, b = -g2, -a, -b
+        p, q = g // g2, zi // g2
+        for r in range(n):
+            c0, ci = u[r][0], u[r][i]
+            u[r][0] = c0 * p + ci * q
+            u[r][i] = -c0 * b + ci * a
+        g = g2
+    if g < 0:
+        for r in range(n):
+            u[r][0] = -u[r][0]
+    return tuple(map(tuple, u))
+
+
+def reduce_rank_dense(x):
+    """(U, block) with U^T X U = diag(0, ..., 0, block) for a PSD X, by
+    products: each kernel vector's completion u1 conjugates the block as
+    u1^T B u1 and grows U by diag(I, u1)."""
+    n = len(x)
+    u_total = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cur = tuple(map(tuple, x))
+    z = linalg.primitive_kernel_vector(cur)
+    while z is not None:
+        zeros = n - len(cur)
+        u1 = unimodular_completion(z)
+        b = mat_mul(tuple(zip(*u1)), mat_mul(cur, u1))
+        if any(b[0]):
+            raise RuntimeError("kernel vector left a nonzero first row")
+        tail = mat_mul([row[zeros:] for row in u_total], u1)
+        u_total = tuple(row[:zeros] + t for row, t in zip(u_total, tail))
+        cur = tuple(row[1:] for row in b[1:])
+        z = linalg.primitive_kernel_vector(cur)
+    full = mat_mul(tuple(zip(*u_total)), mat_mul(x, u_total)) if n else ()
+    if any(any(row) for row in full[: n - len(cur)]):
+        raise RuntimeError("reduce_rank left a nonzero row in the kernel block")
+    return u_total, cur

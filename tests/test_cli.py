@@ -102,8 +102,8 @@ def test_soc_envelopes_match_the_recording(case, capsys, monkeypatch):
 # "1", so a reader that coerces instead of rejecting lets them through: a
 # cut-list emitted by cg-cuts on SOC3 at word cap 0, and certificates for
 # I2 and for the root (0, 0, 1)
-def _soc_cut_list(root=(1, 0, 1), rhs=1, u=(1,), A=((1, 0, 0),)):
-    cut = {"u": list(u), "rhs": rhs, "root": list(root), "word": []}
+def _soc_cut_list(root=(1, 0, 1), rhs=1, u=(1,), A=((1, 0, 0),), word=()):
+    cut = {"u": list(u), "rhs": rhs, "root": list(root), "word": list(word)}
     system = {**SOC3, "A": [list(row) for row in A]}
     return {"kind": "cut-list", "system": system, "cuts": [cut]}
 
@@ -114,10 +114,14 @@ def _i2_certificate(lam):
     return {"kind": "psd-certificate", "matrix": I2, "certificate": cert}
 
 
-def _soc_certificate(lam):
-    terms = [{"lambda": lam, "word": [], "root": [0, 0, 1]}]
+def _soc_certificate(lam, word=()):
+    terms = [{"lambda": lam, "word": list(word), "root": [0, 0, 1]}]
     cert = {"n": 3, "terms": terms}
     return {"kind": "soc-certificate", "point": [0, 0, 1], "certificate": cert}
+
+
+# a soc-descent of the root (0, 0, 1) onto itself, less its word
+_SOC_DESCENT = {"kind": "soc-descent", "point": [0, 0, 1], "root": [0, 0, 1]}
 
 
 class TestEnvelope:
@@ -198,6 +202,33 @@ class TestEnvelope:
         assert rc == 2
         assert json.loads(out)["status"] == "error"
         assert "is not an integer" in payload_of(out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["verify"], {"kind": ["x"]}),
+            (["verify"], {**_SOC_DESCENT, "word": [None]}),
+            (["verify"], _soc_certificate(1, word=[None])),
+            (["verify"], _soc_cut_list(word=[None])),
+            (["verify"], {**_soc_cut_list(), "system": {**SOC3, "cone": ["soc"]}}),
+            (["icr-search"], {"cone": ["soc"], "n": 3, "element": [0, 0, 1]}),
+            (["cg-cuts"], {**SOC3, "cone": ["soc"]}),
+        ],
+        ids=[
+            "kind",
+            "descent-word",
+            "soc-word",
+            "cut-word",
+            "cut-cone",
+            "icr-cone",
+            "cg-cone",
+        ],
+    )
+    def test_non_string_label_is_malformed(self, invoke, argv, doc):
+        rc, out = invoke(argv, doc)
+        assert rc == 2
+        assert json.loads(out)["status"] == "error"
+        assert "is not a string" in payload_of(out)["error"]
 
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:

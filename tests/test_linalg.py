@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import adjugate_cofactor, det_cofactor, psd_by_minors, random_unimodular
+from _oracles import (
+    adjugate_cofactor,
+    det_cofactor,
+    psd_by_minors,
+    random_unimodular,
+    reduce_rank_dense,
+)
 from intcone import linalg
 from intcone.lattice import enumerate_below
 from intcone.linalg import (
@@ -258,18 +264,18 @@ class TestInverseUnimodular:
 
 class TestReduceRank:
     def test_full_rank_passthrough(self):
-        u, block = reduce_rank(M6)
+        u, _, block = reduce_rank(M6)
         assert u == identity(6)
         assert block == M6
 
     def test_rank_one(self):
-        u, block = reduce_rank(((1, 1), (1, 1)))
+        u, _, block = reduce_rank(((1, 1), (1, 1)))
         assert block == ((1,),)
         conj = mat_mul(transpose(u), mat_mul(((1, 1), (1, 1)), u))
         assert conj == ((0, 0), (0, 1))
 
     def test_zero_matrix(self):
-        u, block = reduce_rank(((0, 0), (0, 0)))
+        u, _, block = reduce_rank(((0, 0), (0, 0)))
         assert block == ()
         assert det(u) in (1, -1)
 
@@ -296,7 +302,7 @@ class TestReduceRank:
                         total[i][j] += x[i] * x[j]
             x0 = tuple(map(tuple, total))
             r = rank(x0)
-            u, block = reduce_rank(x0)
+            u, _, block = reduce_rank(x0)
             assert det(u) in (1, -1)
             assert len(block) == r
             if r:
@@ -306,6 +312,23 @@ class TestReduceRank:
                 assert conj[i] == (0,) * n
             for i in range(r):
                 assert conj[n - r + i][n - r :] == block[i]
+
+
+    def test_matches_dense_reference(self):
+        # G G^T for a random n x r G, redrawn until its rank is r: every n
+        # from 1 to 7 and every rank from 0 to n, ten matrices each
+        rng = random.Random(31)
+        for n in range(1, 8):
+            for r in range(n + 1):
+                for _ in range(10):
+                    while True:
+                        g = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+                        x = mat_mul(g, transpose(g)) if r else ((0,) * n,) * n
+                        if rank(x) == r:
+                            break
+                    u, u_inv_t, block = reduce_rank(x)
+                    assert (u, block) == reduce_rank_dense(x)
+                    assert u_inv_t == transpose(inverse_unimodular(u))
 
 
 class TestDataclasses:
