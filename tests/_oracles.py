@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive (cofactor recursion, box scans,
 principal-minor tests, explicit congruences) and shares no code with the
-package internals; evaluate_word alone takes the second-order cone's
+package internals, except that evaluate_word takes the second-order cone's
 generator matrices from the package, to multiply them here, and
 reduce_rank_dense its kernel vectors, so that both rank splits fold the
 same vectors.
@@ -354,7 +354,7 @@ def reduce_rank_dense(x):
         u_total = tuple(row[:zeros] + t for row, t in zip(u_total, tail))
         cur = tuple(row[1:] for row in b[1:])
         z = linalg.primitive_kernel_vector(cur)
-    full = mat_mul(tuple(zip(*u_total)), mat_mul(x, u_total)) if n else ()
+    full = mat_mul(tuple(zip(*u_total)), mat_mul(x, u_total))
     if any(any(row) for row in full[: n - len(cur)]):
         raise RuntimeError("reduce_rank left a nonzero row in the kernel block")
     return u_total, cur

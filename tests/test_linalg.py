@@ -313,7 +313,6 @@ class TestReduceRank:
             for i in range(r):
                 assert conj[n - r + i][n - r :] == block[i]
 
-
     def test_matches_dense_reference(self):
         # G G^T for a random n x r G, redrawn until its rank is r: every n
         # from 1 to 7 and every rank from 0 to n, ten matrices each
