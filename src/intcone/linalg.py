@@ -5,12 +5,13 @@ lists) of rows of Python ints.  No floats and no fractions anywhere: one
 fraction-free (Bareiss) echelon, whose entries are minors of the input so
 that every division in it is exact, serves the determinant, the rank, the
 kernel vector and lattice's positive-definite split, and, run on [A | I],
-the adjugate and the unimodular inverse; `is_psd_exact` is its symmetric
-variant, pivoting on the diagonal.  One gcd ladder per primitive vector
-gives its unimodular completion and, in place, the rank split's U and
-U^{-T}.  Matrices stay well under 11x11 here, so the code favours clarity
-over asymptotics.  `as_int` is the one rule for integers read from JSON or
-passed to a constructor, `as_str` the one for JSON strings.
+the adjugate and the unimodular inverse; `_psd_rank`, behind
+`is_psd_exact` and the rank split, is its symmetric variant, pivoting on
+the diagonal.  One gcd ladder per primitive vector gives its unimodular
+completion and, in place, the rank split's U and U^{-T}.  Matrices stay
+well under 11x11 here, so the code favours clarity over asymptotics.
+`as_int` is the one rule for integers read from JSON or passed to a
+constructor, `as_str` the one for JSON strings.
 """
 
 from __future__ import annotations
@@ -138,32 +139,41 @@ def _adjugate_det(rows):
 
 
 def is_psd_exact(rows) -> bool:
-    """Exact positive-semidefiniteness by symmetric Bareiss elimination.
+    """Exact positive-semidefiniteness: whether _psd_rank finds a rank."""
+    return _psd_rank(rows) is not None
+
+
+def _psd_rank(rows):
+    """The rank of a PSD matrix by symmetric Bareiss elimination, or None
+    when the matrix is not PSD.
 
     A negative diagonal entry refutes, a zero diagonal entry with a nonzero
     row refutes, otherwise pivot on the first positive diagonal entry and
     eliminate.  The remaining entries are the Schur complement scaled by
     the last pivot, a positive principal minor, so every sign test reads
-    the Schur complement itself.  The zero (or empty) matrix is PSD.
+    the Schur complement itself.  Once every remaining row is zero the
+    number of pivots taken is the rank.  The zero (or empty) matrix is PSD
+    of rank 0.
     """
     if not is_symmetric(rows):
         raise ValueError("is_psd_exact expects a symmetric matrix")
     a = [list(row) for row in rows]
     idx = list(range(len(a)))
     prev = 1
+    pivots = 0
     while idx:
         pivot_i = None
         for i in idx:
             d = a[i][i]
             if d < 0:
-                return False
+                return None
             if d == 0:
                 if any(a[i][j] for j in idx):
-                    return False
+                    return None
             elif pivot_i is None:
                 pivot_i = i
         if pivot_i is None:
-            return True  # all remaining rows are zero
+            break  # all remaining rows are zero
         row_p = a[pivot_i]
         p = row_p[pivot_i]
         idx.remove(pivot_i)
@@ -173,7 +183,8 @@ def is_psd_exact(rows) -> bool:
             for j in idx:
                 row_i[j] = (p * row_i[j] - ci * row_p[j]) // prev
         prev = p
-    return True
+        pivots += 1
+    return pivots
 
 
 def _echelon(rows):
@@ -313,20 +324,25 @@ def reduce_rank(rows):
 
     Returns (U, U^{-T}, block) with U unimodular and U^T X U = diag(0, ...,
     0, block) where the zero block collects the kernel (top-left) and block
-    is full rank.  Each kernel vector's gcd ladder acts in place on the
-    block, on U and, inverse-transposed, on U^{-T}: nothing is inverted.
-    Full-rank input returns (identity, identity, X) unchanged; the all-zero
-    matrix returns an empty block.
+    is full rank.  The rank r comes from _psd_rank, so exactly n - r kernel
+    vectors are split off.  Each kernel vector's gcd ladder acts in place
+    on the block, on U and, inverse-transposed, on U^{-T}: nothing is
+    inverted.  The closing check X U[:, :n-r] = 0 says the same as a zero
+    kernel block of U^T X U, as U is invertible.  Full-rank input returns
+    (identity, identity, X) unchanged; the all-zero matrix returns an
+    empty block.
     """
     x = freeze(rows)
-    if not is_psd_exact(x):
+    r = _psd_rank(x)
+    if r is None:
         raise ValueError("reduce_rank expects a PSD matrix")
     n = len(x)
     u, u_inv_t = ([list(row) for row in identity(n)] for _ in range(2))
     cur = x
-    z = primitive_kernel_vector(cur)
-    while z is not None:
-        zeros = n - len(cur)
+    for zeros in range(n - r):
+        z = primitive_kernel_vector(cur)
+        if z is None:
+            raise RuntimeError("reduce_rank found no kernel vector below the rank")
         steps, sign = _ladder(z)
         w = [list(row) for row in cur]
         _apply_ladder(w, steps, sign)  # cur u1
@@ -338,11 +354,9 @@ def reduce_rank(rows):
         inv_t = [(i, a, b, p, q) for i, p, q, a, b in steps]
         _apply_ladder(u_inv_t, inv_t, sign, zeros)
         cur = tuple(tuple(row[1:]) for row in w[1:])
-        z = primitive_kernel_vector(cur)
     u, u_inv_t = tuple(map(tuple, u)), tuple(map(tuple, u_inv_t))
-    full = mat_mul(transpose(u), mat_mul(x, u))
-    if any(any(row) for row in full[: n - len(cur)]):
-        raise RuntimeError("reduce_rank left a nonzero row in the kernel block")
+    if any(any(mat_vec(x, z)) for z in list(zip(*u))[: n - r]):
+        raise RuntimeError("reduce_rank left a kernel column of U outside the kernel")
     return u, u_inv_t, cur
 
 

@@ -321,7 +321,9 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     is known too, as (d_new p_rr + u_r^2) / d_old and then d_old (p the
     adjugate of the leading block, u = p c for the last column c), and
     _check_leaf first drops a leaf with an entry <= det (some X - e_i e_i^T
-    stays PSD); only a leaf that passes builds the rest of its adjugate.
+    stays PSD), testing d_old and then forming u one row at a time, so it
+    stops at the first failing entry; only a leaf that passes every entry
+    builds its adjugate.
     Next come the e_i +- e_j probes, then _swap_minimal (each adjacent
     equal-diagonal swap, sign-normalized, must not give a lexicographically
     smaller matrix; it decides the ties and the swap of the first two rows,
@@ -379,16 +381,12 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
             if k == n - 1 and d_new >= bound:
                 return  # det >= gamma_n^n: not sporadic, skip the adjugate
             p = adjs[-1]
-            u = [sum(p[r][j] * col[j] for j in range(k)) for r in range(k)]
             for j in range(k):
                 a[j][k] = a[k][j] = col[j]
             if k == n - 1:
-                diag = [(d_new * p[r][r] + u[r] ** 2) // d_old for r in range(k)]
-                diag.append(d_old)
-                _check_leaf(
-                    a, n, diag, lambda: _border(p, u, d_old, d_new), d_new, cap, reps
-                )
+                _check_leaf(a, n, p, col, d_old, d_new, cap, reps)
             else:
+                u = [sum(map(mul, pr, col)) for pr in p]
                 adjs.append(_border(p, u, d_old, d_new))
                 dets.append(d_new)
                 _fill_column(a, k + 1, n, adjs, dets, bound, cap, reps)
@@ -399,7 +397,7 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
             return
         p = adjs[i]
         alpha = p[i][i]
-        beta = sum(p[j][i] * col[j] for j in range(i))
+        beta = sum(map(mul, p[i], col))  # col[i:] is still zero
         # with u = adjs[i-1] a[:i][i], adjs[i] has top-left block (dets[i]
         # adjs[i-1] + u u^T) / dets[i-1] and last column -u: beta = -u . col
         rho = (dets[i] * q + beta * beta) // dets[i - 1]
@@ -457,15 +455,26 @@ def _swap_minimal(rows, n):
     return True
 
 
-def _check_leaf(a, n, diag, build_adj, d, cap, reps):
+def _check_leaf(a, n, p, col, d_old, d, cap, reps):
     """Append the leaf a to reps when it is a new sporadic class.
 
-    diag is the diagonal of adj(a), build_adj() builds all of adj(a), and
-    d = det(a).  reps holds one _ShellRecord below cap per class so far.
+    The leaf is [[B, c], [c^T, t]] with p = adj(B), d_old = det(B), c = col
+    and d = det(a).  reps holds one _ShellRecord below cap per class so far.
+    The e_i probe reads the diagonal of adj(a) from the bordered update
+    before building it: its last entry is d_old, and entry r is (d p_rr +
+    u_r^2) / d_old with u_r = p[r] . c, formed one row at a time; the first
+    entry <= d rejects the leaf (X - e_i e_i^T stays PSD).
     """
-    if min(diag) <= d:
-        return  # some X - e_i e_i^T stays PSD, so not sporadic
-    adj = build_adj()
+    if d_old <= d:
+        return
+    dd = d * d_old
+    u = []
+    for r, pr in enumerate(p):
+        ur = sum(map(mul, pr, col))
+        if d * pr[r] + ur * ur <= dd:
+            return
+        u.append(ur)
+    adj = _border(p, u, d_old, d)
     for i in range(n):
         for j in range(i):
             cross = 2 * adj[i][j]

@@ -135,9 +135,15 @@ class TestIsPsdExact:
         assert not is_psd_exact(((2, 3), (3, 2)))
         assert is_psd_exact(((0, 0), (0, 0)))
         assert is_psd_exact(())
+        for m in (((1, 0), (0, -1)), ((2, 3), (3, 2))):
+            assert linalg._psd_rank(m) is None
+        assert linalg._psd_rank(M6) == 6
+        assert linalg._psd_rank(((0, 0), (0, 0))) == 0
+        assert linalg._psd_rank(()) == 0
 
     def test_zero_diag_nonzero_row(self):
         assert not is_psd_exact(((0, 1), (1, 2)))
+        assert linalg._psd_rank(((0, 1), (1, 2))) is None
 
     def test_exhaustive_2x2(self):
         for a in range(-3, 4):
@@ -145,6 +151,8 @@ class TestIsPsdExact:
                 for c in range(-3, 4):
                     m = ((a, b), (b, c))
                     assert is_psd_exact(m) == psd_by_minors(m), m
+                    psd = psd_by_minors(m)
+                    assert linalg._psd_rank(m) == (rank(m) if psd else None), m
 
     def test_matches_minor_oracle(self):
         rng = random.Random(11)
@@ -152,6 +160,8 @@ class TestIsPsdExact:
             n = rng.randint(1, 4)
             m = random_symmetric(rng, n, -3, 3)
             assert is_psd_exact(m) == psd_by_minors(m), m
+            psd = psd_by_minors(m)
+            assert linalg._psd_rank(m) == (rank(m) if psd else None), m
 
     def test_psd_sums_of_outer_products(self):
         rng = random.Random(13)
@@ -289,6 +299,14 @@ class TestReduceRank:
         with pytest.raises(RuntimeError):
             reduce_rank(((1, 1), (1, 1)))
 
+    def test_corrupted_u_raises(self, monkeypatch):
+        # U grows from a sheared start in place of I: still unimodular, and
+        # every per-step block check still passes, but U's first column
+        # leaves the kernel, which only the closing X U[:, :n-r] = 0 sees
+        monkeypatch.setattr(linalg, "identity", lambda n: ((1, 1), (0, 1)))
+        with pytest.raises(RuntimeError, match="kernel column"):
+            reduce_rank(((1, 1), (1, 1)))
+
     def test_block_structure_random(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -325,6 +343,7 @@ class TestReduceRank:
                         x = mat_mul(g, transpose(g)) if r else ((0,) * n,) * n
                         if rank(x) == r:
                             break
+                    assert linalg._psd_rank(x) == r
                     u, u_inv_t, block = reduce_rank(x)
                     assert (u, block) == reduce_rank_dense(x)
                     assert u_inv_t == transpose(inverse_unimodular(u))

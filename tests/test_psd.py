@@ -374,25 +374,41 @@ def test_dedup_agrees_with_unimodular_witness(monkeypatch):
     assert count_mismatches  # and records skipped on their counts
 
 
-@pytest.mark.parametrize("n, b", [(5, 3), (6, 2)])
+@pytest.mark.parametrize("n, b", [(4, 4), (5, 3), (6, 2)])
 def test_leaf_adjugate_is_the_bordered_update(n, b, monkeypatch):
+    # every leaf gets its leading block's adjugate and determinant, and the
+    # leaves that build their adjugate are exactly those whose adjugate's
+    # diagonal exceeds det everywhere (the e_i probe, against an oracle)
     check_leaf = psd._check_leaf
+    border = psd._border
+    current = []
     built = []
+    passing = []
 
-    def recording(a, n, diag, adj, d, *rest):
+    def recording(a, n, p, col, d_old, d, *rest):
         leaf = tuple(map(tuple, a))
+        block = tuple(row[:-1] for row in leaf[:-1])
         assert d == linalg.det(leaf)
-        assert diag == [row[i] for i, row in enumerate(linalg.adjugate(leaf))]
+        assert (p, d_old) == (linalg.adjugate(block), linalg.det(block))
+        assert tuple(col) == tuple(row[-1] for row in leaf[:-1])
+        adj = linalg.adjugate(leaf)
+        if all(adj[i][i] > d for i in range(n)):
+            passing.append(leaf)
+        current.append(leaf)
+        check_leaf(a, n, p, col, d_old, d, *rest)
+        current.pop()
 
-        def full():
-            built.append((leaf, adj()))
-            return built[-1][1]
-
-        return check_leaf(a, n, diag, full, d, *rest)
+    def bordering(*args):
+        adj = border(*args)
+        if current:
+            built.append((current[-1], adj))
+        return adj
 
     monkeypatch.setattr(psd, "_check_leaf", recording)
+    monkeypatch.setattr(psd, "_border", bordering)
     search_sporadic(n, b)
     assert built
+    assert [leaf for leaf, _ in built] == passing
     for leaf, adj in built:
         assert adj == linalg.adjugate(leaf)
 
