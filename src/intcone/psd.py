@@ -11,7 +11,7 @@ explicit unimodular congruence witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from math import ceil
@@ -40,20 +40,6 @@ def sporadic_catalog(n: int) -> tuple[Rows, ...]:
 def sporadic_det_bound(n: int) -> Fraction:
     """Upper bound on the determinant of any sporadic matrix in dimension n."""
     return lattice.hermite_gamma(n)
-
-
-def rank1_step(x_rows):
-    """The deterministic first integer vector x with X - x x^T still PSD.
-
-    Returns None when no such nonzero x exists, i.e. X is sporadic.  Raises
-    on non-PSD input and on the zero matrix.
-    """
-    x_rows = linalg.freeze(x_rows)
-    if not linalg.is_psd_exact(x_rows):
-        raise ValueError("rank1_step expects a PSD matrix")
-    if not any(v for row in x_rows for v in row):
-        raise ValueError("rank1_step expects a nonzero matrix")
-    return lattice._kx_first(x_rows)
 
 
 def is_sporadic(x_rows) -> bool:
@@ -130,7 +116,7 @@ def _sub_outer(rows, x):
 def decompose(x_rows) -> Rank1Certificate:
     """Peel deterministic rank-one summands until zero or a sporadic residue.
 
-    Chooses the same vector as rank1_step at every step.  The residue is
+    Each step peels lattice._kx_first of the residue.  The residue is
     reduced to its full-rank block B once, and the first peel y of B is
     lifted back; after each peel the ellipsoid data (adjugate and
     determinant) of B - y y^T comes from an exact integer rank-one downdate
@@ -177,30 +163,106 @@ def decompose(x_rows) -> Rank1Certificate:
 @dataclass(frozen=True)
 class _ShellRecord:
     """A positive definite A's congruence data up to the form value cap =
-    len(counts).
+    len(counts), with its shell product table.
 
     det is det(A); counts[val - 1] is the number of canonical vectors v
-    with v^T A v = val; shells[val] holds the signed pairs (v, A v), the
-    canonical v in enumeration order followed by their negatives.
+    with v^T A v = val.  vecs numbers the signed shell vectors once, shell
+    by shell for val = 1..cap, each shell its canonical vectors in
+    enumeration order followed by their negatives; norms[a] is the value
+    of vecs[a] and spans[val] = (start, half) where shell val begins and
+    where its canonical half ends.  The table row T[a][b] = vecs[a]^T A
+    vecs[b] and the buckets (a, value, norm) -> [b], in index order, are
+    built on a's first use and kept on the record, so they live exactly as
+    long as it.
     """
 
     rows: Rows
     det: int
     counts: tuple[int, ...]
-    shells: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]
+    vecs: tuple[tuple[int, ...], ...]
+    norms: tuple[int, ...]
+    spans: dict[int, tuple[int, int]]
+    table: dict = field(default_factory=dict, repr=False, compare=False)
+    buckets: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def _row(self, a) -> list[int]:
+        row = self.table.get(a)
+        if row is None:
+            av = linalg.mat_vec(self.rows, self.vecs[a])
+            row = []
+            # each shell's second half negates its first: half the products
+            for start, half in self.spans.values():
+                part = [sum(map(mul, av, v)) for v in self.vecs[start:half]]
+                row += part
+                row += [-x for x in part]
+            self.table[a] = row
+        return row
+
+    def _bucket(self, a, value, norm):
+        b = self.buckets.get(a)
+        if b is None:
+            b = self.buckets[a] = {}
+            for c, key in enumerate(zip(self._row(a), self.norms)):
+                b.setdefault(key, []).append(c)
+        return b.get((value, norm), ())
+
+    def witness(self, y):
+        """The first U with U A U^T = Y whose rows are shell vectors, or
+        None; Y must have det(A) as its determinant and no diagonal entry
+        above the record's cap.
+
+        Row i of U is a vector of the shell Y_ii whose products with rows
+        0..i-1 match Y, backtracking row by row (Plesken-Souvignier).  Row 0
+        runs over the canonical half of shell Y_00, as a global sign flip is
+        free; row i over the bucket (row 0, Y_i0, Y_ii), checking its
+        products with rows 1..i-1 by table lookups.  Every candidate list
+        keeps shell order, so the first U is that of the plain backtrack
+        through the shells.  A complete U has det(U)^2 det(A) = det(Y) =
+        det(A) != 0, so it is unimodular.
+        """
+        n = len(y)
+        idx: list[int] = []
+
+        def extend(i):
+            if i == n:
+                return True
+            checks = [(self._row(idx[j]), y[i][j]) for j in range(1, i)]
+            for c in self._bucket(idx[0], y[i][0], y[i][i]):
+                for row, val in checks:
+                    if row[c] != val:
+                        break
+                else:
+                    idx.append(c)
+                    if extend(i + 1):
+                        return True
+                    idx.pop()
+            return False
+
+        start, half = self.spans.get(y[0][0], (0, 0))
+        for a in range(start, half):
+            idx.append(a)
+            if extend(1):
+                return tuple(self.vecs[c] for c in idx)
+            idx.pop()
+        return None
 
 
 def _shell_record(rows, d, cap) -> _ShellRecord:
     """The record of a positive definite A with det(A) = d, from one
     enumeration below cap."""
-    shells: dict = {val: [] for val in range(1, cap + 1)}
+    shells: list[list[tuple[int, ...]]] = [[] for _ in range(cap)]
     for v in lattice.enumerate_below(rows, cap):
-        av = linalg.mat_vec(rows, v)
-        shells[sum(map(mul, v, av))].append((v, av))
-    counts = tuple(len(s) for s in shells.values())
-    for s in shells.values():
-        s += [(tuple(-a for a in v), tuple(-a for a in av)) for v, av in s]
-    return _ShellRecord(rows, d, counts, shells)
+        shells[sum(map(mul, v, linalg.mat_vec(rows, v))) - 1].append(v)
+    vecs: list[tuple[int, ...]] = []
+    norms: list[int] = []
+    spans = {}
+    for val, s in enumerate(shells, 1):
+        spans[val] = (len(vecs), len(vecs) + len(s))
+        vecs += s
+        vecs += [tuple(-a for a in v) for v in s]
+        norms += [val] * (2 * len(s))
+    counts = tuple(map(len, shells))
+    return _ShellRecord(rows, d, counts, tuple(vecs), tuple(norms), spans)
 
 
 def _shell_counts(rows, cap) -> tuple[int, ...]:
@@ -211,46 +273,17 @@ def _shell_counts(rows, cap) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _congruence(rec: _ShellRecord, y):
-    """The first U with U A U^T = Y whose rows come from rec's shells, or
-    None; Y must have det(A) as its determinant and no diagonal entry above
-    rec's cap.
-
-    Row i of U is a vector of the shell Y_ii whose cross products with
-    rows 0..i-1 match Y, backtracking row by row (Plesken-Souvignier); the
-    first row skips the negatives, as a global sign flip is free.  A
-    complete U has det(U)^2 det(A) = det(Y) = det(A) != 0, so it is
-    unimodular.
-    """
-    n = len(y)
-    rows_u: list[tuple[int, ...]] = []
-
-    def backtrack(i):
-        if i == n:
-            return True
-        pool = rec.shells[y[i][i]]
-        if i == 0:
-            pool = pool[: len(pool) // 2]
-        for v, av in pool:
-            if all(sum(map(mul, rows_u[j], av)) == y[i][j] for j in range(i)):
-                rows_u.append(v)
-                if backtrack(i + 1):
-                    return True
-                rows_u.pop()
-        return False
-
-    return tuple(rows_u) if backtrack(0) else None
-
-
 def unimodular_witness(x_rows, y_rows):
     """A unimodular U with U X U^T = Y, or None when none exists.
 
     Cheap congruence invariants first: determinant, rank, and the count of
     vectors at each form value up to the largest diagonal entry of Y.  One
     enumeration of each matrix below that value gives these counts, and
-    X's pass also keeps its shells (_shell_record), which _congruence
-    searches for the first U.  Singular pairs are compared through their
-    full-rank cores.
+    X's pass also numbers its shell vectors (_shell_record); only when the
+    counts agree does the shell product table backtrack
+    (_ShellRecord.witness, the one _class_of uses) look for the first U,
+    building the table rows it reads.  Singular pairs are compared through
+    their full-rank cores.
     """
     x = linalg.freeze(x_rows)
     y = linalg.freeze(y_rows)
@@ -286,7 +319,7 @@ def unimodular_witness(x_rows, y_rows):
     rec = _shell_record(x, d, cap)
     if rec.counts != _shell_counts(y, cap):
         return None
-    u = _congruence(rec, y)
+    u = rec.witness(y)
     if u is None:
         return None
     _check_witness(u, x, y)
@@ -301,14 +334,23 @@ def _check_witness(u, x, y):
 def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     """All sporadic classes with nondecreasing diagonal <= diag_bound.
 
-    Exhausts positive definite integer matrices with 1 <= X_11 <= ... <=
-    X_nn <= diag_bound column by column over exact integer intervals: with
-    the adjugates and determinants of all leading blocks kept on a stack,
-    extendability of a partial column c over the reals is exactly
-    c^T adj(A_j) c < X_kk det(A_j), a quadratic whose integer solution range
-    comes from one integer square root.  Accepted columns update the
-    adjugate by the exact bordered-inverse identity, so leaves have their
-    ellipsoid data for free.
+    A sporadic X represents no 1.  If v^T X v = 1 then y = X v is a nonzero
+    integer vector, and for every w, w^T (X - y y^T) w = w^T X w - (w^T X
+    v)^2 >= 0 by Cauchy-Schwarz in the inner product of X, so y peels off.
+    Congruence keeps the values of the form, so no matrix in the orbit of
+    such an X is sporadic either, and the walk drops them without changing
+    the classes found or their order: every diagonal starts at 2 (e_i has
+    norm X_ii), and an entry X_ik = v with X_ii + X_kk - 2|v| = 1 (the norm
+    of e_i -+ e_k) is skipped with its whole subtree.
+
+    So the walk exhausts positive definite integer matrices with 2 <= X_11
+    <= ... <= X_nn <= diag_bound column by column over exact integer
+    intervals: with the adjugates and determinants of all leading blocks
+    kept on a stack, extendability of a partial column c over the reals is
+    exactly c^T adj(A_j) c < X_kk det(A_j), a quadratic whose integer
+    solution range comes from one integer square root.  Accepted columns
+    update the adjugate by the exact bordered-inverse identity, so leaves
+    have their ellipsoid data for free.
 
     Permutations of equal diagonal entries and basis sign flips are
     unimodular, so the walk keeps to orbit representatives.  Each column's
@@ -329,10 +371,10 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     smaller matrix; it decides the ties and the swap of the first two rows,
     and the orbit minimum always survives), then the full sporadicity test.
     A sporadic leaf is compared only with the classes found so far that
-    share its determinant and its shell counts up to diag_bound (one
-    enumeration of the leaf), by a backtrack through each class's shells,
-    which are enumerated once, when the class is found.  Deterministic order
-    throughout.
+    share its determinant (_class_of), by the backtrack through each
+    class's shell product table; its shell counts up to diag_bound (one
+    enumeration of the leaf) are computed only when two or more classes
+    share the determinant.  Deterministic order throughout.
     """
     n = linalg.as_int(n)
     diag_bound = linalg.as_int(diag_bound)
@@ -340,7 +382,7 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
         raise ValueError("need n >= 2 and diag_bound >= 1")
     bound = ceil(sporadic_det_bound(n))  # an integer det is below it iff below ceil
     reps: list[_ShellRecord] = []
-    for diag in combinations_with_replacement(range(1, diag_bound + 1), n):
+    for diag in combinations_with_replacement(range(2, diag_bound + 1), n):
         a = [[0] * n for _ in range(n)]
         for i in range(n):
             a[i][i] = diag[i]
@@ -412,7 +454,13 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
         tight = tight and i < len(prev)
         if tight:
             lo = max(lo, prev[i])
+        # e_i -+ e_k has norm X_ii + t - 2|v|, and norm 1 means no leaf below
+        # this entry is sporadic; that |v| exists only when X_ii + t is odd
+        s = a[i][i] + t
+        norm1 = (s >> 1, -(s >> 1)) if s & 1 else ()
         for v in range(lo, hi + 1):
+            if v in norm1:
+                continue
             col[i] = v
             entry(
                 i + 1,
@@ -492,18 +540,19 @@ def _check_leaf(a, n, p, col, d_old, d, cap, reps):
 def _class_of(rows, d, cap, reps):
     """The record in reps congruent to the positive definite rows, or None.
 
-    Only records with rows' determinant d and shell counts below cap are
-    searched, each for some U with U R U^T = rows; every find is checked.
+    Only records with rows' determinant d are searched, each by its table
+    backtrack (_ShellRecord.witness), and every find is checked.  When two
+    or more records share d, one enumeration of rows gives its shell counts
+    below cap first, and records whose counts differ are skipped.  With a
+    single such record the backtrack runs alone: it fails at most once per
+    new class, and a failed backtrack costs more than the counts only there.
     """
-    counts = None
-    for rec in reps:
-        if rec.det != d:
-            continue
-        if counts is None:
-            counts = _shell_counts(rows, cap)
-        if rec.counts != counts:
-            continue
-        u = _congruence(rec, rows)
+    same = [rec for rec in reps if rec.det == d]
+    if len(same) > 1:
+        counts = _shell_counts(rows, cap)
+        same = [rec for rec in same if rec.counts == counts]
+    for rec in same:
+        u = rec.witness(rows)
         if u is not None:
             _check_witness(u, rec.rows, rows)
             return rec

@@ -65,13 +65,13 @@ def form_value(a, x):
 def points_below_box(a, t):
     """All nonzero x with x^T a x <= t, canonical sign, by plain box scan.
 
-    The box radius comes from t * (a^-1)_ii <= t * (sum of |adj| row) /
-    |det|; we just use a safely large radius derived from rational inverse
-    diagonal entries.
+    The box is |x_i| <= sqrt(t (a^-1)_ii), the largest value of x_i on the
+    ellipsoid (Cauchy-Schwarz), with the inverse diagonal taken exactly in
+    rationals; x_i is an integer, so |x_i| <= isqrt(floor(t (a^-1)_ii)).
     """
     n = len(a)
     inv_diag = _inverse_diagonal(a)
-    radii = [isqrt(int(t * d) + 1) + 1 for d in inv_diag]
+    radii = [isqrt(t * d.numerator // d.denominator) for d in inv_diag]
     out = []
     for x in product(*[range(-r, r + 1) for r in radii]):
         if all(v == 0 for v in x):
@@ -82,6 +82,49 @@ def points_below_box(a, t):
         if form_value(a, x) <= t:
             out.append(tuple(x))
     return out
+
+
+def plain_shells(a, cap):
+    """The signed vectors of a positive definite a at each form value 1..cap:
+    the canonical ones of points_below_box sorted as the package enumerates
+    them (by the last coordinate, then the one before it, and so on, each
+    ascending), followed by their negatives in the same order."""
+    shells = {val: [] for val in range(1, cap + 1)}
+    for x in sorted(points_below_box(a, cap), key=lambda x: x[::-1]):
+        shells[form_value(a, x)].append(x)
+    for s in shells.values():
+        s += [tuple(-v for v in x) for x in s]
+    return shells
+
+
+def congruence_backtrack(a, shells, y):
+    """The first U with U a U^T = y whose rows come from plain_shells(a, cap),
+    cap at least y's largest diagonal entry, or None.
+
+    Row i of U runs over the shell y_ii, keeping the vectors whose dot
+    products with a times rows 0..i-1 match y; row 0 runs over the canonical
+    half only."""
+    n = len(y)
+    rows_u = []
+
+    def backtrack(i):
+        if i == n:
+            return True
+        pool = shells[y[i][i]]
+        if i == 0:
+            pool = pool[: len(pool) // 2]
+        for v in pool:
+            av = [sum(a[r][c] * v[c] for c in range(n)) for r in range(n)]
+            if all(
+                sum(p * q for p, q in zip(rows_u[j], av)) == y[i][j] for j in range(i)
+            ):
+                rows_u.append(v)
+                if backtrack(i + 1):
+                    return True
+                rows_u.pop()
+        return False
+
+    return tuple(rows_u) if backtrack(0) else None
 
 
 def _inverse_diagonal(a):

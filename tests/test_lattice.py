@@ -134,7 +134,7 @@ class TestShortestNonzero:
 
 class TestKxNonzeroPoint:
     # lattice._kx_first finds the first nonzero integer point of
-    # K(X) = {x : X - x x^T is PSD}; psd.rank1_step is its public wrapper
+    # K(X) = {x : X - x x^T is PSD}; psd.decompose peels it at every step
     def test_identity(self):
         for n in (1, 2, 3, 5):
             assert lattice._kx_first(linalg.identity(n)) == (1,) + (0,) * (n - 1)

@@ -6,19 +6,20 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (
+    congruence_backtrack,
+    plain_shells,
     psd_by_minors,
     random_unimodular,
     sporadic_leaf_candidates,
     subtractable_vector_box,
 )
-from intcone import linalg, psd
+from intcone import lattice, linalg, psd
 from intcone.psd import (
     M6,
     Rank1Certificate,
     decompose,
     gl_generators,
     is_sporadic,
-    rank1_step,
     search_sporadic,
     sporadic_catalog,
     sporadic_det_bound,
@@ -70,22 +71,23 @@ class TestSporadicDetBound:
 
 
 class TestRank1Step:
+    # the rank-one step of decompose is lattice._kx_first: the first x != 0
+    # with X - x x^T still PSD
     def test_identity(self):
-        assert rank1_step(((1, 0), (0, 1))) == (1, 0)
+        assert lattice._kx_first(((1, 0), (0, 1))) == (1, 0)
 
     def test_m6_has_no_step(self):
-        assert rank1_step(M6) is None
+        assert lattice._kx_first(M6) is None
 
     def test_small_example(self):
-        assert rank1_step(((2, 1), (1, 1))) == (1, 0)
+        assert lattice._kx_first(((2, 1), (1, 1))) == (1, 0)
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            rank1_step(((0, 0), (0, 0)))
+    def test_zero_has_no_step(self):
+        assert lattice._kx_first(((0, 0), (0, 0))) is None
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
-            rank1_step(((1, 2), (2, 1)))
+            lattice._kx_first(((1, 2), (2, 1)))
 
     def test_step_keeps_psd(self):
         rng = random.Random(11)
@@ -94,7 +96,7 @@ class TestRank1Step:
             a = random_psd_sum(rng, n, rng.randint(1, n))
             if not any(v for row in a for v in row):
                 continue
-            x = rank1_step(a)
+            x = lattice._kx_first(a)
             assert x is not None
             assert any(x)
             diff = [
@@ -196,7 +198,7 @@ class TestDecompose:
             cur = a
             expect = []
             while any(v for row in cur for v in row):
-                x = rank1_step(cur)
+                x = lattice._kx_first(cur)
                 if x is None:
                     break
                 expect.append(x)
@@ -338,31 +340,47 @@ def dedup_streams():
 
 
 def test_dedup_agrees_with_unimodular_witness(monkeypatch):
-    congruence = psd._congruence
-    outcomes = []
+    witness = psd._ShellRecord.witness
+    shell_counts = psd._shell_counts
+    backtracks = []
+    counted = []
 
     def recording(rec, y):
-        # the backtrack runs only against records with y's invariants
+        # the backtrack runs only against records with y's determinant
         assert rec.det == linalg.det(y)
-        assert rec.counts == psd._shell_counts(y, len(rec.counts))
-        u = congruence(rec, y)
-        outcomes.append(u is not None)
+        u = witness(rec, y)
+        backtracks.append((rec, u is not None))
         return u
 
-    monkeypatch.setattr(psd, "_congruence", recording)
-    count_mismatches = 0
+    def counting(rows, cap):
+        counted.append(rows)
+        return shell_counts(rows, cap)
+
+    monkeypatch.setattr(psd._ShellRecord, "witness", recording)
+    monkeypatch.setattr(psd, "_shell_counts", counting)
+    outcomes = []
+    count_skips = 0
     for stream in dedup_streams():
         cap = max(m[i][i] for m in stream for i in range(len(m)))
         reps = []
         for m in stream:
             d = linalg.det(m)
+            backtracks.clear()
+            counted.clear()
             found = psd._class_of(m, d, cap, reps)
+            same = [r for r in reps if r.det == d]
+            # the leaf's counts run only when two or more records share d,
+            # and then only records with equal counts are backtracked
+            assert counted == ([m] if len(same) > 1 else [])
+            for rec, ok in backtracks:
+                assert any(rec is r for r in same)
+                assert len(same) == 1 or rec.counts == shell_counts(m, cap)
+                outcomes.append(ok)
+            if len(same) > 1:
+                count_skips += sum(r.counts != shell_counts(m, cap) for r in same)
             expected = [r for r in reps if unimodular_witness(m, r.rows) is not None]
             assert len(expected) <= 1
             assert found is (expected[0] if expected else None)
-            count_mismatches += any(
-                r.det == d and r.counts != psd._shell_counts(m, cap) for r in reps
-            )
             if found is None:
                 reps.append(psd._shell_record(m, d, cap))
         assert [r.rows for r in reps] == [
@@ -371,7 +389,67 @@ def test_dedup_agrees_with_unimodular_witness(monkeypatch):
             if all(unimodular_witness(m, p) is None for p in stream[:i])
         ]
     assert True in outcomes and False in outcomes  # a backtrack that fails
-    assert count_mismatches  # and records skipped on their counts
+    assert count_skips  # and records skipped on their counts
+
+
+# the sporadic class of search_sporadic(7, 2)
+C7 = (
+    (2, 0, 0, 0, 0, 0, 1),
+    (0, 2, 0, 0, 0, 1, -1),
+    (0, 0, 2, 0, 0, -1, 0),
+    (0, 0, 0, 2, 1, -1, -1),
+    (0, 0, 0, 1, 2, -1, -1),
+    (0, 1, -1, -1, -1, 2, 0),
+    (1, -1, 0, -1, -1, 0, 2),
+)
+
+
+def test_table_matches_the_plain_backtrack_in_the_search(monkeypatch):
+    # every congruence the (6, 2) search asks its table for, against the
+    # plain dot-product backtrack over box-scanned shells
+    witness = psd._ShellRecord.witness
+    calls = []
+
+    def recording(rec, y):
+        u = witness(rec, y)
+        calls.append((rec, y, u))
+        return u
+
+    monkeypatch.setattr(psd._ShellRecord, "witness", recording)
+    assert len(search_sporadic(6, 2)) == 1
+    assert len(calls) == 254
+    shells = {}
+    for rec, y, u in calls:
+        if rec.rows not in shells:
+            shells[rec.rows] = plain_shells(rec.rows, len(rec.counts))
+        assert u is not None
+        assert u == congruence_backtrack(rec.rows, shells[rec.rows], y)
+
+
+@pytest.mark.parametrize("a, seed", [(M6, 59), (C7, 61)], ids=["M6", "C7"])
+def test_table_matches_the_plain_backtrack_on_conjugates(a, seed):
+    rng = random.Random(seed)
+    n = len(a)
+    conjugates = [
+        conjugate(random_unimodular(n, rng.randint(1, 3), rng), a) for _ in range(6)
+    ]
+    cap = max(y[i][i] for y in conjugates for i in range(n))
+    shells = plain_shells(a, cap)
+    rec = psd._shell_record(a, linalg.det(a), cap)
+    for y in conjugates:
+        u = congruence_backtrack(a, shells, y)
+        assert u is not None
+        assert rec.witness(y) == u
+        assert unimodular_witness(a, y).rows == u
+
+
+def test_table_fails_on_equal_counts():
+    a, b = SAME_COUNTS_4
+    for x, y in ((a, b), (b, a)):
+        rec = psd._shell_record(x, linalg.det(x), 3)
+        assert rec.counts == psd._shell_counts(y, 3)
+        assert congruence_backtrack(x, plain_shells(x, 3), y) is None
+        assert rec.witness(y) is None
 
 
 @pytest.mark.parametrize("n, b", [(4, 4), (5, 3), (6, 2)])
@@ -420,10 +498,28 @@ SURVIVORS = json.loads(
 )
 
 
+def norm_one_vector(m):
+    """Some e_i or e_i +- e_j with v^T m v = 1, or None."""
+    n = len(m)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    vectors = units + [
+        tuple(p + s * q for p, q in zip(units[i], units[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for s in (1, -1)
+    ]
+    return next(
+        (v for v in vectors if sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n)) == 1),
+        None,
+    )
+
+
 @pytest.mark.parametrize(
     "search", SURVIVORS, ids=[f"n{s['n']}b{s['diag_bound']}" for s in SURVIVORS]
 )
 def test_swap_survivors_match_the_recording(search, monkeypatch):
+    # the walk skips every leaf where some e_i or e_i +- e_j has norm 1, and
+    # each such recorded survivor X has the rank-one peel X v
     swap_minimal = psd._swap_minimal
     passed = []
 
@@ -435,13 +531,23 @@ def test_swap_survivors_match_the_recording(search, monkeypatch):
 
     monkeypatch.setattr(psd, "_swap_minimal", recording)
     search_sporadic(search["n"], search["diag_bound"])
-    assert passed == search["survivors"]
+    recorded = search["survivors"]
+    assert passed == [m for m in recorded if norm_one_vector(m) is None]
+    n = search["n"]
+    for m in recorded:
+        v = norm_one_vector(m)
+        if v is not None:
+            y = linalg.mat_vec(m, v)
+            assert any(y)
+            assert psd_by_minors([[m[i][j] - y[i] * y[j] for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_walk_prunes_only_non_minimal_leaves(n, monkeypatch):
-    # the walk's column-order bound and determinant test may drop a leaf
-    # only when the brute-force oracle drops it too
+    # the walk's column-order bound, determinant test and norm-1 skip may
+    # drop a leaf only when the brute-force oracle, less the leaves where
+    # some e_i or e_i +- e_j has norm 1, drops it too; and no leaf it keeps
+    # has such a vector
     check_leaf = psd._check_leaf
     reached = set()
 
@@ -453,9 +559,11 @@ def test_walk_prunes_only_non_minimal_leaves(n, monkeypatch):
     for b in (1, 2, 3):
         reached.clear()
         search_sporadic(n, b)
-        expected = sporadic_leaf_candidates(n, b)
-        assert expected
+        candidates = sporadic_leaf_candidates(n, b)
+        assert candidates
+        expected = [m for m in candidates if norm_one_vector(m) is None]
         assert set(expected) <= reached
+        assert all(norm_one_vector(m) is None for m in reached)
 
 
 class TestGlGenerators:
