@@ -179,6 +179,8 @@ def _system_input(doc):
         raise MalformedInput(f"bad system document: {exc!r}")
     roots = None
     if roots_doc is not None:
+        if not isinstance(roots_doc, list):
+            raise MalformedInput("field 'roots' must be a list")
         read = _READERS[cuts.cone_record(system.cone, system.n).shape]
         roots = tuple(read(r) for r in roots_doc)
     return system, roots
@@ -266,7 +268,7 @@ def _verify_soc_certificate(payload):
 def _verify_soc_descent(payload):
     s = _vec(_field(payload, "point"))
     root = _vec(_field(payload, "root"))
-    word = tuple(map(linalg.as_str, _field(payload, "word")))
+    word = linalg.as_labels(_field(payload, "word"))
     if root not in soc.roots(len(s)):
         return "unknown root"
     if soc.apply_word(word, root) != s:

@@ -147,11 +147,6 @@ class LCISystem:
     def m(self) -> int:
         return len(self.a)
 
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension of the space the cone lives in."""
-        return self._cone.ambient_dim
-
     def slack(self, x):
         """c - A(x) as a cone element."""
         if len(x) != self.m:
@@ -215,7 +210,7 @@ class CGCut:
             u=tuple(map(linalg.as_int, obj["u"])),
             rhs=linalg.as_int(obj["rhs"]),
             root=_tuples(obj["root"]),
-            word=tuple(map(linalg.as_str, obj["word"])),
+            word=linalg.as_labels(obj["word"]),
         )
 
 

@@ -7,11 +7,11 @@ that every division in it is exact, serves the determinant, the rank, the
 kernel vector and lattice's positive-definite split, and, run on [A | I],
 the adjugate and the unimodular inverse; `_psd_rank`, behind
 `is_psd_exact` and the rank split, is its symmetric variant, pivoting on
-the diagonal.  One gcd ladder per primitive vector gives its unimodular
-completion and, in place, the rank split's U and U^{-T}.  Matrices stay
-well under 11x11 here, so the code favours clarity over asymptotics.
-`as_int` is the one rule for integers read from JSON or passed to a
-constructor, `as_str` the one for JSON strings.
+the diagonal.  One gcd ladder per kernel vector builds, in place, the
+rank split's U and U^{-T}.  Matrices stay well under 11x11 here, so the
+code favours clarity over asymptotics.  `as_int` is the one rule for
+integers read from JSON or passed to a constructor, `as_str` the one for
+JSON strings, and `as_labels` the one for lists of labels.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ def as_str(v) -> str:
     if type(v) is not str:
         raise TypeError(f"{json.dumps(v)} is not a string")
     return v
+
+
+def as_labels(v) -> tuple[str, ...]:
+    """A list of strings as a tuple of labels: the one rule for words read
+    from JSON.  Anything else, a bare string included, raises TypeError
+    instead of being split into characters."""
+    if type(v) is not list:
+        raise TypeError(f"{json.dumps(v)} is not a list of labels")
+    return tuple(map(as_str, v))
 
 
 def int_rows(obj) -> Rows:
@@ -100,21 +109,15 @@ def det(rows) -> int:
 
 
 def adjugate(rows) -> Rows:
-    """Adjugate of a symmetric matrix (the result is symmetric as well).
-
-    Singular A has adj(A) = c z z^T, z its primitive kernel vector and c the
-    principal minor at the first z_i != 0 over z_i^2 (0 below rank n - 1).
-    """
+    """Adjugate of a nonsingular symmetric matrix (the result is symmetric
+    as well), from one echelon of [A | I].  Singular input raises
+    ValueError, as in inverse_unimodular."""
     if not is_symmetric(rows):
         raise ValueError("adjugate expects a symmetric matrix")
     adj, _ = _adjugate_det(rows)
-    if adj is not None:
-        return adj
-    z = primitive_kernel_vector(rows)
-    i = next(k for k, v in enumerate(z) if v)
-    rest = [row[:i] + row[i + 1 :] for row in rows[:i] + rows[i + 1 :]]
-    c = det(rest) // (z[i] * z[i])
-    return tuple(tuple(c * a * b for b in z) for a in z)
+    if adj is None:
+        raise ValueError("adjugate expects a nonsingular matrix")
+    return adj
 
 
 def _adjugate_det(rows):
@@ -297,17 +300,6 @@ def _apply_ladder(m, steps, sign, at=0):
     if sign < 0:
         for row in m:
             row[at] = -row[at]
-
-
-def extend_to_unimodular(z) -> Rows:
-    """A unimodular matrix whose first column is the primitive vector z: its
-    gcd ladder applied to the identity, so e1 gives the identity."""
-    u = [list(row) for row in identity(len(z))]
-    _apply_ladder(u, *_ladder(z))
-    out = freeze(u)
-    if tuple(row[0] for row in out) != tuple(z):
-        raise RuntimeError("unimodular completion lost its first column")
-    return out
 
 
 def inverse_unimodular(u) -> Rows:

@@ -276,30 +276,32 @@ def _shell_counts(rows, cap) -> tuple[int, ...]:
 def unimodular_witness(x_rows, y_rows):
     """A unimodular U with U X U^T = Y, or None when none exists.
 
-    Cheap congruence invariants first: determinant, rank, and the count of
-    vectors at each form value up to the largest diagonal entry of Y.  One
-    enumeration of each matrix below that value gives these counts, and
-    X's pass also numbers its shell vectors (_shell_record); only when the
-    counts agree does the shell product table backtrack
-    (_ShellRecord.witness, the one _class_of uses) look for the first U,
-    building the table rows it reads.  Singular pairs are compared through
-    their full-rank cores.
+    Cheap congruence invariants first: determinant, rank (from the
+    _psd_rank pass that also checks PSD), and the count of vectors at each
+    form value up to the largest diagonal entry of Y.  One enumeration of
+    each matrix below that value gives these counts, and X's pass also
+    numbers its shell vectors (_shell_record); only when the counts agree
+    does the shell product table backtrack (_ShellRecord.witness, the one
+    _class_of uses) look for the first U, building the table rows it
+    reads.  Singular pairs are compared through their full-rank cores.
     """
     x = linalg.freeze(x_rows)
     y = linalg.freeze(y_rows)
     if len(x) != len(y):
         raise ValueError("unimodular_witness expects matrices of equal size")
     n = len(x)
+    ranks = []
     for m in (x, y):
-        if not linalg.is_psd_exact(m):
+        ranks.append(linalg._psd_rank(m))
+        if ranks[-1] is None:
             raise ValueError("unimodular_witness expects PSD matrices")
     if n == 0:
         return UnimodularMatrix(())
     d = linalg.det(x)
     if d != linalg.det(y):
         return None
-    r = linalg.rank(x)
-    if r != linalg.rank(y):
+    r = ranks[0]
+    if r != ranks[1]:
         return None
     if r < n:
         ux, _, bx = linalg.reduce_rank(x)

@@ -12,9 +12,11 @@ certificates.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 
 from . import linalg
 from .linalg import Rows, UnimodularMatrix, vec_gcd
@@ -39,65 +41,56 @@ def in_cone(s) -> bool:
 # -- generator group --------------------------------------------------------
 
 
-def generator_labels(n: int) -> tuple[str, ...]:
-    """All labels valid in dimension n, descent matrices first."""
-    _require_dim(n)
-    return (
-        ("Aplus", "AplusInv")
-        + tuple(f"Q{k}" for k in range(1, n))
-        + tuple(f"P1{j}" for j in range(2, n))
-    )
-
-
 def _require_dim(n: int):
     if not MIN_DIM <= n <= MAX_DIM:
         raise ValueError(f"dimension must be between {MIN_DIM} and {MAX_DIM}")
 
 
 @lru_cache(maxsize=None)
-def _a_rows(n: int) -> Rows:
+def _generators(n: int) -> Mapping[str, Rows]:
+    """The whole generator alphabet of dimension n, label -> rows, in label
+    order: the descent matrix Aplus and its inverse, the sign flips Q1..Q{n-1}
+    of one coordinate, and the transpositions P12..P1{n-1} of the first
+    coordinate with another.  These 2 + (n - 1) + (n - 2) labels are the only
+    ones; a word is read by lookup, never parsed.  Read-only, as it is
+    cached.
+    """
+    _require_dim(n)
+    eye = linalg.identity(n)
     if n == 3:
-        return ((-1, -2, 2), (-2, -1, 2), (-2, -2, 3))
-    head = [
-        (0, -1, -1) + (0,) * (n - 4) + (1,),
-        (-1, 0, -1) + (0,) * (n - 4) + (1,),
-        (-1, -1, 0) + (0,) * (n - 4) + (1,),
-    ]
-    middle = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(3, n - 1)
-    ]
-    tail = [(-1, -1, -1) + (0,) * (n - 4) + (2,)]
-    return tuple(head + middle + tail)
+        aplus = ((1, 2, -2), (2, 1, -2), (-2, -2, 3))
+    else:
+        pad = (0,) * (n - 4)
+        aplus = (
+            (0, 1, 1) + pad + (-1,),
+            (1, 0, 1) + pad + (-1,),
+            (1, 1, 0) + pad + (-1,),
+            *(tuple(-v for v in eye[i]) for i in range(3, n - 1)),
+            (-1, -1, -1) + pad + (2,),
+        )
+    table = {"Aplus": aplus, "AplusInv": linalg.inverse_unimodular(aplus)}
+    for k in range(1, n):
+        table[f"Q{k}"] = tuple(
+            tuple(-v for v in row) if i == k - 1 else row for i, row in enumerate(eye)
+        )
+    for j in range(2, n):
+        swap = {0: j - 1, j - 1: 0}
+        table[f"P1{j}"] = tuple(eye[swap.get(i, i)] for i in range(n))
+    return MappingProxyType(table)
 
 
-@lru_cache(maxsize=None)
+def generator_labels(n: int) -> tuple[str, ...]:
+    """All labels valid in dimension n, descent matrices first."""
+    return tuple(_generators(n))
+
+
 def _gen_rows(label: str, n: int) -> Rows:
-    if label == "Aplus":
-        _require_dim(n)
-        a = _a_rows(n)
-        return tuple(
-            tuple(-v for v in a[i]) if i < n - 1 else a[i] for i in range(n)
-        )
-    if label == "AplusInv":
-        return linalg.inverse_unimodular(_gen_rows("Aplus", n))
-    if label.startswith("Q") and label[1:].isdigit():
-        k = int(label[1:])
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"label {label} out of range for dimension {n}")
-        return tuple(
-            tuple((-1 if i == k - 1 else 1) if i == j else 0 for j in range(n))
-            for i in range(n)
-        )
-    if label.startswith("P1") and label[2:].isdigit():
-        j = int(label[2:])
-        if not 2 <= j <= n - 1:
-            raise ValueError(f"label {label} out of range for dimension {n}")
-        lookup = {0: j - 1, j - 1: 0}
-        return tuple(
-            tuple(1 if c == lookup.get(r, r) else 0 for c in range(n))
-            for r in range(n)
-        )
-    raise ValueError(f"unknown generator label {label!r}")
+    """The rows of one generator: a lookup in _generators(n), so a label
+    outside its table, or a dimension outside 3..10, raises ValueError."""
+    rows = _generators(n).get(label)
+    if rows is None:
+        raise ValueError(f"unknown generator label {label!r} in dimension {n}")
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +370,7 @@ class SocCertificate:
             terms=tuple(
                 (
                     linalg.as_int(t["lambda"]),
-                    tuple(map(linalg.as_str, t["word"])),
+                    linalg.as_labels(t["word"]),
                     tuple(map(linalg.as_int, t["root"])),
                 )
                 for t in obj["terms"]
@@ -444,7 +437,7 @@ def pythagorean_orbit(n: int, max_height: int) -> list[tuple[int, ...]]:
     _require_dim(n)
     if max_height < 0:
         raise ValueError("max_height must be nonnegative")
-    mats = [_gen_rows(label, n) for label in generator_labels(n)]
+    mats = _generators(n).values()
     seen: set[tuple[int, ...]] = set()
     queue = deque(
         r for r in roots(n) if lorentz_form(r, r) == 0 and r[-1] <= max_height

@@ -281,6 +281,52 @@ def evaluate_word(word, n):
     return out
 
 
+def soc_generator_labels(n):
+    """The SOC label list as the replaced label parser spelled it out."""
+    return (
+        ("Aplus", "AplusInv")
+        + tuple(f"Q{k}" for k in range(1, n))
+        + tuple(f"P1{j}" for j in range(2, n))
+    )
+
+
+def soc_generator_parse(label, n):
+    """The SOC generator rows as the replaced label parser built them: A from
+    its dimension-3 or general pattern, Aplus negating all of A's rows but
+    the last, and Q{k} and P1{j} from the digits.  AplusInv is J Aplus^T J
+    with J = diag(1, ..., 1, -1), as Aplus preserves the Lorentz form."""
+    if label == "Aplus":
+        if n == 3:
+            a = ((-1, -2, 2), (-2, -1, 2), (-2, -2, 3))
+        else:
+            pad = (0,) * (n - 4)
+            a = (
+                ((0, -1, -1) + pad + (1,), (-1, 0, -1) + pad + (1,), (-1, -1, 0) + pad + (1,))
+                + tuple(tuple(int(j == i) for j in range(n)) for i in range(3, n - 1))
+                + ((-1, -1, -1) + pad + (2,),)
+            )
+        return tuple(tuple(-v for v in a[i]) if i < n - 1 else a[i] for i in range(n))
+    if label == "AplusInv":
+        aplus = soc_generator_parse("Aplus", n)
+        sign = (1,) * (n - 1) + (-1,)
+        return tuple(
+            tuple(sign[i] * aplus[j][i] * sign[j] for j in range(n)) for i in range(n)
+        )
+    if label.startswith("Q") and label[1:].isdigit():
+        k = int(label[1:])
+        return tuple(
+            tuple((-1 if i == k - 1 else 1) if i == j else 0 for j in range(n))
+            for i in range(n)
+        )
+    if label.startswith("P1") and label[2:].isdigit():
+        j = int(label[2:])
+        lookup = {0: j - 1, j - 1: 0}
+        return tuple(
+            tuple(1 if c == lookup.get(r, r) else 0 for c in range(n)) for r in range(n)
+        )
+    raise ValueError(f"unknown generator label {label!r}")
+
+
 def gl_letters(n):
     """The GL(n, Z) letters of the PSD generator stream, in its label order:
     cyclic shift, the row addition e_1 -> e_1 + e_0, the first

@@ -9,6 +9,7 @@ import types
 import pytest
 
 import intcone
+from _oracles import soc_generator_labels
 from intcone import cli, linalg, soc
 
 M6 = (
@@ -103,7 +104,7 @@ def test_soc_envelopes_match_the_recording(case, capsys, monkeypatch):
 # cut-list emitted by cg-cuts on SOC3 at word cap 0, and certificates for
 # I2 and for the root (0, 0, 1)
 def _soc_cut_list(root=(1, 0, 1), rhs=1, u=(1,), A=((1, 0, 0),), word=()):
-    cut = {"u": list(u), "rhs": rhs, "root": list(root), "word": list(word)}
+    cut = {"u": list(u), "rhs": rhs, "root": list(root), "word": word}
     system = {**SOC3, "A": [list(row) for row in A]}
     return {"kind": "cut-list", "system": system, "cuts": [cut]}
 
@@ -115,7 +116,7 @@ def _i2_certificate(lam):
 
 
 def _soc_certificate(lam, word=()):
-    terms = [{"lambda": lam, "word": list(word), "root": [0, 0, 1]}]
+    terms = [{"lambda": lam, "word": word, "root": [0, 0, 1]}]
     cert = {"n": 3, "terms": terms}
     return {"kind": "soc-certificate", "point": [0, 0, 1], "certificate": cert}
 
@@ -229,6 +230,22 @@ class TestEnvelope:
         assert rc == 2
         assert json.loads(out)["status"] == "error"
         assert "is not a string" in payload_of(out)["error"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {**_SOC_DESCENT, "word": "Q1"},
+            _soc_certificate(1, word="Aplus"),
+            _soc_cut_list(word="Q1"),
+        ],
+        ids=["descent-word", "soc-word", "cut-word"],
+    )
+    def test_string_word_is_malformed(self, invoke, doc):
+        # a bare string is not split into one-character labels
+        rc, out = invoke(["verify"], doc)
+        assert rc == 2
+        assert json.loads(out)["status"] == "error"
+        assert "is not a list of labels" in payload_of(out)["error"]
 
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -413,6 +430,12 @@ class TestCutCommands:
             {"u": [0], "rhs": 1, "root": [0, 0, 1], "word": []}
         ]
 
+    @pytest.mark.parametrize("roots", [5, "x", {"a": 1}], ids=["int", "str", "dict"])
+    def test_non_list_roots_are_malformed(self, invoke, roots):
+        rc, out = invoke(["cg-cuts"], {"system": self.system(), "roots": roots})
+        assert rc == 2
+        assert "field 'roots' must be a list" in payload_of(out)["error"]
+
     def test_lines_mode_streams_cuts(self, invoke):
         rc, out = invoke(["cg-cuts", "--word-cap", "0", "--lines"], self.system())
         assert rc == 0
@@ -493,6 +516,30 @@ class TestVerify:
         rc, out = invoke(["verify"], payload)
         assert rc == 1
         assert "does not fit the size of the point" in payload_of(out)["error"]
+
+    @pytest.mark.parametrize(
+        "label, n",
+        [("Q01", 3), ("P102", 3), ("Q\u0661", 3), ("Q3", 3)]
+        + [(label, 11) for label in soc_generator_labels(11)],
+    )
+    def test_labels_outside_the_table_fail(self, invoke, label, n):
+        # a label parser read "Q01", "P102" and "Q" with an Arabic-Indic one
+        # as Q1, P12 and Q1, and took Q1 at n = 11 as well
+        point = [0] * (n - 1) + [1]
+        term = {"lambda": 1, "word": [label], "root": point}
+        payloads = [
+            {"kind": "soc-descent", "point": point, "root": point, "word": [label]},
+            {
+                "kind": "soc-certificate",
+                "point": point,
+                "certificate": {"n": n, "terms": [term]},
+            },
+        ]
+        for payload in payloads:
+            rc, out = invoke(["verify"], payload)
+            assert (rc, json.loads(out)["status"]) == (1, "error")
+        with pytest.raises(ValueError):
+            soc.apply_word([label], point)
 
     def test_tampered_descent_word_fails(self, invoke):
         _, out = invoke(["soc-descend"], [20, 21, 29])

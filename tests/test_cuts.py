@@ -24,11 +24,11 @@ class TestLCISystem:
     def test_shapes(self):
         sys = soc_system()
         assert sys.m == 1
-        assert sys.ambient_dim == 3
+        assert cuts.cone_record(sys.cone, sys.n).ambient_dim == 3
 
     def test_psd_ambient_dim_counts_upper_triangle(self):
         sys = LCISystem(cone="psd", n=3, c=I3, a=(E11_3,))
-        assert sys.ambient_dim == 6
+        assert cuts.cone_record(sys.cone, sys.n).ambient_dim == 6
 
     def test_slack_soc(self):
         sys = LCISystem(cone="soc", n=3, c=(0, 0, 5), a=((1, 0, 0), (0, 1, 1)))

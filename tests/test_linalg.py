@@ -18,7 +18,6 @@ from intcone.linalg import (
     UnimodularMatrix,
     adjugate,
     det,
-    extend_to_unimodular,
     identity,
     inverse_unimodular,
     is_psd_exact,
@@ -93,10 +92,10 @@ class TestAdjugate:
 
     def test_small_and_singular(self):
         assert adjugate(()) == ()
-        assert adjugate(((0,),)) == ((1,),)
         assert adjugate(((5,),)) == ((1,),)
-        assert adjugate(((1, 1), (1, 1))) == ((1, -1), (-1, 1))
-        assert adjugate(((0,) * 3,) * 3) == ((0,) * 3,) * 3
+        for singular in (((0,),), ((1, 1), (1, 1)), ((0,) * 3,) * 3):
+            with pytest.raises(ValueError):
+                adjugate(singular)
 
     def test_matches_cofactor_oracle(self):
         rng = random.Random(19)
@@ -114,7 +113,11 @@ class TestAdjugate:
                 )
             r = rank(a)
             seen.add("full" if r == n else "n-1" if r == n - 1 else "<=n-2")
-            assert adjugate(a) == adjugate_cofactor(a), a
+            if r == n:
+                assert adjugate(a) == adjugate_cofactor(a), a
+            else:
+                with pytest.raises(ValueError):
+                    adjugate(a)
         assert seen == {"full", "n-1", "<=n-2"}
 
     @given(st.integers(2, 4), st.integers(0, 10**6))
@@ -122,6 +125,10 @@ class TestAdjugate:
     def test_fundamental_identity(self, n, seed):
         a = random_symmetric(random.Random(seed), n)
         d = det(a)
+        if d == 0:
+            with pytest.raises(ValueError):
+                adjugate(a)
+            return
         prod = mat_mul(a, adjugate(a))
         assert prod == tuple(
             tuple(d if i == j else 0 for j in range(n)) for i in range(n)
@@ -214,20 +221,31 @@ class TestPrimitiveKernelVector:
             assert next(v for v in z if v) > 0
 
 
+def ladder_completion(z):
+    """The identity right-multiplied by z's gcd ladder: a unimodular
+    matrix whose first column is z."""
+    u = [list(row) for row in identity(len(z))]
+    linalg._apply_ladder(u, *linalg._ladder(z))
+    return tuple(map(tuple, u))
+
+
 class TestExtendToUnimodular:
+    """z extended to a unimodular matrix by its gcd ladder, as reduce_rank
+    applies it."""
+
     def test_e1(self):
-        assert extend_to_unimodular((1, 0, 0)) == identity(3)
+        assert ladder_completion((1, 0, 0)) == identity(3)
 
     def test_2_3(self):
-        u = extend_to_unimodular((2, 3))
+        u = ladder_completion((2, 3))
         assert tuple(r[0] for r in u) == (2, 3)
         assert det(u) in (1, -1)
 
     def test_rejects_non_primitive(self):
         with pytest.raises(ValueError):
-            extend_to_unimodular((2, 4))
+            ladder_completion((2, 4))
         with pytest.raises(ValueError):
-            extend_to_unimodular((0, 0))
+            ladder_completion((0, 0))
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
     @settings(max_examples=120, deadline=None)
@@ -237,12 +255,12 @@ class TestExtendToUnimodular:
             g = linalg.gcd(g, v)
         if g != 1:
             return
-        u = extend_to_unimodular(tuple(z))
+        u = ladder_completion(tuple(z))
         assert tuple(r[0] for r in u) == tuple(z)
         assert det(u) in (1, -1)
 
     def test_inverse_roundtrip(self):
-        u = extend_to_unimodular((3, -5, 7))
+        u = ladder_completion((3, -5, 7))
         ui = inverse_unimodular(u)
         assert mat_mul(u, ui) == identity(3)
 
@@ -381,7 +399,7 @@ class TestDataclasses:
         with pytest.raises(TypeError):
             enumerate_below(identity(2), True)
         with pytest.raises(TypeError):
-            extend_to_unimodular((1.0, 0))
+            linalg._ladder((1.0, 0))
 
     def test_unimodular_validation(self):
         with pytest.raises(ValueError):

@@ -263,6 +263,18 @@ class TestUnimodularWitness:
     def test_rank_mismatch(self):
         assert unimodular_witness(((1, 0), (0, 0)), ((1, 1), (1, 2))) is None
 
+    def test_rank_mismatch_at_equal_determinant(self):
+        # both singular, so only the ranks tell them apart
+        e11, zero = ((1, 0, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 0),) * 3
+        for x, y in ((e11, zero), (zero, e11)):
+            assert unimodular_witness(x, y) is None
+
+    def test_rejects_non_psd(self):
+        i2 = ((1, 0), (0, 1))
+        for x, y in ((i2, ((1, 0), (0, -1))), (((0, 1), (1, 0)), i2)):
+            with pytest.raises(ValueError, match="PSD"):
+                unimodular_witness(x, y)
+
     def test_inequivalent_same_det(self):
         # both have determinant 4, but different minimal vector counts
         a = ((1, 0), (0, 4))

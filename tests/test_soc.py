@@ -9,6 +9,8 @@ from _oracles import (
     cone_member,
     evaluate_word,
     primitive_pythagorean_signed,
+    soc_generator_labels,
+    soc_generator_parse,
     sporadic_by_search,
 )
 from intcone import linalg, soc
@@ -93,6 +95,16 @@ class TestGenerators:
     def test_labels(self):
         assert generator_labels(3) == ("Aplus", "AplusInv", "Q1", "Q2", "P12")
         assert len(generator_labels(10)) == 2 + 9 + 8
+
+    def test_table_matches_the_replaced_parser(self):
+        # every label of every dimension, in the parser's label order
+        for n in range(3, 11):
+            table = soc._generators(n)
+            assert tuple(table) == generator_labels(n) == soc_generator_labels(n)
+            assert len(table) == 2 + (n - 1) + (n - 2)
+            for label, rows in table.items():
+                assert rows == soc_generator_parse(label, n), (label, n)
+                assert soc._gen_rows(label, n) == rows
 
     def test_bad_labels(self):
         with pytest.raises(ValueError):
