@@ -13,7 +13,7 @@ cones; public functions take and return vectors for SOC, matrices for PSD.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +34,7 @@ class Cone:
     unflatten: Callable[[Flat], object]
     member: Callable[[Flat], bool]
     weight: Flat  # the dot product with it is the trace or the height
-    generators: dict[str, Rows]  # label -> matrix acting on flat elements
+    generators: Mapping[str, Rows]  # label -> matrix acting on flat elements
     roots: tuple  # the default roots, native
 
 
@@ -86,10 +86,7 @@ def _soc_cone(n: int) -> Cone:
         unflatten=lambda y: y,
         member=soc.in_cone,
         weight=tuple(int(i == n - 1) for i in range(n)),
-        generators={
-            label: soc.generator_matrix(label, n).rows
-            for label in soc.generator_labels(n)
-        },
+        generators=soc._generators(n),
         roots=soc.roots(n),
     )
 

@@ -141,12 +141,14 @@ def _peel_data(x_rows):
     are exactly x = lift y with lift the last len(B) columns of U^{-T} and
     y a peel of B, i.e. y^T adj(B) y <= det(B).  A peel lies in the range of
     X, so X - x x^T keeps the kernel of X, and while its rank holds the same
-    U reduces it, to B - y y^T.
+    U reduces it, to B - y y^T.  adj(B) and det(B) come from one echelon
+    of [B | I] (linalg._adjugate_det).
     """
     _, u_inv_t, block = linalg.reduce_rank(x_rows)
     zeros = len(u_inv_t) - len(block)
     lift = tuple(row[zeros:] for row in u_inv_t)
-    return lift, linalg.adjugate(block), linalg.det(block)
+    adj, d = linalg._adjugate_det(block)
+    return lift, adj, d
 
 
 def _lift(lift, y):

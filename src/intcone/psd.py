@@ -93,6 +93,8 @@ class Rank1Certificate:
 
     @classmethod
     def from_json(cls, obj) -> "Rank1Certificate":
+        if not isinstance(obj, dict):
+            raise TypeError("certificate must be a JSON object")
         rem = obj.get("remainder")
         wit = obj.get("witness")
         return cls(
@@ -265,25 +267,17 @@ def _shell_record(rows, d, cap) -> _ShellRecord:
     return _ShellRecord(rows, d, counts, tuple(vecs), tuple(norms), spans)
 
 
-def _shell_counts(rows, cap) -> tuple[int, ...]:
-    """The counts of _shell_record, without keeping the vectors."""
-    counts = [0] * cap
-    for v in lattice.enumerate_below(rows, cap):
-        counts[sum(map(mul, v, [sum(map(mul, r, v)) for r in rows])) - 1] += 1
-    return tuple(counts)
-
-
 def unimodular_witness(x_rows, y_rows):
     """A unimodular U with U X U^T = Y, or None when none exists.
 
     Cheap congruence invariants first: determinant, rank (from the
     _psd_rank pass that also checks PSD), and the count of vectors at each
-    form value up to the largest diagonal entry of Y.  One enumeration of
-    each matrix below that value gives these counts, and X's pass also
-    numbers its shell vectors (_shell_record); only when the counts agree
-    does the shell product table backtrack (_ShellRecord.witness, the one
-    _class_of uses) look for the first U, building the table rows it
-    reads.  Singular pairs are compared through their full-rank cores.
+    form value up to the largest diagonal entry of Y.  The _shell_record of
+    each matrix, one enumeration below that value, holds these counts; only
+    when they agree does the shell product table backtrack of X's record
+    (_ShellRecord.witness, the one _class_of uses) look for the first U,
+    building the table rows it reads.  Singular pairs are compared through
+    their full-rank cores.
     """
     x = linalg.freeze(x_rows)
     y = linalg.freeze(y_rows)
@@ -319,7 +313,7 @@ def unimodular_witness(x_rows, y_rows):
         return UnimodularMatrix(u)
     cap = max(y[i][i] for i in range(n))
     rec = _shell_record(x, d, cap)
-    if rec.counts != _shell_counts(y, cap):
+    if rec.counts != _shell_record(y, d, cap).counts:
         return None
     u = rec.witness(y)
     if u is None:
@@ -544,14 +538,15 @@ def _class_of(rows, d, cap, reps):
 
     Only records with rows' determinant d are searched, each by its table
     backtrack (_ShellRecord.witness), and every find is checked.  When two
-    or more records share d, one enumeration of rows gives its shell counts
-    below cap first, and records whose counts differ are skipped.  With a
-    single such record the backtrack runs alone: it fails at most once per
-    new class, and a failed backtrack costs more than the counts only there.
+    or more records share d, the shell counts of rows below cap come first,
+    from its own _shell_record, and records whose counts differ are
+    skipped.  With a single such record the backtrack runs alone: it fails
+    at most once per new class, and a failed backtrack costs more than the
+    counts only there.
     """
     same = [rec for rec in reps if rec.det == d]
     if len(same) > 1:
-        counts = _shell_counts(rows, cap)
+        counts = _shell_record(rows, d, cap).counts
         same = [rec for rec in same if rec.counts == counts]
     for rec in same:
         u = rec.witness(rows)

@@ -79,11 +79,6 @@ def _generators(n: int) -> Mapping[str, Rows]:
     return MappingProxyType(table)
 
 
-def generator_labels(n: int) -> tuple[str, ...]:
-    """All labels valid in dimension n, descent matrices first."""
-    return tuple(_generators(n))
-
-
 def _gen_rows(label: str, n: int) -> Rows:
     """The rows of one generator: a lookup in _generators(n), so a label
     outside its table, or a dimension outside 3..10, raises ValueError."""
@@ -96,14 +91,6 @@ def _gen_rows(label: str, n: int) -> Rows:
 @lru_cache(maxsize=None)
 def generator_matrix(label: str, n: int) -> UnimodularMatrix:
     return UnimodularMatrix(_gen_rows(label, n))
-
-
-def invert_label(label: str) -> str:
-    if label == "Aplus":
-        return "AplusInv"
-    if label == "AplusInv":
-        return "Aplus"
-    return label  # sign flips and transpositions are involutions
 
 
 def apply_word(word, s):
@@ -123,8 +110,9 @@ def is_pythagorean(s) -> bool:
     return in_cone(s) and lorentz_form(s, s) == 0
 
 
-def _peel_candidate(s, h: int, primitive_only: bool):
-    """Lexicographically first Pythagorean p with p_n = h and s - p in T_n.
+def _peel_candidate(s, h: int):
+    """Lexicographically first primitive Pythagorean p with p_n = h and
+    s - p in T_n.
 
     Walks the first n-1 coordinates with two exact interval constraints:
     the partial sum of p_i^2 must stay within h^2 (hit it exactly at the
@@ -155,7 +143,7 @@ def _peel_candidate(s, h: int, primitive_only: bool):
                 d = si - v
                 if d * d <= ball_left:
                     p[i] = v
-                    if not primitive_only or gcd(vec_gcd(p), h) == 1:
+                    if gcd(vec_gcd(p), h) == 1:
                         return tuple(p) + (h,)
             return None
         rs = isqrt(sphere_left)
@@ -172,9 +160,9 @@ def _peel_candidate(s, h: int, primitive_only: bool):
     return walk(0, h * h, ball)
 
 
-def _first_peel(s, primitive_only: bool):
-    """Largest-height, lexicographically first [primitive] Pythagorean p
-    with s - p in T_n; None when no peel exists."""
+def _first_peel(s):
+    """Largest-height, lexicographically first primitive Pythagorean p
+    with s - p in T_n; None when no peel, primitive or not, exists."""
     height = s[-1]
     c = sum(v * v for v in s[:-1])
     r = isqrt(c)
@@ -183,7 +171,7 @@ def _first_peel(s, primitive_only: bool):
         lead = 2 * h - height
         if lead > 0 and lead * lead > c:
             continue
-        got = _peel_candidate(s, h, primitive_only)
+        got = _peel_candidate(s, h)
         if got is not None:
             return got
     return None
@@ -193,7 +181,11 @@ def is_sporadic_soc(s) -> bool:
     """True iff no nonzero Pythagorean tuple can be subtracted within T_n.
 
     A form value of -1 short-circuits to true; a nonzero Pythagorean input
-    short-circuits to false (it peels itself).
+    short-circuits to false (it peels itself).  Otherwise it asks for a
+    primitive peel, which is enough: if s - k p' is in T_n for a primitive
+    Pythagorean p' and some k >= 1, then s - p' = (1 - 1/k) s + (1/k)(s -
+    k p') is an integer point of the convex cone T_n.  So s has a peel
+    exactly when it has a primitive one.
     """
     if not in_cone(s):
         raise ValueError("point is outside the cone")
@@ -202,7 +194,7 @@ def is_sporadic_soc(s) -> bool:
         return True
     if f == 0:
         return not any(s)
-    return _first_peel(s, primitive_only=False) is None
+    return _first_peel(s) is None
 
 
 # -- normal form and descent ------------------------------------------------
@@ -237,7 +229,9 @@ def descend(s):
     Returns (root, word) with the word mapping the root back to s.  Each
     round normalizes, stops on a root, and otherwise applies the descent
     matrix, which must strictly lower the height; a failure to drop is a
-    broken internal invariant and raises RuntimeError.
+    broken internal invariant and raises RuntimeError.  The word lists the
+    inverse of each applied letter in application order: AplusInv for
+    Aplus, the other letters as they are (they are involutions).
     """
     n = len(s)
     _require_dim(n)
@@ -251,19 +245,18 @@ def descend(s):
     root_set = set(roots(n))
     aplus = _gen_rows("Aplus", n)
     cur = tuple(s)
-    applied: list[str] = []
+    word: list[str] = []
     while True:
         cur, steps = _normalize_steps(cur)
-        applied.extend(steps)
+        word.extend(steps)
         if cur in root_set:
             break
         h = cur[-1]
         cur = linalg.mat_vec(aplus, cur)
-        applied.append("Aplus")
+        word.append("AplusInv")
         if not in_cone(cur) or cur[-1] >= h:
             raise RuntimeError("descent failed to lower the height")
-    word = tuple(invert_label(label) for label in applied)
-    return cur, word
+    return cur, tuple(word)
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +397,7 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
     cur = tuple(s)
     terms: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
     while any(cur):
-        p = _first_peel(cur, primitive_only=True)
+        p = _first_peel(cur)
         if p is None:
             g = vec_gcd(cur)
             prim = tuple(v // g for v in cur)

@@ -603,6 +603,68 @@ class TestVerify:
         rc, out = invoke(["verify"], payload)
         assert (rc, json.loads(out)["status"]) == (1, "error")
 
+    @pytest.mark.parametrize("cert", [[], 5, "x", None], ids=["list", "int", "str", "null"])
+    def test_non_object_psd_certificate_is_malformed(self, invoke, cert):
+        # the reader called cert.get and ended in an AttributeError traceback
+        payload = {"kind": "psd-certificate", "matrix": [[1]], "certificate": cert}
+        rc, out = invoke(["verify"], payload)
+        assert (rc, json.loads(out)["status"]) == (2, "error")
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            # each sums to its point or matrix, through a zero multiple
+            (
+                {
+                    "kind": "psd-certificate",
+                    "matrix": [[1]],
+                    "certificate": {
+                        "n": 1,
+                        "vectors": [{"x": [1], "lambda": 1}, {"x": [1], "lambda": 0}],
+                        "remainder": None,
+                        "witness": None,
+                    },
+                },
+                "nonpositive multiplicity",
+            ),
+            (
+                {
+                    "kind": "soc-certificate",
+                    "point": [1, 0, 1],
+                    "certificate": {
+                        "n": 3,
+                        "terms": [
+                            {"lambda": 1, "word": [], "root": [1, 0, 1]},
+                            {"lambda": 0, "word": [], "root": [0, 0, 1]},
+                        ],
+                    },
+                },
+                "nonpositive multiplicity",
+            ),
+            # (3, 4, 5) is Pythagorean but not a root of dimension 3
+            (
+                {
+                    "kind": "soc-certificate",
+                    "point": [3, 4, 5],
+                    "certificate": {
+                        "n": 3,
+                        "terms": [{"lambda": 1, "word": [], "root": [3, 4, 5]}],
+                    },
+                },
+                "unknown root",
+            ),
+            (
+                {"kind": "soc-descent", "point": [3, 4, 5], "root": [3, 4, 5], "word": []},
+                "unknown root",
+            ),
+        ],
+        ids=["psd-zero-lambda", "soc-zero-lambda", "soc-certificate-root", "soc-descent-root"],
+    )
+    def test_false_claim_names_its_reason(self, invoke, payload, reason):
+        rc, out = invoke(["verify"], payload)
+        assert rc == 1
+        assert payload_of(out)["error"] == f"verification failed: {reason}"
+
     @pytest.mark.parametrize(
         "system, cut",
         [

@@ -353,7 +353,7 @@ def dedup_streams():
 
 def test_dedup_agrees_with_unimodular_witness(monkeypatch):
     witness = psd._ShellRecord.witness
-    shell_counts = psd._shell_counts
+    shell_record = psd._shell_record
     backtracks = []
     counted = []
 
@@ -364,12 +364,15 @@ def test_dedup_agrees_with_unimodular_witness(monkeypatch):
         backtracks.append((rec, u is not None))
         return u
 
-    def counting(rows, cap):
+    def counting(rows, d, cap):
         counted.append(rows)
-        return shell_counts(rows, cap)
+        return shell_record(rows, d, cap)
+
+    def shell_counts(rows, cap):
+        return shell_record(rows, linalg.det(rows), cap).counts
 
     monkeypatch.setattr(psd._ShellRecord, "witness", recording)
-    monkeypatch.setattr(psd, "_shell_counts", counting)
+    monkeypatch.setattr(psd, "_shell_record", counting)
     outcomes = []
     count_skips = 0
     for stream in dedup_streams():
@@ -394,7 +397,7 @@ def test_dedup_agrees_with_unimodular_witness(monkeypatch):
             assert len(expected) <= 1
             assert found is (expected[0] if expected else None)
             if found is None:
-                reps.append(psd._shell_record(m, d, cap))
+                reps.append(shell_record(m, d, cap))
         assert [r.rows for r in reps] == [
             m
             for i, m in enumerate(stream)
@@ -459,7 +462,7 @@ def test_table_fails_on_equal_counts():
     a, b = SAME_COUNTS_4
     for x, y in ((a, b), (b, a)):
         rec = psd._shell_record(x, linalg.det(x), 3)
-        assert rec.counts == psd._shell_counts(y, 3)
+        assert rec.counts == psd._shell_record(y, linalg.det(y), 3).counts
         assert congruence_backtrack(x, plain_shells(x, 3), y) is None
         assert rec.witness(y) is None
 

@@ -9,8 +9,10 @@ from _oracles import (
     cone_member,
     evaluate_word,
     primitive_pythagorean_signed,
+    soc_first_peel_two_rules,
     soc_generator_labels,
     soc_generator_parse,
+    soc_inverse_label,
     sporadic_by_search,
 )
 from intcone import linalg, soc
@@ -19,10 +21,8 @@ from intcone.soc import (
     apply_word,
     decompose_soc,
     descend,
-    generator_labels,
     generator_matrix,
     in_cone,
-    invert_label,
     is_pythagorean,
     is_sporadic_soc,
     lorentz_form,
@@ -93,14 +93,14 @@ class TestGenerators:
         assert soc._gen_rows("P12", 3) == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
     def test_labels(self):
-        assert generator_labels(3) == ("Aplus", "AplusInv", "Q1", "Q2", "P12")
-        assert len(generator_labels(10)) == 2 + 9 + 8
+        assert tuple(soc._generators(3)) == ("Aplus", "AplusInv", "Q1", "Q2", "P12")
+        assert len(soc._generators(10)) == 2 + 9 + 8
 
     def test_table_matches_the_replaced_parser(self):
         # every label of every dimension, in the parser's label order
         for n in range(3, 11):
             table = soc._generators(n)
-            assert tuple(table) == generator_labels(n) == soc_generator_labels(n)
+            assert tuple(table) == soc_generator_labels(n)
             assert len(table) == 2 + (n - 1) + (n - 2)
             for label, rows in table.items():
                 assert rows == soc_generator_parse(label, n), (label, n)
@@ -114,7 +114,7 @@ class TestGenerators:
         with pytest.raises(ValueError):
             soc._gen_rows("B2", 4)
         with pytest.raises(ValueError):
-            generator_labels(11)
+            soc._generators(11)
 
     def test_unimodular_wrapper(self):
         m = generator_matrix("Aplus", 5)
@@ -124,7 +124,7 @@ class TestGenerators:
     def test_form_preserved_by_every_generator(self):
         for n in range(3, 11):
             j = signature_matrix(n)
-            for label in generator_labels(n):
+            for label in soc._generators(n):
                 g = soc._gen_rows(label, n)
                 gt = linalg.transpose(g)
                 assert linalg.mat_mul(gt, linalg.mat_mul(j, g)) == j, (label, n)
@@ -153,11 +153,11 @@ class TestWords:
     def test_inversion(self):
         rng = random.Random(5)
         for n in range(3, 7):
-            labels = generator_labels(n)
+            labels = tuple(soc._generators(n))
             for _ in range(20):
                 word = tuple(rng.choice(labels) for _ in range(rng.randint(0, 6)))
                 s = random_cone_point(rng, n, 9)
-                inverse = tuple(invert_label(label) for label in reversed(word))
+                inverse = tuple(soc_inverse_label(label) for label in reversed(word))
                 assert apply_word(inverse, apply_word(word, s)) == s
 
     def test_form_invariance_check(self):
@@ -165,7 +165,7 @@ class TestWords:
         rng = random.Random(6)
         for _ in range(40):
             n = rng.randint(3, 10)
-            word = tuple(rng.choice(generator_labels(n)) for _ in range(4))
+            word = tuple(rng.choice(tuple(soc._generators(n))) for _ in range(4))
             cases.append((word, tuple(rng.randint(-8, 8) for _ in range(n))))
         for word, s in cases:
             moved = apply_word(word, s)
@@ -254,6 +254,27 @@ class TestSporadicSoc:
             assert in_cone(tuple(a - b for a, b in zip(tall, ones)))
             assert not is_sporadic_soc(tall)
 
+    def test_primitive_peels_decide_like_all_peels(self):
+        # the walk that also took non-primitive peels, on vertical points
+        # and on multiples of every root, where both kinds of peel occur
+        points = [(0,) * (n - 1) + (k,) for n in (3, 4, 5) for k in range(1, 41)]
+        points += [
+            tuple(k * v for v in r)
+            for n in range(3, 11)
+            for r in roots(n)
+            for k in range(2, 9)
+        ]
+        assert len(points) == 323
+        for s in points:
+            old = soc_first_peel_two_rules(s, primitive_only=False)
+            new = soc._first_peel(s)
+            assert new == soc_first_peel_two_rules(s, primitive_only=True), s
+            assert (new is None) == (old is None), s
+            assert is_sporadic_soc(s) == (old is None), s
+            if new is not None:
+                assert is_pythagorean(new) and soc.vec_gcd(new) == 1, s
+                assert in_cone(tuple(a - b for a, b in zip(s, new))), s
+
     def test_closed_under_descent_moves(self):
         sporadics = [(0, 0, 1), (2, 2, 3), (1, 1, 1, 1, 1, 1, 3)]
         for s in sporadics:
@@ -317,7 +338,7 @@ class TestDescend:
                 # walking the descent forward, the height never climbs and
                 # drops strictly at every descent-matrix step
                 cur = s
-                for label in (soc.invert_label(w) for w in word):
+                for label in (soc_inverse_label(w) for w in word):
                     nxt = apply_word((label,), cur)
                     if label == "Aplus":
                         assert nxt[-1] < cur[-1]
@@ -533,7 +554,7 @@ class TestPythagoreanOrbit:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
 def test_word_action_preserves_cone(n, rnd):
-    labels = generator_labels(n)
+    labels = tuple(soc._generators(n))
     word = tuple(rnd.choice(labels) for _ in range(rnd.randint(0, 5)))
     s = random_cone_point(rnd, n, 10)
     moved = apply_word(word, s)
