@@ -254,7 +254,7 @@ def _shell_record(rows, d, cap) -> _ShellRecord:
     enumeration below cap."""
     shells: list[list[tuple[int, ...]]] = [[] for _ in range(cap)]
     for v in lattice.enumerate_below(rows, cap):
-        shells[sum(map(mul, v, linalg.mat_vec(rows, v))) - 1].append(v)
+        shells[sum(map(mul, v, [sum(map(mul, r, v)) for r in rows])) - 1].append(v)
     vecs: list[tuple[int, ...]] = []
     norms: list[int] = []
     spans = {}
@@ -275,7 +275,7 @@ def unimodular_witness(x_rows, y_rows):
     form value up to the largest diagonal entry of Y.  The _shell_record of
     each matrix, one enumeration below that value, holds these counts; only
     when they agree does the shell product table backtrack of X's record
-    (_ShellRecord.witness, the one _class_of uses) look for the first U,
+    (_ShellRecord.witness, the one _join_class uses) look for the first U,
     building the table rows it reads.  Singular pairs are compared through
     their full-rank cores.
     """
@@ -367,7 +367,7 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     smaller matrix; it decides the ties and the swap of the first two rows,
     and the orbit minimum always survives), then the full sporadicity test.
     A sporadic leaf is compared only with the classes found so far that
-    share its determinant (_class_of), by the backtrack through each
+    share its determinant (_join_class), by the backtrack through each
     class's shell product table; its shell counts up to diag_bound (one
     enumeration of the leaf) are computed only when two or more classes
     share the determinant.  Deterministic order throughout.
@@ -528,31 +528,33 @@ def _check_leaf(a, n, p, col, d_old, d, cap, reps):
         return
     if next(QuadFormQuery(adj, d).points(), None) is not None:
         return
-    rows = tuple(tuple(r) for r in a)
-    if _class_of(rows, d, cap, reps) is None:
-        reps.append(_shell_record(rows, d, cap))
+    _join_class(tuple(tuple(r) for r in a), d, cap, reps)
 
 
-def _class_of(rows, d, cap, reps):
-    """The record in reps congruent to the positive definite rows, or None.
+def _join_class(rows, d, cap, reps):
+    """The record in reps congruent to the positive definite rows; when
+    there is none, rows' own _ShellRecord below cap is appended to reps as
+    a new class and None is returned.
 
     Only records with rows' determinant d are searched, each by its table
     backtrack (_ShellRecord.witness), and every find is checked.  When two
-    or more records share d, the shell counts of rows below cap come first,
-    from its own _shell_record, and records whose counts differ are
-    skipped.  With a single such record the backtrack runs alone: it fails
-    at most once per new class, and a failed backtrack costs more than the
-    counts only there.
+    or more records share d, rows' record is built first, and records
+    whose shell counts differ from its counts are skipped; a new class
+    keeps that record, so rows is enumerated at most once.  With a single
+    such record the backtrack runs alone: it fails at most once per new
+    class, and a failed backtrack costs more than the counts only there.
     """
     same = [rec for rec in reps if rec.det == d]
+    own = None
     if len(same) > 1:
-        counts = _shell_record(rows, d, cap).counts
-        same = [rec for rec in same if rec.counts == counts]
+        own = _shell_record(rows, d, cap)
+        same = [rec for rec in same if rec.counts == own.counts]
     for rec in same:
         u = rec.witness(rows)
         if u is not None:
             _check_witness(u, rec.rows, rows)
             return rec
+    reps.append(own if own is not None else _shell_record(rows, d, cap))
     return None
 
 

@@ -110,9 +110,8 @@ def is_pythagorean(s) -> bool:
     return in_cone(s) and lorentz_form(s, s) == 0
 
 
-def _peel_candidate(s, h: int):
-    """Lexicographically first primitive Pythagorean p with p_n = h and
-    s - p in T_n.
+def _peel_candidate(s, h: int, primitive_only: bool):
+    """Lexicographically first Pythagorean p with p_n = h and s - p in T_n.
 
     Walks the first n-1 coordinates with two exact interval constraints:
     the partial sum of p_i^2 must stay within h^2 (hit it exactly at the
@@ -143,7 +142,7 @@ def _peel_candidate(s, h: int):
                 d = si - v
                 if d * d <= ball_left:
                     p[i] = v
-                    if gcd(vec_gcd(p), h) == 1:
+                    if not primitive_only or gcd(vec_gcd(p), h) == 1:
                         return tuple(p) + (h,)
             return None
         rs = isqrt(sphere_left)
@@ -160,9 +159,15 @@ def _peel_candidate(s, h: int):
     return walk(0, h * h, ball)
 
 
-def _first_peel(s):
-    """Largest-height, lexicographically first primitive Pythagorean p
-    with s - p in T_n; None when no peel, primitive or not, exists."""
+def _first_peel(s, primitive_only: bool):
+    """Largest-height, lexicographically first [primitive] Pythagorean p
+    with s - p in T_n; None when no peel exists.
+
+    Both settings find a peel on the same points: if s - k p' is in T_n
+    for a primitive Pythagorean p' and some k >= 1, then s - p' = (1 -
+    1/k) s + (1/k)(s - k p') is an integer point of the convex cone T_n.
+    They differ in how far the walk goes: on a point whose early peels are
+    multiples, the primitive walk runs on past them."""
     height = s[-1]
     c = sum(v * v for v in s[:-1])
     r = isqrt(c)
@@ -171,7 +176,7 @@ def _first_peel(s):
         lead = 2 * h - height
         if lead > 0 and lead * lead > c:
             continue
-        got = _peel_candidate(s, h)
+        got = _peel_candidate(s, h, primitive_only)
         if got is not None:
             return got
     return None
@@ -181,11 +186,9 @@ def is_sporadic_soc(s) -> bool:
     """True iff no nonzero Pythagorean tuple can be subtracted within T_n.
 
     A form value of -1 short-circuits to true; a nonzero Pythagorean input
-    short-circuits to false (it peels itself).  Otherwise it asks for a
-    primitive peel, which is enough: if s - k p' is in T_n for a primitive
-    Pythagorean p' and some k >= 1, then s - p' = (1 - 1/k) s + (1/k)(s -
-    k p') is an integer point of the convex cone T_n.  So s has a peel
-    exactly when it has a primitive one.
+    short-circuits to false (it peels itself).  Otherwise the first peel
+    of any kind ends the walk; a primitive one exists too (_first_peel),
+    but the walk to it can run much longer.
     """
     if not in_cone(s):
         raise ValueError("point is outside the cone")
@@ -194,7 +197,7 @@ def is_sporadic_soc(s) -> bool:
         return True
     if f == 0:
         return not any(s)
-    return _first_peel(s) is None
+    return _first_peel(s, primitive_only=False) is None
 
 
 # -- normal form and descent ------------------------------------------------
@@ -397,7 +400,7 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
     cur = tuple(s)
     terms: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
     while any(cur):
-        p = _first_peel(cur)
+        p = _first_peel(cur, primitive_only=True)
         if p is None:
             g = vec_gcd(cur)
             prim = tuple(v // g for v in cur)

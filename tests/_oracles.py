@@ -5,9 +5,7 @@ principal-minor tests, explicit congruences) and shares no code with the
 package internals, except that evaluate_word takes the second-order cone's
 generator matrices from the package, to multiply them here, and
 reduce_rank_dense its kernel vectors, so that both rank splits fold the
-same vectors.  soc_first_peel_two_rules is not naive: it is a copy of the
-SOC peel walk from before that walk kept only primitive peels, kept as the
-reference the new walk is compared against.
+same vectors.
 """
 
 from collections import deque
@@ -333,57 +331,6 @@ def soc_inverse_label(label):
     """The inverse SOC letter: Aplus and AplusInv swap, Q and P are involutions."""
     return {"Aplus": "AplusInv", "AplusInv": "Aplus"}.get(label, label)
 
-
-def soc_first_peel_two_rules(s, primitive_only):
-    """The SOC peel walk as it was before it kept only primitive peels: the
-    largest-height, lexicographically first Pythagorean p with s - p in
-    T_n, primitive when primitive_only is set; None when there is none."""
-    n = len(s)
-    m = n - 1
-    c = sum(v * v for v in s[:-1])
-    suffix_sq = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_sq[i] = suffix_sq[i + 1] + s[i] * s[i]
-
-    def candidate(h):
-        p = [0] * m
-
-        def walk(i, sphere_left, ball_left):
-            cs = suffix_sq[i]
-            gap = cs + sphere_left - ball_left
-            if gap > 0 and gap * gap > 4 * cs * sphere_left:
-                return None
-            si = s[i]
-            if i == m - 1:
-                r = isqrt(sphere_left)
-                if r * r != sphere_left:
-                    return None
-                for v in ((-r, r) if r else (0,)):
-                    d = si - v
-                    if d * d <= ball_left:
-                        p[i] = v
-                        if not primitive_only or gcd(gcd(*p), h) == 1:
-                            return tuple(p) + (h,)
-                return None
-            rs = isqrt(sphere_left)
-            rb = isqrt(ball_left)
-            for v in range(max(-rs, si - rb), min(rs, si + rb) + 1):
-                p[i] = v
-                got = walk(i + 1, sphere_left - v * v, ball_left - (si - v) ** 2)
-                if got is not None:
-                    return got
-            return None
-
-        return walk(0, h * h, (s[-1] - h) ** 2)
-
-    for h in range(s[-1], 0, -1):
-        lead = 2 * h - s[-1]
-        if lead > 0 and lead * lead > c:
-            continue
-        got = candidate(h)
-        if got is not None:
-            return got
-    return None
 
 def gl_letters(n):
     """The GL(n, Z) letters of the PSD generator stream, in its label order:

@@ -382,22 +382,29 @@ def test_dedup_agrees_with_unimodular_witness(monkeypatch):
             d = linalg.det(m)
             backtracks.clear()
             counted.clear()
-            found = psd._class_of(m, d, cap, reps)
-            same = [r for r in reps if r.det == d]
+            before = list(reps)
+            found = psd._join_class(m, d, cap, reps)
+            same = [r for r in before if r.det == d]
             # the leaf's counts run only when two or more records share d,
-            # and then only records with equal counts are backtracked
-            assert counted == ([m] if len(same) > 1 else [])
+            # and then only records with equal counts are backtracked; a
+            # new class keeps the record, so the leaf is enumerated once
+            assert counted == ([m] if len(same) > 1 or found is None else [])
             for rec, ok in backtracks:
                 assert any(rec is r for r in same)
                 assert len(same) == 1 or rec.counts == shell_counts(m, cap)
                 outcomes.append(ok)
             if len(same) > 1:
                 count_skips += sum(r.counts != shell_counts(m, cap) for r in same)
-            expected = [r for r in reps if unimodular_witness(m, r.rows) is not None]
+            expected = [
+                r for r in before if unimodular_witness(m, r.rows) is not None
+            ]
             assert len(expected) <= 1
             assert found is (expected[0] if expected else None)
             if found is None:
-                reps.append(shell_record(m, d, cap))
+                assert reps[:-1] == before
+                assert reps[-1] == shell_record(m, d, cap)
+            else:
+                assert reps == before
         assert [r.rows for r in reps] == [
             m
             for i, m in enumerate(stream)

@@ -9,7 +9,6 @@ from _oracles import (
     cone_member,
     evaluate_word,
     primitive_pythagorean_signed,
-    soc_first_peel_two_rules,
     soc_generator_labels,
     soc_generator_parse,
     soc_inverse_label,
@@ -255,8 +254,8 @@ class TestSporadicSoc:
             assert not is_sporadic_soc(tall)
 
     def test_primitive_peels_decide_like_all_peels(self):
-        # the walk that also took non-primitive peels, on vertical points
-        # and on multiples of every root, where both kinds of peel occur
+        # both settings of the peel walk, on vertical points and on
+        # multiples of every root, where both kinds of peel occur
         points = [(0,) * (n - 1) + (k,) for n in (3, 4, 5) for k in range(1, 41)]
         points += [
             tuple(k * v for v in r)
@@ -265,15 +264,22 @@ class TestSporadicSoc:
             for k in range(2, 9)
         ]
         assert len(points) == 323
+        differ = 0
         for s in points:
-            old = soc_first_peel_two_rules(s, primitive_only=False)
-            new = soc._first_peel(s)
-            assert new == soc_first_peel_two_rules(s, primitive_only=True), s
-            assert (new is None) == (old is None), s
-            assert is_sporadic_soc(s) == (old is None), s
-            if new is not None:
-                assert is_pythagorean(new) and soc.vec_gcd(new) == 1, s
-                assert in_cone(tuple(a - b for a, b in zip(s, new))), s
+            peel = soc._first_peel(s, primitive_only=False)
+            prim = soc._first_peel(s, primitive_only=True)
+            assert (prim is None) == (peel is None), s
+            assert is_sporadic_soc(s) == (peel is None), s
+            if peel is not None:
+                for p in (peel, prim):
+                    assert is_pythagorean(p) and any(p), s
+                    assert in_cone(tuple(a - b for a, b in zip(s, p))), s
+                assert soc.vec_gcd(prim) == 1, s
+                # the walk goes down in height, then up lexicographically,
+                # and the first peel of any kind comes no later in it
+                assert (-peel[-1], peel) <= (-prim[-1], prim), s
+                differ += peel != prim
+        assert differ  # points where the first peel is not primitive
 
     def test_closed_under_descent_moves(self):
         sporadics = [(0, 0, 1), (2, 2, 3), (1, 1, 1, 1, 1, 1, 3)]
