@@ -343,6 +343,7 @@ def dedup_streams():
         ((4, -1), (-1, 6)),
         ((2, 2), (2, 4)),
         ((12, 1), (1, 2)),
+        ((3, 1), (1, 8)),  # det 23, a third class, new after a count check
     ]
     return [
         [M6, diag3] + m6_conjugates,
