@@ -115,13 +115,7 @@ def in_semigroup(cone: Cone, y: Flat) -> bool:
 def apply_group_word(cone: str, n: int, word, root):
     """Transport a root along a word: congruence for PSD, left action for SOC."""
     rec = cone_record(cone, n)
-    y = rec.flatten(root)
-    for label in reversed(word):
-        g = rec.generators.get(label)
-        if g is None:
-            raise ValueError(f"unknown generator label {label!r}")
-        y = linalg.mat_vec(g, y)
-    return rec.unflatten(y)
+    return rec.unflatten(linalg.apply_word(rec.generators, word, rec.flatten(root)))
 
 
 @dataclass
@@ -224,7 +218,7 @@ def check_cut(sys: LCISystem, cut: CGCut) -> str | None:
         return f"cut root {_lists(cut.root)} does not fit the system's cone"
     if not rec.member(root):
         return f"cut root {_lists(cut.root)} lies outside the cone"
-    y = rec.flatten(apply_group_word(sys.cone, sys.n, cut.word, cut.root))
+    y = linalg.apply_word(rec.generators, cut.word, root)
     u = tuple(_dot(y, ai) for ai in sys._a)
     if u != cut.u or _dot(y, sys._c) != cut.rhs:
         return f"cut {list(cut.u)} <= {cut.rhs} does not replay"

@@ -77,7 +77,8 @@ class QuadFormQuery:
     """A positive definite form together with an enumeration bound.
 
     Construction validates positive definiteness (the R D R^T split doubles
-    as the check) and caches the split for repeated enumeration.
+    as the check) and caches the split, so `points` reuses the split that
+    the constructor checked instead of computing it again.
     """
 
     a: linalg.Rows

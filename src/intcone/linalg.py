@@ -9,9 +9,10 @@ the adjugate and the unimodular inverse; `_psd_rank`, behind
 `is_psd_exact` and the rank split, is its symmetric variant, pivoting on
 the diagonal.  One gcd ladder per kernel vector builds, in place, the
 rank split's U and U^{-T}.  Matrices stay well under 11x11 here, so the
-code favours clarity over asymptotics.  `as_int` is the one rule for
-integers read from JSON or passed to a constructor, `as_str` the one for
-JSON strings, and `as_labels` the one for lists of labels.
+code favours clarity over asymptotics.  `apply_word` is the one fold of
+a generator word.  `as_int` is the one rule for integers read from JSON
+or passed to a constructor, `as_str` the one for JSON strings, and
+`as_labels` the one for lists of labels.
 """
 
 from __future__ import annotations
@@ -84,6 +85,19 @@ def mat_mul(a, b) -> Rows:
 
 def mat_vec(a, v) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def apply_word(table, word, v) -> tuple[int, ...]:
+    """The word's matrix applied to v, for a table label -> rows: folded
+    right to left, so no matrix product is ever formed.  A label outside
+    the table raises ValueError."""
+    v = tuple(v)
+    for label in reversed(word):
+        g = table.get(label)
+        if g is None:
+            raise ValueError(f"unknown generator label {label!r}")
+        v = mat_vec(g, v)
+    return v
 
 
 def vec_gcd(v) -> int:

@@ -122,9 +122,9 @@ def decompose(x_rows) -> Rank1Certificate:
     reduced to its full-rank block B once, and the first peel y of B is
     lifted back; after each peel the ellipsoid data (adjugate and
     determinant) of B - y y^T comes from an exact integer rank-one downdate
-    of B's.  Only when that determinant reaches 0, i.e. the rank drops, is
-    the residue reduced again.  The run takes at most tr(X) steps since
-    every peel lowers the trace.
+    of B's (_rank1_update).  Only when that determinant reaches 0, i.e. the
+    rank drops, is the residue reduced again.  The run takes at most tr(X)
+    steps since every peel lowers the trace.
     """
     x0 = linalg.freeze(x_rows)
     if not linalg.is_psd_exact(x0):
@@ -144,11 +144,7 @@ def decompose(x_rows) -> Rank1Certificate:
         cur = _sub_outer(cur, x)
         ay = linalg.mat_vec(adj, y)
         d2 = d - sum(a * b for a, b in zip(ay, y))
-        adj = tuple(
-            tuple((d2 * adj_i[j] + ay_i * ay[j]) // d for j in range(len(y)))
-            for adj_i, ay_i in zip(adj, ay)
-        )
-        d = d2
+        adj, d = _rank1_update(adj, ay, d, d2), d2
     vectors = tuple((x, len(list(run))) for x, run in groupby(found))
     if not any(v for row in cur for v in row):
         return Rank1Certificate(n=n, vectors=vectors, remainder=None, witness=None)
@@ -388,17 +384,27 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     return [rec.rows for rec in reps]
 
 
+def _rank1_update(p, u, d_old, d_new) -> list[list[int]]:
+    """(d_new p + u u^T) / d_old as lists of rows, every division exact: the
+    adjugate of B - y y^T for p = adj(B), u = p y, d_old = det(B) and d_new
+    = det(B - y y^T), and the top-left block of the bordered adjugate
+    (_border)."""
+    return [
+        [(d_new * pj + ur * uj) // d_old for pj, uj in zip(pr, u)]
+        for pr, ur in zip(p, u)
+    ]
+
+
 def _border(p, u, d_old, d_new) -> Rows:
     """adj(A) for A = [[B, c], [c^T, t]] with det(A) = d_new, from p =
     adj(B), d_old = det(B) and u = p c: the bordered-inverse identity, every
     division exact.  Its diagonal is (d_new p_rr + u_r^2) / d_old, then
     d_old."""
-    k = len(u)
-    top = [
-        [(d_new * p[r][j] + u[r] * u[j]) // d_old for j in range(k)] + [-u[r]]
-        for r in range(k)
-    ]
-    return tuple(tuple(r) for r in top + [[-v for v in u] + [d_old]])
+    top = _rank1_update(p, u, d_old, d_new)
+    for row, ur in zip(top, u):
+        row.append(-ur)
+    top.append([-v for v in u] + [d_old])
+    return tuple(map(tuple, top))
 
 
 def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
@@ -563,28 +569,16 @@ def _join_class(rows, d, cap, reps):
 
 def gl_generators(n: int) -> dict[str, Rows]:
     """Cyclic shift, one elementary row addition, and the first transposition
-    generate GL(n, Z); explicit inverses are included as extra letters."""
+    generate GL(n, Z); the inverses of the first two are written out as
+    extra letters: the reverse shift, and row 1 minus row 0."""
     if n < 2:
         raise ValueError("need n >= 2")
-    shift = tuple(
-        tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n)
-    )
-    addrow = tuple(
-        tuple(1 if i == j or (i, j) == (1, 0) else 0 for j in range(n))
-        for i in range(n)
-    )
-    swap = tuple(
-        tuple(
-            1 if (i, j) in ((0, 1), (1, 0)) or (i == j and i > 1) else 0
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    eye = linalg.identity(n)
+    e0, e1, rest = eye[0], eye[1], eye[2:]
     return {
-        "shift": shift,
-        "addrow": addrow,
-        "swap": swap,
-        "shift_inv": linalg.inverse_unimodular(shift),
-        "addrow_inv": linalg.inverse_unimodular(addrow),
+        "shift": eye[1:] + eye[:1],
+        "addrow": (e0, tuple(a + b for a, b in zip(e1, e0))) + rest,
+        "swap": (e1, e0) + rest,
+        "shift_inv": eye[-1:] + eye[:-1],
+        "addrow_inv": (e0, tuple(a - b for a, b in zip(e1, e0))) + rest,
     }
-

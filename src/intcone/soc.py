@@ -79,28 +79,17 @@ def _generators(n: int) -> Mapping[str, Rows]:
     return MappingProxyType(table)
 
 
-def _gen_rows(label: str, n: int) -> Rows:
-    """The rows of one generator: a lookup in _generators(n), so a label
-    outside its table, or a dimension outside 3..10, raises ValueError."""
-    rows = _generators(n).get(label)
-    if rows is None:
-        raise ValueError(f"unknown generator label {label!r} in dimension {n}")
-    return rows
-
-
 @lru_cache(maxsize=None)
 def generator_matrix(label: str, n: int) -> UnimodularMatrix:
-    return UnimodularMatrix(_gen_rows(label, n))
+    return UnimodularMatrix(_generators(n)[label])
 
 
 def apply_word(word, s):
-    """Apply the word's matrix to s, folding right-to-left so no matrix
-    product is ever formed."""
-    cur = tuple(s)
-    n = len(cur)
-    for label in reversed(word):
-        cur = linalg.mat_vec(_gen_rows(label, n), cur)
-    return cur
+    """Apply the word's matrix to s by linalg.apply_word on the table of
+    s's dimension.  An empty word reads no table, so it returns s of any
+    length unchanged."""
+    s = tuple(s)
+    return linalg.apply_word(_generators(len(s)), word, s) if word else s
 
 
 # -- membership classes -----------------------------------------------------
@@ -246,7 +235,7 @@ def descend(s):
     if f != 0 and not is_sporadic_soc(s):
         raise ValueError("point is neither Pythagorean nor sporadic")
     root_set = set(roots(n))
-    aplus = _gen_rows("Aplus", n)
+    aplus = _generators(n)["Aplus"]
     cur = tuple(s)
     word: list[str] = []
     while True:
@@ -266,8 +255,9 @@ def descend(s):
 def roots(n: int, minimal: bool = False) -> tuple[tuple[int, ...], ...]:
     """The root list per dimension, in the source listing order.
 
-    minimal=True drops the two tall sporadic roots of dimensions 9 and 10
-    that split as sums of other roots.
+    minimal=True drops the three tall sporadic roots, one in dimension 9
+    and two in dimension 10, that split as sums of other roots
+    (root_splits).
     """
     _require_dim(n)
     e_last = (0,) * (n - 1) + (1,)
@@ -309,27 +299,14 @@ def roots(n: int, minimal: bool = False) -> tuple[tuple[int, ...], ...]:
 
 
 def root_splits(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """How each non-minimal root decomposes as a sum of two other roots."""
-    _require_dim(n)
-    if n == 9:
-        return {
-            (2, 2, 2, 2, 2, 2, 2, 1, 6): (
-                (1, 1, 1, 1, 1, 1, 1, 0, 3),
-                (1, 1, 1, 1, 1, 1, 1, 1, 3),
-            )
-        }
-    if n == 10:
-        return {
-            (2, 2, 2, 2, 2, 2, 2, 2, 1, 6): (
-                (1, 1, 1, 1, 1, 1, 1, 1, 0, 3),
-                (1, 1, 1, 1, 1, 1, 1, 1, 1, 3),
-            ),
-            (2, 2, 2, 2, 2, 2, 2, 1, 0, 6): (
-                (1, 1, 1, 1, 1, 1, 1, 0, 0, 3),
-                (1, 1, 1, 1, 1, 1, 1, 1, 0, 3),
-            ),
-        }
-    return {}
+    """How each non-minimal root decomposes as a sum of two other roots.
+
+    The non-minimal roots are the roots of height 6.  Each such r splits as
+    its floor half r // 2 plus the rest r - r // 2, both listed roots of
+    height 3, in that (half, rest) order.
+    """
+    halves = {r: tuple(v // 2 for v in r) for r in roots(n) if r[-1] == 6}
+    return {r: (h, tuple(a - b for a, b in zip(r, h))) for r, h in halves.items()}
 
 
 # -- decomposition ----------------------------------------------------------

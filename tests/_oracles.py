@@ -5,7 +5,8 @@ principal-minor tests, explicit congruences) and shares no code with the
 package internals, except that evaluate_word takes the second-order cone's
 generator matrices from the package, to multiply them here, and
 reduce_rank_dense its kernel vectors, so that both rank splits fold the
-same vectors.
+same vectors, and gl_generators_by_inversion inverts with the package's
+inverse_unimodular, as the code it replaced did.
 """
 
 from collections import deque
@@ -452,3 +453,55 @@ def reduce_rank_dense(x):
     if any(any(row) for row in full[: n - len(cur)]):
         raise RuntimeError("reduce_rank left a nonzero row in the kernel block")
     return u_total, cur
+
+
+def root_splits_table(n):
+    """The SOC root splits as the replaced table spelled them out."""
+    if n == 9:
+        return {
+            (2, 2, 2, 2, 2, 2, 2, 1, 6): (
+                (1, 1, 1, 1, 1, 1, 1, 0, 3),
+                (1, 1, 1, 1, 1, 1, 1, 1, 3),
+            )
+        }
+    if n == 10:
+        return {
+            (2, 2, 2, 2, 2, 2, 2, 2, 1, 6): (
+                (1, 1, 1, 1, 1, 1, 1, 1, 0, 3),
+                (1, 1, 1, 1, 1, 1, 1, 1, 1, 3),
+            ),
+            (2, 2, 2, 2, 2, 2, 2, 1, 0, 6): (
+                (1, 1, 1, 1, 1, 1, 1, 0, 0, 3),
+                (1, 1, 1, 1, 1, 1, 1, 1, 0, 3),
+            ),
+        }
+    return {}
+
+
+def gl_generators_by_inversion(n):
+    """The PSD letters as the replaced builder made them: the shift, the row
+    addition and the transposition by entry rules, and the two inverse
+    letters by linalg.inverse_unimodular."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    shift = tuple(
+        tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n)
+    )
+    addrow = tuple(
+        tuple(1 if i == j or (i, j) == (1, 0) else 0 for j in range(n))
+        for i in range(n)
+    )
+    swap = tuple(
+        tuple(
+            1 if (i, j) in ((0, 1), (1, 0)) or (i == j and i > 1) else 0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return {
+        "shift": shift,
+        "addrow": addrow,
+        "swap": swap,
+        "shift_inv": linalg.inverse_unimodular(shift),
+        "addrow_inv": linalg.inverse_unimodular(addrow),
+    }

@@ -482,6 +482,46 @@ class TestCutCommands:
         assert rc == 1
 
 
+class TestInputChecks:
+    """Shape and size checks of the readers, each reached through the CLI."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, error",
+        [
+            (["psd-decompose"], [[1, 2]], "matrix must be square"),
+            (
+                ["icr-search"],
+                {"cone": "psd", "n": 2, "element": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                "matrix element has the wrong shape",
+            ),
+            (["icr-search"], {"cone": "psd", "n": 1, "element": [[1]]}, "need n >= 2"),
+            (
+                ["verify"],
+                {
+                    "kind": "psd-certificate",
+                    "matrix": I2,
+                    "certificate": {
+                        "n": 2,
+                        "vectors": [],
+                        "remainder": {"n": 2, "rows": [[1]]},
+                        "witness": None,
+                    },
+                },
+                "n does not match row count",
+            ),
+        ],
+        ids=["ragged-matrix", "psd-element-shape", "psd-n-1", "remainder-size"],
+    )
+    def test_domain_error(self, invoke, argv, doc, error):
+        rc, out = invoke(argv, doc)
+        assert (rc, payload_of(out)) == (1, {"error": error})
+
+    def test_equiv_of_empty_matrices(self, invoke):
+        rc, out = invoke(["psd-equiv"], {"x": [], "y": []})
+        assert rc == 0
+        assert payload_of(out) == {"equivalent": True, "witness": {"n": 0, "rows": []}}
+
+
 class TestVerify:
     def test_bare_payload_is_accepted(self, invoke):
         _, out = invoke(["soc-descend"], [3, 4, 5])

@@ -116,6 +116,13 @@ class TestGeneratorStream:
             for y, root, word in GeneratorStream(cone=cone, n=n, word_cap=cap):
                 assert cuts.apply_group_word(cone, n, word, root) == y
 
+    def test_replay_rejects_unknown_labels_and_dimensions(self):
+        e11 = ((1, 0), (0, 0))
+        with pytest.raises(ValueError, match="unknown generator label 'Q1'"):
+            cuts.apply_group_word("psd", 2, ("shift", "Q1"), e11)
+        with pytest.raises(ValueError):
+            cuts.apply_group_word("psd", 1, ("shift",), ((1,),))
+
     def test_emissions_stay_in_the_cone(self):
         for y, _, _ in GeneratorStream(cone="soc", n=5, word_cap=2):
             assert soc.in_cone(y)

@@ -77,6 +77,12 @@ class TestEnumerateBelow:
         with pytest.raises(ValueError):
             enumerate_below(swapped, 1)
 
+    def test_query_rejects_an_asymmetric_form_and_a_negative_bound(self):
+        with pytest.raises(ValueError, match="form matrix must be symmetric"):
+            QuadFormQuery(((1, 1), (0, 1)), 1)
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            QuadFormQuery(((1,),), -1)
+
     def test_matches_box_oracle(self):
         rng = random.Random(31)
         for _ in range(40):

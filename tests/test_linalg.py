@@ -265,6 +265,28 @@ class TestExtendToUnimodular:
         assert mat_mul(u, ui) == identity(3)
 
 
+class TestApplyWord:
+    def test_folds_the_list_product(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            table = {k: random_unimodular(n, 4, rng) for k in "abc"}
+            word = tuple(rng.choice("abc") for _ in range(rng.randint(0, 5)))
+            v = tuple(rng.randint(-5, 5) for _ in range(n))
+            product = identity(n)
+            for label in word:
+                product = mat_mul(product, table[label])
+            assert linalg.apply_word(table, word, v) == linalg.mat_vec(product, v)
+
+    def test_empty_word_returns_the_vector_as_a_tuple(self):
+        assert linalg.apply_word({}, (), [3, 4, 5]) == (3, 4, 5)
+
+    def test_unknown_label(self):
+        table = {"a": identity(2)}
+        with pytest.raises(ValueError, match="unknown generator label 'b'"):
+            linalg.apply_word(table, ("a", "b"), (1, 2))
+
+
 class TestInverseUnimodular:
     def test_matches_cofactor_oracle(self):
         rng = random.Random(29)

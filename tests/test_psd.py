@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (
+    adjugate_cofactor,
     congruence_backtrack,
+    det_cofactor,
+    gl_generators_by_inversion,
     plain_shells,
     psd_by_minors,
     random_unimodular,
@@ -208,6 +211,28 @@ class TestDecompose:
                 )
             flat = [x for x, lam in cert.vectors for _ in range(lam)]
             assert flat == expect
+
+    def test_rank1_update_is_the_downdated_adjugate(self):
+        # adj(B - y y^T) = (det(B - y y^T) adj(B) + u u^T) / det(B), u = adj(B) y
+        rng = random.Random(43)
+        checked = 0
+        while checked < 60:
+            n = rng.randint(1, 4)
+            b = random_psd_sum(rng, n, n + 2)
+            d = det_cofactor(b)
+            if d == 0:
+                continue
+            y = tuple(rng.randint(-2, 2) for _ in range(n))
+            p = adjugate_cofactor(b)
+            u = linalg.mat_vec(p, y)
+            down = tuple(
+                tuple(b[i][j] - y[i] * y[j] for j in range(n)) for i in range(n)
+            )
+            d2 = det_cofactor(down)
+            assert d2 == d - sum(a * c for a, c in zip(u, y))
+            got = psd._rank1_update(p, u, d, d2)
+            assert tuple(map(tuple, got)) == adjugate_cofactor(down)
+            checked += 1
 
     def test_sporadic_remainder_with_shift(self):
         a = tuple(
@@ -608,6 +633,12 @@ class TestGlGenerators:
         assert gens["shift"] == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
         assert gens["addrow"] == ((1, 0, 0), (1, 1, 0), (0, 0, 1))
         assert gens["swap"] == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+    def test_letters_match_the_replaced_builder(self):
+        # values and key order, which fixes the cut stream's order
+        for n in range(2, 9):
+            got = gl_generators(n)
+            assert list(got.items()) == list(gl_generators_by_inversion(n).items()), n
 
     def test_inverse_labels(self):
         gens = gl_generators(4)

@@ -17,3 +17,33 @@ def test_every_python_block_runs():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def command_table(text):
+    """Subcommand -> (input cell, flags cell) of the "Command line" table."""
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        name = re.fullmatch(r"`([a-z-]+)`", cells[0])
+        if line.startswith("|") and name:
+            rows[name.group(1)] = (cells[1], cells[2])
+    return rows
+
+
+def test_flag_table_matches_the_parser():
+    from intcone import cli
+
+    table = command_table(README.read_text())
+    assert set(table) == set(cli._COMMANDS)
+    for name, cmd in cli._COMMANDS.items():
+        input_cell, flags_cell = table[name]
+        assert (input_cell == "none") == (not cmd.reads_input), name
+        flags = {flag for flag, _ in cmd.flags}
+        if cmd.lines_key is not None:
+            flags.add("--lines")
+        assert set(re.findall(r"`(--[a-z-]+)[^`]*`", flags_cell)) == flags, name
+        options = dict(cmd.flags)
+        defaults = re.findall(r"`(--[a-z-]+)[^`]*` \(default (\d+)\)", flags_cell)
+        for flag, value in defaults:
+            assert options[flag].get("default") == int(value), (name, flag)

@@ -9,12 +9,13 @@ from _oracles import (
     cone_member,
     evaluate_word,
     primitive_pythagorean_signed,
+    root_splits_table,
     soc_generator_labels,
     soc_generator_parse,
     soc_inverse_label,
     sporadic_by_search,
 )
-from intcone import linalg, soc
+from intcone import cuts, linalg, soc
 from intcone.soc import (
     SocCertificate,
     apply_word,
@@ -76,11 +77,11 @@ class TestLorentzForm:
 
 class TestGenerators:
     def test_descent_matrix_dim3(self):
-        assert soc._gen_rows("Aplus", 3) == ((1, 2, -2), (2, 1, -2), (-2, -2, 3))
-        assert soc._gen_rows("AplusInv", 3) == ((1, 2, 2), (2, 1, 2), (2, 2, 3))
+        assert soc._generators(3)["Aplus"] == ((1, 2, -2), (2, 1, -2), (-2, -2, 3))
+        assert soc._generators(3)["AplusInv"] == ((1, 2, 2), (2, 1, 2), (2, 2, 3))
 
     def test_descent_matrix_dim4(self):
-        assert soc._gen_rows("Aplus", 4) == (
+        assert soc._generators(4)["Aplus"] == (
             (0, 1, 1, -1),
             (1, 0, 1, -1),
             (1, 1, 0, -1),
@@ -88,8 +89,8 @@ class TestGenerators:
         )
 
     def test_sign_flip_and_swap(self):
-        assert soc._gen_rows("Q1", 3) == ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert soc._gen_rows("P12", 3) == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        assert soc._generators(3)["Q1"] == ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert soc._generators(3)["P12"] == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
     def test_labels(self):
         assert tuple(soc._generators(3)) == ("Aplus", "AplusInv", "Q1", "Q2", "P12")
@@ -103,15 +104,22 @@ class TestGenerators:
             assert len(table) == 2 + (n - 1) + (n - 2)
             for label, rows in table.items():
                 assert rows == soc_generator_parse(label, n), (label, n)
-                assert soc._gen_rows(label, n) == rows
+                assert soc.generator_matrix(label, n).rows == rows
 
     def test_bad_labels(self):
-        with pytest.raises(ValueError):
-            soc._gen_rows("Q3", 3)
-        with pytest.raises(ValueError):
-            soc._gen_rows("P13", 3)
-        with pytest.raises(ValueError):
-            soc._gen_rows("B2", 4)
+        # a label outside its dimension's table, or a dimension outside
+        # 3..10, is a ValueError in both folds
+        cases = (("Q3", (0, 0, 1)), ("P13", (0, 0, 1)), ("B2", (0, 0, 0, 1)))
+        for label, point in cases:
+            with pytest.raises(ValueError, match="unknown generator label"):
+                soc.apply_word((label,), point)
+            with pytest.raises(ValueError, match="unknown generator label"):
+                cuts.apply_group_word("soc", len(point), (label,), point)
+        for point in ((0, 1), (0,) * 10 + (1,)):
+            with pytest.raises(ValueError):
+                soc.apply_word(("Q1",), point)
+            with pytest.raises(ValueError):
+                cuts.apply_group_word("soc", len(point), ("Q1",), point)
         with pytest.raises(ValueError):
             soc._generators(11)
 
@@ -124,17 +132,18 @@ class TestGenerators:
         for n in range(3, 11):
             j = signature_matrix(n)
             for label in soc._generators(n):
-                g = soc._gen_rows(label, n)
+                g = soc._generators(n)[label]
                 gt = linalg.transpose(g)
                 assert linalg.mat_mul(gt, linalg.mat_mul(j, g)) == j, (label, n)
 
     def test_inverse_pairs(self):
         for n in range(3, 11):
-            a = soc._gen_rows("Aplus", n)
-            b = soc._gen_rows("AplusInv", n)
+            a = soc._generators(n)["Aplus"]
+            b = soc._generators(n)["AplusInv"]
             assert linalg.mat_mul(a, b) == linalg.identity(n)
-        assert linalg.mat_mul(soc._gen_rows("Q2", 4), soc._gen_rows("Q2", 4)) == linalg.identity(4)
-        assert linalg.mat_mul(soc._gen_rows("P13", 4), soc._gen_rows("P13", 4)) == linalg.identity(4)
+        g4 = soc._generators(4)
+        assert linalg.mat_mul(g4["Q2"], g4["Q2"]) == linalg.identity(4)
+        assert linalg.mat_mul(g4["P13"], g4["P13"]) == linalg.identity(4)
 
 
 class TestWords:
@@ -417,6 +426,13 @@ class TestRoots:
                 assert x in roots(n, minimal=True)
                 assert y in roots(n, minimal=True)
                 assert tuple(a + b for a, b in zip(x, y)) == r
+
+    def test_splits_match_the_replaced_table(self):
+        # values and key order; the derived rule reads no table of its own
+        for n in range(3, 11):
+            got = root_splits(n)
+            assert list(got.items()) == list(root_splits_table(n).items()), n
+        assert [len(root_splits(n)) for n in (9, 10)] == [1, 2]
 
     def test_roots_live_in_cone(self):
         for n in range(3, 11):
