@@ -697,8 +697,27 @@ class TestVerify:
                 {"kind": "soc-descent", "point": [3, 4, 5], "root": [3, 4, 5], "word": []},
                 "unknown root",
             ),
+            # an empty word replays at any length, so n = 2 reaches the
+            # multiplicity check before the dimension check
+            (
+                {
+                    "kind": "soc-certificate",
+                    "point": [0, 0],
+                    "certificate": {
+                        "n": 2,
+                        "terms": [{"lambda": 0, "word": [], "root": [0, 1]}],
+                    },
+                },
+                "nonpositive multiplicity",
+            ),
         ],
-        ids=["psd-zero-lambda", "soc-zero-lambda", "soc-certificate-root", "soc-descent-root"],
+        ids=[
+            "psd-zero-lambda",
+            "soc-zero-lambda",
+            "soc-certificate-root",
+            "soc-descent-root",
+            "soc-n-2-zero-lambda",
+        ],
     )
     def test_false_claim_names_its_reason(self, invoke, payload, reason):
         rc, out = invoke(["verify"], payload)
