@@ -225,13 +225,51 @@ def check_cut(sys: LCISystem, cut: CGCut) -> str | None:
     return None
 
 
+@lru_cache(maxsize=64)
+def _walk(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
+    """(flat y, weight, root, word) for every distinct y = g.r reachable
+    from a root by at most word_cap generators, breadth first, generators
+    in table order; each y keeps its first (shortest) word, and a root
+    repeated in `roots` is walked once, from its first place."""
+    rec = cone_record(cone, n)
+    gens = tuple(rec.generators.items())
+    seen = set()
+    queue = deque()
+    for root in roots:
+        y = rec.flatten(root)
+        if y not in seen:
+            seen.add(y)
+            queue.append((y, root, ()))
+    out = []
+    while queue:
+        y, root, word = queue.popleft()
+        out.append((y, _dot(rec.weight, y), root, word))
+        if len(word) == word_cap:
+            continue
+        for label, g in gens:
+            child = linalg.mat_vec(g, y)
+            if child not in seen:
+                seen.add(child)
+                queue.append((child, root, (label,) + word))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _heaviest_first(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
+    """The walk's (flat y, weight) pairs, heaviest first, ties in walk order."""
+    walk = ((y, w) for y, w, _, _ in _walk(cone, n, word_cap, roots))
+    return tuple(sorted(walk, key=lambda yw: -yw[1]))
+
+
 @dataclass
 class GeneratorStream:
     """Breadth-first dual-semigroup elements g.r for words up to word_cap.
 
     Deduplicates by element, so each element carries its first (shortest)
-    word.  `cap` optionally filters emissions by height/trace.  Iterating
-    starts the walk over.  Roots must be nonzero elements of the cone.
+    word.  `cap` optionally filters emissions by height/trace.  The walk
+    is computed once per (cone, n, word_cap, roots), read from the fields
+    when iteration starts, and shared by every equal stream; a small
+    bounded cache holds it.  Roots must be nonzero elements of the cone.
     """
 
     cone: str
@@ -244,31 +282,22 @@ class GeneratorStream:
         rec = self._cone = cone_record(self.cone, self.n)
         if self.word_cap < 0:
             raise ValueError("word_cap must be nonnegative")
+        if self.cap is not None and self.cap < 0:
+            raise ValueError("cap must be nonnegative")
         if self.roots is None:
             self.roots = rec.roots
-        self._roots = tuple(rec.flatten(r) for r in self.roots)
-        if not all(any(r) for r in self._roots):
+        flat = tuple(rec.flatten(r) for r in self.roots)
+        if not all(any(r) for r in flat):
             raise ValueError("roots must be nonzero")
-        if not all(rec.member(r) for r in self._roots):
+        if not all(rec.member(r) for r in flat):
             raise ValueError("roots must lie in the cone")
-        self.roots = tuple(rec.unflatten(r) for r in self._roots)
+        self.roots = tuple(rec.unflatten(r) for r in flat)
 
     def __iter__(self):
-        rec = self._cone
-        gens = tuple(rec.generators.items())
-        seen = set(self._roots)
-        queue = deque((y, r, ()) for y, r in zip(self._roots, self.roots))
-        while queue:
-            y, root, word = queue.popleft()
-            if self.cap is None or _dot(rec.weight, y) <= self.cap:
-                yield rec.unflatten(y), root, word
-            if len(word) == self.word_cap:
-                continue
-            for label, g in gens:
-                child = linalg.mat_vec(g, y)
-                if child not in seen:
-                    seen.add(child)
-                    queue.append((child, root, (label,) + word))
+        unflatten = self._cone.unflatten
+        for y, w, root, word in _walk(self.cone, self.n, self.word_cap, self.roots):
+            if self.cap is None or w <= self.cap:
+                yield unflatten(y), root, word
 
 
 def cg_cuts(sys: LCISystem, gen: GeneratorStream) -> list[CGCut]:
@@ -345,13 +374,9 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     if not in_semigroup(rec, s):
         raise ValueError("element is outside the cone")
     total = _dot(rec.weight, s)
-    cands = []
-    for y, _, _ in gen:
-        y = rec.flatten(y)
-        w = _dot(rec.weight, y)
-        if 1 <= w <= total:
-            cands.append((y, w))
-    cands.sort(key=lambda yw: -yw[1])
+    limit = total if gen.cap is None else min(total, gen.cap)
+    view = _heaviest_first(gen.cone, gen.n, gen.word_cap, gen.roots)
+    cands = [(y, w) for y, w in view if 1 <= w <= limit]
 
     chosen = []
 

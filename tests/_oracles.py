@@ -6,7 +6,9 @@ package internals, except that evaluate_word takes the second-order cone's
 generator matrices from the package, to multiply them here, and
 reduce_rank_dense its kernel vectors, so that both rank splits fold the
 same vectors, and gl_generators_by_inversion inverts with the package's
-inverse_unimodular, as the code it replaced did.
+inverse_unimodular, as the code it replaced did.  The uncached stream walk
+and icr search take the package's cone record (generators, weight,
+membership, flatten) from the caller, as the stream code they copy did.
 """
 
 from collections import deque
@@ -505,3 +507,76 @@ def gl_generators_by_inversion(n):
         "shift_inv": linalg.inverse_unimodular(shift),
         "addrow_inv": linalg.inverse_unimodular(addrow),
     }
+
+
+def _rec_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def uncached_walk(rec, roots, word_cap, cap=None):
+    """(element, root, word) as the generator stream emitted them before
+    its walk was cached: walked again on every call, each root taken as
+    given (a repeated root is walked twice), `cap` applied on emission.
+    `rec` is a cuts cone record; roots are its native elements."""
+    flat = tuple(rec.flatten(r) for r in roots)
+    gens = tuple(rec.generators.items())
+    seen = set(flat)
+    queue = deque((y, r, ()) for y, r in zip(flat, roots))
+    out = []
+    while queue:
+        y, root, word = queue.popleft()
+        if cap is None or _rec_dot(rec.weight, y) <= cap:
+            out.append((rec.unflatten(y), root, word))
+        if len(word) == word_cap:
+            continue
+        for label, g in gens:
+            child = tuple(_rec_dot(row, y) for row in g)
+            if child not in seen:
+                seen.add(child)
+                queue.append((child, root, (label,) + word))
+    return out
+
+
+def uncached_icr_search(s, rec, roots, word_cap, stream_cap, cap):
+    """(status, count, terms) of icr_search as it ran before the stream was
+    cached: candidates drained from uncached_walk on every call, flattened,
+    kept at weight 1..weight(s) and sorted heaviest first; the same
+    iterative-deepening search over them."""
+    s = rec.flatten(s)
+    total = _rec_dot(rec.weight, s)
+    cands = []
+    for y, _, _ in uncached_walk(rec, roots, word_cap, stream_cap):
+        y = rec.flatten(y)
+        w = _rec_dot(rec.weight, y)
+        if 1 <= w <= total:
+            cands.append((y, w))
+    cands.sort(key=lambda yw: -yw[1])
+
+    chosen = []
+
+    def dfs(res, res_weight, k_left, i0):
+        if res_weight == 0:
+            return not any(res)
+        if k_left == 0:
+            return False
+        for i in range(i0, len(cands)):
+            y, w = cands[i]
+            if w > res_weight:
+                continue
+            for lam in range(res_weight // w, 0, -1):
+                nxt = tuple(a - lam * b for a, b in zip(res, y))
+                if not rec.member(nxt):
+                    continue
+                chosen.append((lam, y))
+                if dfs(nxt, res_weight - lam * w, k_left - 1, i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    for k in range(min(cap, total, len(cands)) + 1):
+        chosen.clear()
+        if dfs(s, total, k, 0):
+            return "ok", k, tuple((lam, rec.unflatten(y)) for lam, y in chosen)
+    if cap >= min(total, len(cands)):
+        return "infeasible", None, ()
+    return "exceeded", None, ()

@@ -476,6 +476,12 @@ class TestCutCommands:
         assert rc == 1
         assert "cap must be nonnegative" in payload_of(out)["error"]
 
+    def test_negative_max_height_is_a_domain_error(self, invoke):
+        # a negative height cap used to give an empty cut list and exit 0
+        rc, out = invoke(["cg-cuts", "--max-height", "-1"], self.system())
+        assert rc == 1
+        assert "cap must be nonnegative" in payload_of(out)["error"]
+
     def test_icr_outside_cone_is_a_domain_error(self, invoke):
         doc = {"cone": "soc", "n": 3, "element": [2, 0, 1]}
         rc, _ = invoke(["icr-search"], doc)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import congruence_walk, gl_letters
+from _oracles import (
+    congruence_walk,
+    gl_letters,
+    uncached_icr_search,
+    uncached_walk,
+)
 from intcone import cuts, linalg, psd, soc
 from intcone.cuts import CGCut, GeneratorStream, IcrResult, LCISystem
 
@@ -14,6 +19,9 @@ E11_2 = ((1, 0), (0, 0))
 I2 = ((1, 0), (0, 1))
 E11_3 = ((1, 0, 0), (0, 0, 0), (0, 0, 0))
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# the (cone, n, word_cap) streams the cuts-icr benchmark workload searches
+ICR_KEYS = [("soc", 3, 6), ("soc", 4, 4), ("soc", 5, 3), ("psd", 2, 3), ("psd", 3, 2)]
 
 
 def soc_system():
@@ -136,7 +144,9 @@ class TestGeneratorStream:
 
     def test_iteration_is_repeatable(self):
         gen = GeneratorStream(cone="soc", n=3, word_cap=2)
+        hits = cuts._walk.cache_info().hits
         assert list(gen) == list(gen)
+        assert cuts._walk.cache_info().hits >= hits + 1
 
     def test_rejects_zero_root(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -161,6 +171,132 @@ class TestGeneratorStream:
             GeneratorStream(cone="soc", n=3, word_cap=-1)
         with pytest.raises(ValueError):
             GeneratorStream(cone="nope", n=3, word_cap=0)
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            GeneratorStream(cone="soc", n=3, word_cap=2, cap=-1)
+        assert list(GeneratorStream(cone="soc", n=3, word_cap=2, cap=0)) == []
+
+    def test_repeated_root_is_emitted_once(self):
+        once = list(GeneratorStream(cone="soc", n=3, word_cap=1, roots=((1, 0, 1),)))
+        twice = GeneratorStream(
+            cone="soc", n=3, word_cap=1, roots=((1, 0, 1), (1, 0, 1))
+        )
+        assert list(twice) == once
+        spelled = GeneratorStream(
+            cone="psd", n=2, word_cap=1, roots=(((1, 1), (1, 1)), [[1, 1], [1, 1]])
+        )
+        assert list(spelled) == list(
+            GeneratorStream(cone="psd", n=2, word_cap=1, roots=(((1, 1), (1, 1)),))
+        )
+
+    def test_reassigned_fields_are_honoured(self):
+        gen = GeneratorStream(cone="soc", n=3, word_cap=0)
+        roots_only = list(gen)
+        assert cuts.icr_search((-5, 0, 5), gen, cap=4).status == "infeasible"
+        gen.word_cap = 2
+        assert list(gen) == list(GeneratorStream(cone="soc", n=3, word_cap=2))
+        assert list(gen) != roots_only
+        assert cuts.icr_search((-5, 0, 5), gen, cap=4).count == 1
+        assert cuts.icr_search((2, 2, 3), gen, cap=4).count == 1
+        gen.cap = 2
+        capped = GeneratorStream(cone="soc", n=3, word_cap=2, cap=2)
+        assert list(gen) == list(capped)
+        assert cuts.icr_search((2, 2, 3), gen, cap=4).status == "infeasible"
+
+    def test_equal_streams_walk_once(self, monkeypatch):
+        calls = []
+        mat_vec = linalg.mat_vec
+
+        def counted(g, y):
+            calls.append(g)
+            return mat_vec(g, y)
+
+        monkeypatch.setattr(linalg, "mat_vec", counted)
+        cuts._walk.cache_clear()
+        cuts._heaviest_first.cache_clear()
+        first = list(GeneratorStream(cone="soc", n=3, word_cap=3))
+        assert calls
+        calls.clear()
+        gen = GeneratorStream(cone="soc", n=3, word_cap=3)
+        assert list(gen) == first
+        assert calls == []
+        for cone, n, word_cap in ICR_KEYS:
+            gen = GeneratorStream(cone=cone, n=n, word_cap=word_cap)
+            s = gen.roots[-1]
+            cuts.icr_search(s, gen, cap=4)
+            calls.clear()
+            again = GeneratorStream(cone=cone, n=n, word_cap=word_cap)
+            assert cuts.icr_search(s, again, cap=4) == cuts.icr_search(s, gen, cap=4)
+            assert list(again) and calls == []
+
+
+def seeded_points(cone, n, count, seed):
+    """`count` nonzero cone elements: SOC points of height at most 8, PSD
+    sums of 1..n outer products of {-1, 0, 1} vectors."""
+    rng = random.Random(f"{cone}/{n}/{seed}")
+    out = []
+    while len(out) < count:
+        if cone == "soc":
+            s = tuple(rng.randint(-6, 6) for _ in range(n - 1)) + (rng.randint(1, 8),)
+            if soc.in_cone(s):
+                out.append(s)
+            continue
+        x = [[0] * n for _ in range(n)]
+        for _ in range(rng.randint(1, n)):
+            v = [rng.randint(-1, 1) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    x[i][j] += v[i] * v[j]
+        if any(x[i][i] for i in range(n)):
+            out.append(tuple(map(tuple, x)))
+    return out
+
+
+class TestAgainstTheUncachedStream:
+    """The cached walk and icr_search's candidate view against copies of
+    the uncached code they replaced."""
+
+    @pytest.mark.parametrize("stream_cap", [None, 3], ids=["uncapped", "cap3"])
+    @pytest.mark.parametrize("key", ICR_KEYS, ids=lambda k: "%s%d-w%d" % k)
+    def test_walk(self, key, stream_cap):
+        cone, n, word_cap = key
+        gen = GeneratorStream(cone=cone, n=n, word_cap=word_cap, cap=stream_cap)
+        expected = uncached_walk(gen._cone, gen.roots, word_cap, stream_cap)
+        assert list(gen) == expected
+
+    @pytest.mark.parametrize("stream_cap", [None, 4], ids=["uncapped", "cap4"])
+    @pytest.mark.parametrize(
+        "cone, roots",
+        [
+            ("soc", ((0, 0, 1), (3, 4, 5), (1, 0, 1))),
+            ("soc", ((0, 3, 5), (0, 0, 2))),
+            ("psd", (((2, 1), (1, 1)), ((1, 0), (0, 0)))),
+            ("psd", (((1, 1, 0), (1, 1, 0), (0, 0, 0)), I3)),
+        ],
+        ids=["soc3", "soc3-multiple", "psd2", "psd3"],
+    )
+    def test_walk_from_custom_roots(self, cone, roots, stream_cap):
+        n = len(roots[0])
+        gen = GeneratorStream(cone=cone, n=n, word_cap=3, roots=roots, cap=stream_cap)
+        assert list(gen) == uncached_walk(gen._cone, gen.roots, 3, stream_cap)
+
+    @pytest.mark.parametrize("repeat", [False, True], ids=["roots", "repeated-root"])
+    @pytest.mark.parametrize("key", ICR_KEYS, ids=lambda k: "%s%d-w%d" % k)
+    def test_icr_search(self, key, repeat):
+        cone, n, word_cap = key
+        rec = cuts.cone_record(cone, n)
+        roots = rec.roots + rec.roots[:1] if repeat else rec.roots
+        cap = 2 * n - 2 if cone == "soc" else n * (n + 1) - 2
+        for stream_cap in (None, 3):
+            gen = GeneratorStream(
+                cone=cone, n=n, word_cap=word_cap, roots=roots, cap=stream_cap
+            )
+            for s in seeded_points(cone, n, 8, repeat):
+                for c in (cap, 1):
+                    got = cuts.icr_search(s, gen, cap=c)
+                    want = uncached_icr_search(
+                        s, rec, gen.roots, word_cap, stream_cap, c
+                    )
+                    assert (got.status, got.count, got.terms) == want, s
 
 
 class TestCgCuts:
