@@ -236,6 +236,8 @@ def _verify_psd_certificate(payload):
     for vec, lam in cert.vectors:
         if lam < 1:
             return "nonpositive multiplicity"
+        if not any(vec):
+            return "zero peel vector"
     if rem is None:
         return None if wit is None else "witness without a remainder"
     if not linalg.is_psd_exact(rem.rows) or not psd.is_sporadic(rem.rows):

@@ -12,10 +12,11 @@ cones; public functions take and return vectors for SOC, matrices for PSD.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from collections import OrderedDict, deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg, psd, soc
 from .linalg import Rows
@@ -225,7 +226,11 @@ def check_cut(sys: LCISystem, cut: CGCut) -> str | None:
     return None
 
 
-@lru_cache(maxsize=64)
+# walk elements the stream cache holds in all: about 300 bytes each, and
+# 200 more once icr_search has read the stream, so 60-100 MB at most
+_MAX_HELD = 200_000
+
+
 def _walk(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
     """(flat y, weight, root, word) for every distinct y = g.r reachable
     from a root by at most word_cap generators, breadth first, generators
@@ -254,11 +259,55 @@ def _walk(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _heaviest_first(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
-    """The walk's (flat y, weight) pairs, heaviest first, ties in walk order."""
-    walk = ((y, w) for y, w, _, _ in _walk(cone, n, word_cap, roots))
-    return tuple(sorted(walk, key=lambda yw: -yw[1]))
+def _direction(y: Flat) -> Flat:
+    """The primitive integer vector on the ray of a nonzero y."""
+    g = linalg.vec_gcd(y)
+    return y if g == 1 else tuple(v // g for v in y)
+
+
+class _Walked:
+    """One stream key's walk, and the search view built from it on first use."""
+
+    def __init__(self, walk: tuple):
+        self.walk = walk
+
+    @cached_property
+    def view(self) -> tuple:
+        """(ys, weights, negated weights, rays): the walk's flat elements
+        and their weights heaviest first, ties in walk order; the negated
+        weights, ascending, for bisect; and for each primitive direction
+        the ascending indices of the elements on its ray."""
+        order = sorted(self.walk, key=lambda e: -e[1])
+        ys = tuple(y for y, _, _, _ in order)
+        weights = tuple(w for _, w, _, _ in order)
+        rays = {}
+        for i, y in enumerate(ys):
+            rays.setdefault(_direction(y), []).append(i)
+        return ys, weights, tuple(-w for w in weights), rays
+
+
+class _StreamCache:
+    """Walks by (cone, n, word_cap, roots), least recently used first out
+    once the walks held pass _MAX_HELD elements in all; a walk larger
+    than that is built for its caller and not kept."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, _Walked] = OrderedDict()
+        self.held = 0
+
+    def get(self, key: tuple) -> _Walked:
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            return entry
+        entry = self.entries[key] = _Walked(_walk(*key))
+        self.held += len(entry.walk)
+        while self.held > _MAX_HELD:
+            self.held -= len(self.entries.popitem(last=False)[1].walk)
+        return entry
+
+
+_streams = _StreamCache()
 
 
 @dataclass
@@ -268,8 +317,9 @@ class GeneratorStream:
     Deduplicates by element, so each element carries its first (shortest)
     word.  `cap` optionally filters emissions by height/trace.  The walk
     is computed once per (cone, n, word_cap, roots), read from the fields
-    when iteration starts, and shared by every equal stream; a small
-    bounded cache holds it.  Roots must be nonzero elements of the cone.
+    when iteration starts, and shared by every equal stream while the
+    stream cache, bounded by the elements it holds, keeps it.  Roots must
+    be nonzero elements of the cone.
     """
 
     cone: str
@@ -293,9 +343,12 @@ class GeneratorStream:
             raise ValueError("roots must lie in the cone")
         self.roots = tuple(rec.unflatten(r) for r in flat)
 
+    def _walked(self) -> _Walked:
+        return _streams.get((self.cone, self.n, self.word_cap, self.roots))
+
     def __iter__(self):
         unflatten = self._cone.unflatten
-        for y, w, root, word in _walk(self.cone, self.n, self.word_cap, self.roots):
+        for y, w, root, word in self._walked().walk:
             if self.cap is None or w <= self.cap:
                 yield unflatten(y), root, word
 
@@ -363,9 +416,18 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     infeasibility within the candidate set, while exhausting only `cap`
     reports `exceeded`.  Iterative deepening over the support size with a
     strictly increasing candidate index keeps the search deterministic.
-    Subtracting fewer copies of a cone element keeps membership, so each
-    candidate's feasible multiplicities are a contiguous range, scanned
-    from the largest down.
+
+    The candidates are the stream's elements heaviest first, ties in walk
+    order; those of weight at most min(weight(s), stream cap) are a suffix
+    of the cached view, and each level starts where the weights drop to
+    the residual's.  Subtracting fewer copies of a cone element keeps
+    membership, so a candidate's feasible multiplicities run from 1 up to
+    some largest one: one test at 1 rules the candidate in or out, and
+    bisection finds the largest, from which the search descends to 1
+    without testing again.  The last term must be the residual itself,
+    lambda times one candidate: it is the first candidate on the
+    residual's ray whose weight divides the residual's, found by the
+    ray's primitive vector without a membership test.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -375,8 +437,8 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
         raise ValueError("element is outside the cone")
     total = _dot(rec.weight, s)
     limit = total if gen.cap is None else min(total, gen.cap)
-    view = _heaviest_first(gen.cone, gen.n, gen.word_cap, gen.roots)
-    cands = [(y, w) for y, w in view if 1 <= w <= limit]
+    ys, weights, neg_weights, rays = gen._walked().view
+    first = bisect_left(neg_weights, -limit)
 
     chosen = []
 
@@ -385,26 +447,37 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
             return not any(res)
         if k_left == 0:
             return False
-        for i in range(i0, len(cands)):
-            y, w = cands[i]
-            if w > res_weight:
+        if k_left == 1:
+            for i in rays.get(_direction(res), ()):
+                if i >= i0 and res_weight % weights[i] == 0:
+                    chosen.append((res_weight // weights[i], ys[i]))
+                    return True
+            return False
+        for i in range(max(i0, bisect_left(neg_weights, -res_weight)), len(ys)):
+            y, w = ys[i], weights[i]
+            if not in_semigroup(rec, tuple(a - b for a, b in zip(res, y))):
                 continue
-            for lam in range(res_weight // w, 0, -1):
+            lo, hi = 1, res_weight // w
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if in_semigroup(rec, tuple(a - mid * b for a, b in zip(res, y))):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            for lam in range(lo, 0, -1):
                 nxt = tuple(a - lam * b for a, b in zip(res, y))
-                if not in_semigroup(rec, nxt):
-                    continue
                 chosen.append((lam, y))
                 if dfs(nxt, res_weight - lam * w, k_left - 1, i + 1):
                     return True
                 chosen.pop()
         return False
 
-    depth_limit = min(cap, total, len(cands))
+    depth_limit = min(cap, total, len(ys) - first)
     for k in range(depth_limit + 1):
         chosen.clear()
-        if dfs(s, total, k, 0):
+        if dfs(s, total, k, first):
             terms = tuple((lam, rec.unflatten(y)) for lam, y in chosen)
             return IcrResult(status="ok", count=k, terms=terms)
-    if cap >= min(total, len(cands)):
+    if cap >= min(total, len(ys) - first):
         return IcrResult(status="infeasible")
     return IcrResult(status="exceeded")

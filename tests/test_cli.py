@@ -675,6 +675,22 @@ class TestVerify:
             ),
             (
                 {
+                    "kind": "psd-certificate",
+                    "matrix": [[1, 0], [0, 0]],
+                    "certificate": {
+                        "n": 2,
+                        "vectors": [
+                            {"x": [1, 0], "lambda": 1},
+                            {"x": [0, 0], "lambda": 3},
+                        ],
+                        "remainder": None,
+                        "witness": None,
+                    },
+                },
+                "zero peel vector",
+            ),
+            (
+                {
                     "kind": "soc-certificate",
                     "point": [1, 0, 1],
                     "certificate": {
@@ -719,6 +735,7 @@ class TestVerify:
         ],
         ids=[
             "psd-zero-lambda",
+            "psd-zero-vector",
             "soc-zero-lambda",
             "soc-certificate-root",
             "soc-descent-root",

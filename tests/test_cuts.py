@@ -1,6 +1,7 @@
 """Tests for cut generation and the minimal-decomposition search."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -144,9 +145,10 @@ class TestGeneratorStream:
 
     def test_iteration_is_repeatable(self):
         gen = GeneratorStream(cone="soc", n=3, word_cap=2)
-        hits = cuts._walk.cache_info().hits
-        assert list(gen) == list(gen)
-        assert cuts._walk.cache_info().hits >= hits + 1
+        first = list(gen)
+        entry = cuts._streams.entries[("soc", 3, 2, gen.roots)]
+        assert list(gen) == first
+        assert cuts._streams.entries[("soc", 3, 2, gen.roots)] is entry
 
     def test_rejects_zero_root(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -211,8 +213,7 @@ class TestGeneratorStream:
             return mat_vec(g, y)
 
         monkeypatch.setattr(linalg, "mat_vec", counted)
-        cuts._walk.cache_clear()
-        cuts._heaviest_first.cache_clear()
+        monkeypatch.setattr(cuts, "_streams", cuts._StreamCache())
         first = list(GeneratorStream(cone="soc", n=3, word_cap=3))
         assert calls
         calls.clear()
@@ -227,6 +228,35 @@ class TestGeneratorStream:
             again = GeneratorStream(cone=cone, n=n, word_cap=word_cap)
             assert cuts.icr_search(s, again, cap=4) == cuts.icr_search(s, gen, cap=4)
             assert list(again) and calls == []
+
+    def test_cache_is_bounded_by_held_elements(self, monkeypatch):
+        calls = []
+        mat_vec = linalg.mat_vec
+
+        def counted(g, y):
+            calls.append(g)
+            return mat_vec(g, y)
+
+        def stream(word_cap):
+            return GeneratorStream(cone="soc", n=3, word_cap=word_cap)
+
+        def cached():
+            return [key[2] for key in cuts._streams.entries]
+
+        monkeypatch.setattr(linalg, "mat_vec", counted)
+        monkeypatch.setattr(cuts, "_MAX_HELD", 25)  # walks of 2, 7, 17 and 37
+        monkeypatch.setattr(cuts, "_streams", cuts._StreamCache())
+        one, two = list(stream(1)), list(stream(2))
+        assert cached() == [1, 2] and cuts._streams.held == 24
+        calls.clear()
+        assert list(stream(1)) == one and calls == []
+        assert cached() == [2, 1]
+        assert cuts.icr_search((1, 1, 2), stream(0), cap=4).status == "infeasible"
+        assert cached() == [1, 0] and cuts._streams.held == 9  # 2 went first
+        three = list(stream(3))
+        assert three == uncached_walk(cuts.cone_record("soc", 3), soc.roots(3), 3)
+        assert cached() == [] and cuts._streams.held == 0  # 37 is never kept
+        assert list(stream(2)) == two and cuts._streams.held == 17
 
 
 def seeded_points(cone, n, count, seed):
@@ -249,6 +279,24 @@ def seeded_points(cone, n, count, seed):
         if any(x[i][i] for i in range(n)):
             out.append(tuple(map(tuple, x)))
     return out
+
+
+@st.composite
+def soc_points(draw, n=3, max_height=6):
+    """A nonzero integer point of T_n below a height."""
+    h = draw(st.integers(1, max_height))
+    body = []
+    for _ in range(n - 1):
+        r = isqrt(h * h - sum(v * v for v in body))
+        body.append(draw(st.integers(-r, r)))
+    return tuple(body) + (h,)
+
+
+def soc_roots():
+    """Small T_3 points, some scaled by 2 or 3 (so some are parallel)."""
+    return st.tuples(soc_points(max_height=4), st.integers(1, 3)).map(
+        lambda pf: tuple(pf[1] * v for v in pf[0])
+    )
 
 
 class TestAgainstTheUncachedStream:
@@ -297,6 +345,49 @@ class TestAgainstTheUncachedStream:
                         s, rec, gen.roots, word_cap, stream_cap, c
                     )
                     assert (got.status, got.count, got.terms) == want, s
+
+    @pytest.mark.parametrize("stream_cap", [None, 4], ids=["uncapped", "cap4"])
+    @pytest.mark.parametrize(
+        "cone, roots",
+        [
+            ("soc", ((0, 3, 5), (0, 0, 2))),
+            ("soc", ((0, 0, 2), (3, 4, 5), (6, 8, 10), (0, 0, 1))),
+            ("soc", ((2, 0, 2), (-3, 4, 5), (1, 1, 2))),
+            ("psd", (((1, 1), (1, 1)), ((2, 2), (2, 2)), ((1, 0), (0, 0)))),
+            ("psd", (((2, 0, 0), (0, 0, 0), (0, 0, 0)), ((1, 1, 0), (1, 1, 0), (0, 0, 0)))),
+        ],
+        ids=["soc-multiple", "soc-parallel", "soc-scaled", "psd2-doubled", "psd3-scaled"],
+    )
+    def test_icr_search_from_custom_roots(self, cone, roots, stream_cap):
+        n = len(roots[0])
+        cap = 2 * n - 2 if cone == "soc" else n * (n + 1) - 2
+        for word_cap in (0, 2):
+            gen = GeneratorStream(
+                cone=cone, n=n, word_cap=word_cap, roots=roots, cap=stream_cap
+            )
+            for s in seeded_points(cone, n, 8, "custom"):
+                for c in (cap, 2, 1):
+                    got = cuts.icr_search(s, gen, cap=c)
+                    want = uncached_icr_search(
+                        s, gen._cone, gen.roots, word_cap, stream_cap, c
+                    )
+                    assert (got.status, got.count, got.terms) == want, s
+
+    @given(
+        roots=st.lists(soc_roots(), min_size=1, max_size=4, unique=True),
+        s=soc_points(max_height=8),
+        word_cap=st.integers(0, 2),
+        stream_cap=st.sampled_from([None, 6]),
+        cap=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_icr_search_on_random_soc_roots(self, roots, s, word_cap, stream_cap, cap):
+        gen = GeneratorStream(
+            cone="soc", n=3, word_cap=word_cap, roots=tuple(roots), cap=stream_cap
+        )
+        got = cuts.icr_search(s, gen, cap=cap)
+        want = uncached_icr_search(s, gen._cone, gen.roots, word_cap, stream_cap, cap)
+        assert (got.status, got.count, got.terms) == want
 
 
 class TestCgCuts:
@@ -459,6 +550,15 @@ class TestIcrSearch:
         got = cuts.icr_search((1, 1, 2), gen, cap=1)
         assert got.status == "exceeded"
         assert got.count is None
+
+    def test_last_term_weight_must_divide(self):
+        # (0, 0, 2) lies on the ray of (0, 0, 3) but no multiple of it is
+        gen = GeneratorStream(
+            cone="soc", n=3, word_cap=0, roots=((0, 0, 2), (3, 4, 5))
+        )
+        assert cuts.icr_search((0, 0, 3), gen, cap=4).status == "infeasible"
+        got = cuts.icr_search((0, 0, 4), gen, cap=4)
+        assert got == IcrResult(status="ok", count=1, terms=((2, (0, 0, 2)),))
 
     def test_starved_candidate_set_is_infeasible(self):
         gen = GeneratorStream(cone="soc", n=3, word_cap=0, roots=((1, 0, 1),))
