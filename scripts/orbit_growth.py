@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from bisect import bisect_right
 
 from intcone import soc
 
@@ -28,9 +29,9 @@ def main(argv=None) -> int:
     print(f"{'n':>3} {header} {'time':>8}")
     for n in args.dims:
         t0 = time.perf_counter()
-        counts = []
-        for h in heights:
-            counts.append(len(soc.pythagorean_orbit(n, h)))
+        # the orbit below a height is the part of the tallest walk below it
+        tops = [p[-1] for p in soc.pythagorean_orbit(n, heights[-1])]
+        counts = [bisect_right(tops, h) for h in heights]
         elapsed = time.perf_counter() - t0
         cells = " ".join(f"{c:>10}" for c in counts)
         print(f"{n:>3} {cells} {elapsed:>7.1f}s")

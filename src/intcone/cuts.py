@@ -16,7 +16,8 @@ from bisect import bisect_left
 from collections import OrderedDict, deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg, psd, soc
 from .linalg import Rows
@@ -65,10 +66,12 @@ def _psd_cone(n: int) -> Cone:
         member=lambda y: linalg.is_psd_exact(unflatten(y)),
         weight=tuple(int(i == j) for i in range(n) for j in range(n)),
         # X -> g X g^T on row-major entries is the Kronecker square of g
-        generators={
-            label: tuple(tuple(a * b for a in gi for b in gj) for gi in g for gj in g)
-            for label, g in psd.gl_generators(n).items()
-        },
+        generators=MappingProxyType(
+            {
+                label: tuple(tuple(a * b for a in gi for b in gj) for gi in g for gj in g)
+                for label, g in psd.gl_generators(n).items()
+            }
+        ),
         roots=(e1,) + psd.sporadic_catalog(n),
     )
 
@@ -119,7 +122,7 @@ def apply_group_word(cone: str, n: int, word, root):
     return rec.unflatten(linalg.apply_word(rec.generators, word, rec.flatten(root)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LCISystem:
     """Integral data of the system {x : c - sum x_i A_i in cone}."""
 
@@ -129,11 +132,14 @@ class LCISystem:
     a: tuple
 
     def __post_init__(self):
-        rec = self._cone = cone_record(self.cone, self.n)
-        self._c = rec.flatten(self.c)
-        self._a = tuple(rec.flatten(ai) for ai in self.a)
-        self.c = rec.unflatten(self._c)
-        self.a = tuple(rec.unflatten(ai) for ai in self._a)
+        rec = cone_record(self.cone, self.n)
+        c = rec.flatten(self.c)
+        a = tuple(rec.flatten(ai) for ai in self.a)
+        object.__setattr__(self, "_cone", rec)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "c", rec.unflatten(c))
+        object.__setattr__(self, "a", tuple(rec.unflatten(ai) for ai in a))
 
     @property
     def m(self) -> int:
@@ -226,25 +232,20 @@ def check_cut(sys: LCISystem, cut: CGCut) -> str | None:
     return None
 
 
-# walk elements the stream cache holds in all: about 300 bytes each, and
-# 200 more once icr_search has read the stream, so 60-100 MB at most
+# walk elements the stream cache holds in all: each costs about 500 bytes
+# with its share of the search view (tracemalloc on the ("soc", 10, 4)
+# walk: 287 + 214), so the cache holds about 100 MB at most
 _MAX_HELD = 200_000
 
 
 def _walk(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
     """(flat y, weight, root, word) for every distinct y = g.r reachable
-    from a root by at most word_cap generators, breadth first, generators
-    in table order; each y keeps its first (shortest) word, and a root
-    repeated in `roots` is walked once, from its first place."""
+    from the distinct roots by at most word_cap generators, breadth first,
+    generators in table order; each y keeps its first (shortest) word."""
     rec = cone_record(cone, n)
     gens = tuple(rec.generators.items())
-    seen = set()
-    queue = deque()
-    for root in roots:
-        y = rec.flatten(root)
-        if y not in seen:
-            seen.add(y)
-            queue.append((y, root, ()))
+    queue = deque((rec.flatten(root), root, ()) for root in roots)
+    seen = {y for y, _, _ in queue}
     out = []
     while queue:
         y, root, word = queue.popleft()
@@ -265,61 +266,55 @@ def _direction(y: Flat) -> Flat:
     return y if g == 1 else tuple(v // g for v in y)
 
 
-class _Walked:
-    """One stream key's walk, and the search view built from it on first use."""
-
-    def __init__(self, walk: tuple):
-        self.walk = walk
-
-    @cached_property
-    def view(self) -> tuple:
-        """(ys, weights, negated weights, rays): the walk's flat elements
-        and their weights heaviest first, ties in walk order; the negated
-        weights, ascending, for bisect; and for each primitive direction
-        the ascending indices of the elements on its ray."""
-        order = sorted(self.walk, key=lambda e: -e[1])
-        ys = tuple(y for y, _, _, _ in order)
-        weights = tuple(w for _, w, _, _ in order)
-        rays = {}
-        for i, y in enumerate(ys):
-            rays.setdefault(_direction(y), []).append(i)
-        return ys, weights, tuple(-w for w in weights), rays
+def _search_view(walk: tuple) -> tuple:
+    """(ys, weights, negated weights, rays): the walk's flat elements and
+    their weights heaviest first, ties in walk order; the negated weights,
+    ascending, for bisect; and for each primitive direction the ascending
+    indices of the elements on its ray."""
+    order = sorted(walk, key=lambda e: -e[1])
+    ys = tuple(y for y, _, _, _ in order)
+    weights = tuple(w for _, w, _, _ in order)
+    rays = {}
+    for i, y in enumerate(ys):
+        rays.setdefault(_direction(y), []).append(i)
+    return ys, weights, tuple(-w for w in weights), rays
 
 
 class _StreamCache:
-    """Walks by (cone, n, word_cap, roots), least recently used first out
-    once the walks held pass _MAX_HELD elements in all; a walk larger
-    than that is built for its caller and not kept."""
+    """(walk, search view) by (cone, n, word_cap, roots), least recently
+    used first out once the walks held pass _MAX_HELD elements in all; a
+    walk larger than that is built for its caller and not kept."""
 
     def __init__(self):
-        self.entries: OrderedDict[tuple, _Walked] = OrderedDict()
+        self.entries: OrderedDict[tuple, tuple] = OrderedDict()
         self.held = 0
 
-    def get(self, key: tuple) -> _Walked:
+    def get(self, key: tuple) -> tuple:
         entry = self.entries.get(key)
         if entry is not None:
             self.entries.move_to_end(key)
             return entry
-        entry = self.entries[key] = _Walked(_walk(*key))
-        self.held += len(entry.walk)
+        walk = _walk(*key)
+        entry = self.entries[key] = walk, _search_view(walk)
+        self.held += len(walk)
         while self.held > _MAX_HELD:
-            self.held -= len(self.entries.popitem(last=False)[1].walk)
+            self.held -= len(self.entries.popitem(last=False)[1][0])
         return entry
 
 
 _streams = _StreamCache()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorStream:
     """Breadth-first dual-semigroup elements g.r for words up to word_cap.
 
     Deduplicates by element, so each element carries its first (shortest)
-    word.  `cap` optionally filters emissions by height/trace.  The walk
-    is computed once per (cone, n, word_cap, roots), read from the fields
-    when iteration starts, and shared by every equal stream while the
-    stream cache, bounded by the elements it holds, keeps it.  Roots must
-    be nonzero elements of the cone.
+    word.  `cap` optionally filters emissions by height/trace.  Roots must
+    be nonzero elements of the cone; a repeated root is kept at its first
+    place only.  The walk is computed once per (cone, n, word_cap, roots)
+    and shared by every equal stream while the stream cache, bounded by
+    the elements it holds, keeps it.
     """
 
     cone: str
@@ -329,26 +324,27 @@ class GeneratorStream:
     cap: int | None = None
 
     def __post_init__(self):
-        rec = self._cone = cone_record(self.cone, self.n)
+        rec = cone_record(self.cone, self.n)
         if self.word_cap < 0:
             raise ValueError("word_cap must be nonnegative")
         if self.cap is not None and self.cap < 0:
             raise ValueError("cap must be nonnegative")
-        if self.roots is None:
-            self.roots = rec.roots
-        flat = tuple(rec.flatten(r) for r in self.roots)
+        roots = rec.roots if self.roots is None else self.roots
+        flat = tuple(dict.fromkeys(rec.flatten(r) for r in roots))
         if not all(any(r) for r in flat):
             raise ValueError("roots must be nonzero")
         if not all(rec.member(r) for r in flat):
             raise ValueError("roots must lie in the cone")
-        self.roots = tuple(rec.unflatten(r) for r in flat)
+        object.__setattr__(self, "_cone", rec)
+        object.__setattr__(self, "roots", tuple(rec.unflatten(r) for r in flat))
 
-    def _walked(self) -> _Walked:
+    def _cached(self) -> tuple:
         return _streams.get((self.cone, self.n, self.word_cap, self.roots))
 
     def __iter__(self):
         unflatten = self._cone.unflatten
-        for y, w, root, word in self._walked().walk:
+        walk, _ = self._cached()
+        for y, w, root, word in walk:
             if self.cap is None or w <= self.cap:
                 yield unflatten(y), root, word
 
@@ -437,7 +433,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
         raise ValueError("element is outside the cone")
     total = _dot(rec.weight, s)
     limit = total if gen.cap is None else min(total, gen.cap)
-    ys, weights, neg_weights, rays = gen._walked().view
+    _, (ys, weights, neg_weights, rays) = gen._cached()
     first = bisect_left(neg_weights, -limit)
 
     chosen = []

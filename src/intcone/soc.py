@@ -255,9 +255,10 @@ def descend(s):
 def roots(n: int, minimal: bool = False) -> tuple[tuple[int, ...], ...]:
     """The root list per dimension, in the source listing order.
 
-    minimal=True drops the three tall sporadic roots, one in dimension 9
+    minimal=True drops the three tall roots (height 6), one in dimension 9
     and two in dimension 10, that split as sums of other roots
-    (root_splits).
+    (root_splits).  Only the one in dimension 9 is sporadic: each of the
+    two in dimension 10 keeps the Pythagorean peel (1, ..., 1, 3).
     """
     _require_dim(n)
     e_last = (0,) * (n - 1) + (1,)

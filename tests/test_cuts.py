@@ -1,5 +1,6 @@
 """Tests for cut generation and the minimal-decomposition search."""
 
+import dataclasses
 import random
 from math import isqrt
 
@@ -74,6 +75,47 @@ class TestLCISystem:
             assert set(blob) == {"cone", "n", "c", "A"}
             back = LCISystem.from_json(blob)
             assert back.cone == sys.cone and back.c == sys.c and back.a == sys.a
+
+
+class TestFrozenRecords:
+    def test_assigning_any_field_raises(self):
+        records = (
+            soc_system(),
+            LCISystem(cone="psd", n=2, c=I2, a=(E11_2,)),
+            GeneratorStream(cone="soc", n=3, word_cap=1),
+            GeneratorStream(cone="psd", n=2, word_cap=1, cap=4),
+        )
+        for record in records:
+            for field in dataclasses.fields(record):
+                before = getattr(record, field.name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, before)
+                assert getattr(record, field.name) == before
+
+    @pytest.mark.parametrize("cone, n", [("psd", 2), ("soc", 3)])
+    def test_shared_generator_table_is_read_only(self, cone, n):
+        table = cuts.cone_record(cone, n).generators
+        label = next(iter(table))
+        with pytest.raises(TypeError):
+            table[label] = table[label]
+        with pytest.raises(TypeError):
+            table["extra"] = table[label]
+
+    def test_a_negative_word_cap_cannot_be_assigned(self):
+        # the walk would never reach a word of length -1
+        gen = GeneratorStream(cone="soc", n=3, word_cap=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gen.word_cap = -1
+        assert list(gen) == list(GeneratorStream(cone="soc", n=3, word_cap=1))
+
+    def test_cuts_follow_the_system_as_written(self):
+        # a reassigned c would leave the flat copy the cuts read stale
+        sys = soc_system()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.c = (0, 0, 5)
+        reloaded = LCISystem.from_json(sys.to_json())
+        for cut in cuts.cg_cuts(sys, GeneratorStream(cone="soc", n=3, word_cap=1)):
+            assert cuts.check_cut(reloaded, cut) is None
 
 
 class TestCGCutJson:
@@ -189,20 +231,6 @@ class TestGeneratorStream:
         assert list(spelled) == list(
             GeneratorStream(cone="psd", n=2, word_cap=1, roots=(((1, 1), (1, 1)),))
         )
-
-    def test_reassigned_fields_are_honoured(self):
-        gen = GeneratorStream(cone="soc", n=3, word_cap=0)
-        roots_only = list(gen)
-        assert cuts.icr_search((-5, 0, 5), gen, cap=4).status == "infeasible"
-        gen.word_cap = 2
-        assert list(gen) == list(GeneratorStream(cone="soc", n=3, word_cap=2))
-        assert list(gen) != roots_only
-        assert cuts.icr_search((-5, 0, 5), gen, cap=4).count == 1
-        assert cuts.icr_search((2, 2, 3), gen, cap=4).count == 1
-        gen.cap = 2
-        capped = GeneratorStream(cone="soc", n=3, word_cap=2, cap=2)
-        assert list(gen) == list(capped)
-        assert cuts.icr_search((2, 2, 3), gen, cap=4).status == "infeasible"
 
     def test_equal_streams_walk_once(self, monkeypatch):
         calls = []
@@ -372,6 +400,16 @@ class TestAgainstTheUncachedStream:
                         s, gen._cone, gen.roots, word_cap, stream_cap, c
                     )
                     assert (got.status, got.count, got.terms) == want, s
+
+    def test_repeated_root_is_searched_once(self):
+        # the oracle took the repeat as a second candidate and said exceeded
+        root = ((1, 1), (1, 1))
+        gen = GeneratorStream(cone="psd", n=2, word_cap=1, roots=(root, root), cap=6)
+        assert gen.roots == (root,)
+        s = ((2, -1), (-1, 1))
+        got = cuts.icr_search(s, gen, cap=2)
+        want = uncached_icr_search(s, gen._cone, gen.roots, 1, 6, 2)
+        assert (got.status, got.count, got.terms) == want == ("infeasible", None, ())
 
     @given(
         roots=st.lists(soc_roots(), min_size=1, max_size=4, unique=True),

@@ -434,6 +434,18 @@ class TestRoots:
             assert list(got.items()) == list(root_splits_table(n).items()), n
         assert [len(root_splits(n)) for n in (9, 10)] == [1, 2]
 
+    def test_class_of_each_listed_root(self):
+        # P Pythagorean, S sporadic, - neither: the two tall roots of
+        # dimension 10 keep the Pythagorean peel (1, ..., 1, 3)
+        want = {n: "PS" for n in range(3, 7)}
+        want.update({7: "PSS", 8: "PSSS", 9: "PSSSSS", 10: "PPSSSS--"})
+        for n, classes in want.items():
+            got = "".join(
+                "P" if is_pythagorean(r) else "S" if is_sporadic_soc(r) else "-"
+                for r in roots(n)
+            )
+            assert got == classes, n
+
     def test_roots_live_in_cone(self):
         for n in range(3, 11):
             for r in roots(n):
