@@ -9,7 +9,8 @@ interval computed exactly from integer square roots, with integers only
 (Fincke-Pohst enumeration, kept fraction-free).  Of the pair {x, -x} only
 the representative whose first nonzero entry is positive is produced, in
 ascending order per level, which fixes a deterministic total order used by
-every "first hit" consumer in the package.
+every "first hit" consumer in the package; the order does not depend on
+the form, so an enumeration can resume after a point found under another.
 """
 
 from __future__ import annotations
@@ -96,21 +97,46 @@ class QuadFormQuery:
     def _split(self):
         return _decompose(self.a)
 
-    def points(self):
-        """Yield the canonical nonzero solutions in deterministic order."""
+    def points(self, start=None):
+        """Yield the canonical nonzero solutions in deterministic order:
+        ascending in x_{n-1}, then in x_{n-2} and so on down to x_0, that
+        is, by the reversed tuple, whatever the form.
+
+        With start, a vector of the form's length, only the solutions at or
+        after start in that order are yielded, whether or not start is a
+        solution itself; a start of another length raises ValueError.  The
+        start is applied once per level, as a floor on the levels that
+        match its prefix, so the enumeration after it is the plain one.
+        """
         d, m = self._split
         n = len(d) - 1
+        if start is not None:
+            start = tuple(map(linalg.as_int, start))
+            if len(start) != n:
+                raise ValueError("start must have the form's length")
         if n == 0:
             return
         x = [0] * n
 
-        def level(k, e, offs):
+        def level(k, e, offs, tight=False):
             # e = d[k+1] * (budget left); coordinate k may take v exactly
-            # when (v d[k+1] + offs[k])^2 <= d[k] e
+            # when (v d[k+1] + offs[k])^2 <= d[k] e; tight says x[k+1:] is
+            # start[k+1:], so x[k] starts at start[k], the one value whose
+            # subtree is tight in turn
             dk, nk = d[k + 1], offs[k]
             cap = d[k] * e
             hi = _floor_div_surd(-nk, cap, dk)
             lo = -_floor_div_surd(nk, cap, dk)
+            if tight:
+                s = start[k]
+                if k and lo <= s <= hi:
+                    x[k] = s
+                    w = s * dk + nk
+                    offs2 = [offs[i] + m[i][k] * s for i in range(k)]
+                    yield from level(k - 1, (cap - w * w) // dk, offs2, True)
+                    lo = s + 1
+                elif s > lo:
+                    lo = s
             for v in range(lo, hi + 1):
                 x[k] = v
                 if k == 0:
@@ -126,7 +152,7 @@ class QuadFormQuery:
                     yield from level(k - 1, (cap - w * w) // dk, offs2)
             x[k] = 0
 
-        yield from level(n - 1, d[n] * self.bound, [0] * n)
+        yield from level(n - 1, d[n] * self.bound, [0] * n, start is not None)
 
 
 def enumerate_below(a, t: int) -> list[tuple[int, ...]]:

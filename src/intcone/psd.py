@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from math import ceil
 from operator import mul
 
@@ -46,14 +46,15 @@ def is_sporadic(x_rows) -> bool:
     """True iff X is PSD, nonzero, and no nonzero rank-one peel exists.
 
     The zero matrix is the identity of the semigroup and counts as fully
-    decomposed, so it returns False.
+    decomposed, so it returns False.  So does every matrix of rank one: it
+    is b x x^T with x integral and b >= 1, and x peels off.  Only from rank
+    two on is the first peel searched for (lattice._kx_first).
     """
     x_rows = linalg.freeze(x_rows)
-    if not linalg.is_psd_exact(x_rows):
+    r = linalg._psd_rank(x_rows)
+    if r is None:
         raise ValueError("is_sporadic expects a PSD matrix")
-    if not any(v for row in x_rows for v in row):
-        return False
-    return lattice._kx_first(x_rows) is None
+    return r >= 2 and lattice._kx_first(x_rows) is None
 
 
 @dataclass(frozen=True)
@@ -108,53 +109,91 @@ class Rank1Certificate:
         )
 
 
-def _sub_outer(rows, x):
+def _sub_outer(rows, x, lam):
     n = len(rows)
     return tuple(
-        tuple(rows[i][j] - x[i] * x[j] for j in range(n)) for i in range(n)
+        tuple(rows[i][j] - lam * x[i] * x[j] for j in range(n)) for i in range(n)
     )
+
+
+def _rank_one_peel(rows):
+    """(x, lam) with rows = lam x x^T, for a PSD rows of rank one.
+
+    Row i of lam x x^T is lam x_i x, so x is the primitive part of any
+    nonzero row, signed so that its first nonzero entry is positive, and
+    lam = X_ii / x_i^2 for that row.  This is the peel the enumeration
+    would find: the peels of lam x x^T are t x with 1 <= t^2 <= lam, the
+    first of them x, and x goes lam times.
+    """
+    i, row = next((i, row) for i, row in enumerate(rows) if any(row))
+    g = linalg.vec_gcd(row)
+    if next(v for v in row if v) < 0:
+        g = -g
+    x = tuple(v // g for v in row)
+    return x, rows[i][i] // (x[i] * x[i])
 
 
 def decompose(x_rows) -> Rank1Certificate:
     """Peel deterministic rank-one summands until zero or a sporadic residue.
 
-    Each step peels lattice._kx_first of the residue.  The residue is
-    reduced to its full-rank block B once, and the first peel y of B is
-    lifted back; after each peel the ellipsoid data (adjugate and
-    determinant) of B - y y^T comes from an exact integer rank-one downdate
-    of B's (_rank1_update).  Only when that determinant reaches 0, i.e. the
-    rank drops, is the residue reduced again.  The run takes at most tr(X)
-    steps since every peel lowers the trace.
+    Each step peels the first peel of the residue (lattice._kx_first) at its
+    maximal multiple, so each distinct peel vector is one step.  The
+    residue is reduced to its full-rank block B once (lattice._peel_data),
+    and the first y with y^T adj(B) y <= det(B) is lifted back to x.
+    With q = y^T adj(B) y and d = det(B), B - lam y y^T is PSD exactly
+    while lam q <= d, so x goes at lam = d // q, and the adjugate of B -
+    lam y y^T comes from an exact integer rank-one downdate of B's
+    (_rank1_update).  The peel set only shrinks and the enumeration order
+    does not depend on the form, so no later peel comes before y: while
+    d - lam q > 0 the frame holds and the next enumeration resumes at y
+    (QuadFormQuery.points' start).  At d - lam q = 0 the rank, taken once
+    by _psd_rank, drops by one, and the residue is reduced again, except
+    at rank one: there it is lam x x^T, closed from one of its rows
+    (_rank_one_peel).  The vectors are those of peeling one copy at a time
+    and merging equal neighbours.
     """
     x0 = linalg.freeze(x_rows)
-    if not linalg.is_psd_exact(x0):
+    r = linalg._psd_rank(x0)
+    if r is None:
         raise ValueError("decompose expects a PSD matrix")
     n = len(x0)
     cur = x0
-    found: list[tuple[int, ...]] = []
+    vectors: list[tuple[tuple[int, ...], int]] = []
     d = 0
-    while any(v for row in cur for v in row):
+    while r > 1:
         if d == 0:
             lift, adj, d = lattice._peel_data(cur)
-        y = next(QuadFormQuery(adj, d).points(), None)
+            y = None
+        y = next(QuadFormQuery(adj, d).points(start=y), None)
         if y is None:
             break
-        x = lattice._lift(lift, y)
-        found.append(x)
-        cur = _sub_outer(cur, x)
         ay = linalg.mat_vec(adj, y)
-        d2 = d - sum(a * b for a, b in zip(ay, y))
-        adj, d = _rank1_update(adj, ay, d, d2), d2
-    vectors = tuple((x, len(list(run))) for x, run in groupby(found))
-    if not any(v for row in cur for v in row):
-        return Rank1Certificate(n=n, vectors=vectors, remainder=None, witness=None)
+        q = sum(a * b for a, b in zip(ay, y))
+        lam = d // q
+        x = lattice._lift(lift, y)
+        vectors.append((x, lam))
+        cur = _sub_outer(cur, x, lam)
+        d2 = d - lam * q
+        if d2:
+            adj = _rank1_update(adj, ay, d, d2, lam)
+        else:
+            r -= 1
+        d = d2
+    if r == 1:
+        x, lam = _rank_one_peel(cur)
+        vectors.append((x, lam))
+        cur = _sub_outer(cur, x, lam)
+        if any(v for row in cur for v in row):
+            raise RuntimeError("rank-one peel left a nonzero residue")
+    if r <= 1:
+        return Rank1Certificate(n=n, vectors=tuple(vectors), remainder=None, witness=None)
     witness = None
     for cat in sporadic_catalog(n):
         witness = unimodular_witness(cur, cat)
         if witness is not None:
             break
     return Rank1Certificate(
-        n=n, vectors=vectors, remainder=SymIntMatrix(cur), witness=witness
+        n=n, vectors=tuple(vectors), remainder=SymIntMatrix(cur), witness=witness
     )
 
 
@@ -384,14 +423,14 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     return [rec.rows for rec in reps]
 
 
-def _rank1_update(p, u, d_old, d_new) -> list[list[int]]:
-    """(d_new p + u u^T) / d_old as lists of rows, every division exact: the
-    adjugate of B - y y^T for p = adj(B), u = p y, d_old = det(B) and d_new
-    = det(B - y y^T), and the top-left block of the bordered adjugate
-    (_border)."""
+def _rank1_update(p, u, d_old, d_new, lam) -> list[list[int]]:
+    """(d_new p + lam u u^T) / d_old as lists of rows, every division
+    exact: the adjugate of B - lam y y^T for p = adj(B), u = p y, d_old =
+    det(B) and d_new = det(B - lam y y^T), and, with lam = 1, the top-left
+    block of the bordered adjugate (_border)."""
     return [
-        [(d_new * pj + ur * uj) // d_old for pj, uj in zip(pr, u)]
-        for pr, ur in zip(p, u)
+        [(d_new * pj + lur * uj) // d_old for pj, uj in zip(pr, u)]
+        for pr, lur in zip(p, [lam * ur for ur in u])
     ]
 
 
@@ -400,7 +439,7 @@ def _border(p, u, d_old, d_new) -> Rows:
     adj(B), d_old = det(B) and u = p c: the bordered-inverse identity, every
     division exact.  Its diagonal is (d_new p_rr + u_r^2) / d_old, then
     d_old."""
-    top = _rank1_update(p, u, d_old, d_new)
+    top = _rank1_update(p, u, d_old, d_new, 1)
     for row, ur in zip(top, u):
         row.append(-ur)
     top.append([-v for v in u] + [d_old])

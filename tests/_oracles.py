@@ -9,14 +9,17 @@ same vectors, and gl_generators_by_inversion inverts with the package's
 inverse_unimodular, as the code it replaced did.  The uncached stream walk
 and icr search take the package's cone record (generators, weight,
 membership, flatten) from the caller, as the stream code they copy did.
+peel_by_one_decompose is the peel loop that psd.decompose replaced, with
+the package's frame, enumeration, lift, catalog match and certificate
+type, and its own one-copy adjugate downdate.
 """
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import gcd, isqrt
 
-from intcone import linalg, soc
+from intcone import lattice, linalg, psd, soc
 
 
 def det_cofactor(rows):
@@ -580,3 +583,43 @@ def uncached_icr_search(s, rec, roots, word_cap, stream_cap, cap):
     if cap >= min(total, len(cands)):
         return "infeasible", None, ()
     return "exceeded", None, ()
+
+
+def peel_by_one_decompose(x_rows):
+    """psd.decompose as it was before peels went at their maximal multiple:
+    one enumeration per copy of each peel, each from the origin, a fresh
+    frame (reduce_rank) at every rank drop down to rank one, and runs of
+    equal vectors merged afterwards."""
+    x0 = linalg.freeze(x_rows)
+    if not linalg.is_psd_exact(x0):
+        raise ValueError("decompose expects a PSD matrix")
+    n = len(x0)
+    cur = x0
+    found = []
+    d = 0
+    while any(v for row in cur for v in row):
+        if d == 0:
+            lift, adj, d = lattice._peel_data(cur)
+        y = next(lattice.QuadFormQuery(adj, d).points(), None)
+        if y is None:
+            break
+        x = lattice._lift(lift, y)
+        found.append(x)
+        cur = tuple(
+            tuple(cur[i][j] - x[i] * x[j] for j in range(n)) for i in range(n)
+        )
+        ay = linalg.mat_vec(adj, y)
+        d2 = d - sum(a * b for a, b in zip(ay, y))
+        adj = [[(d2 * pj + ar * aj) // d for pj, aj in zip(pr, ay)] for pr, ar in zip(adj, ay)]
+        d = d2
+    vectors = tuple((x, len(list(run))) for x, run in groupby(found))
+    if not any(v for row in cur for v in row):
+        return psd.Rank1Certificate(n=n, vectors=vectors, remainder=None, witness=None)
+    witness = None
+    for cat in psd.sporadic_catalog(n):
+        witness = psd.unimodular_witness(cur, cat)
+        if witness is not None:
+            break
+    return psd.Rank1Certificate(
+        n=n, vectors=vectors, remainder=linalg.SymIntMatrix(cur), witness=witness
+    )

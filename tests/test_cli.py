@@ -291,6 +291,20 @@ class TestPsdCommands:
         assert rc2 == 0
         assert payload_of(out2)["verified"] is True
 
+    def test_tall_decompose_verifies(self, invoke):
+        k = 10**6
+        rc, out = invoke(["psd-decompose"], [[k, k, 0], [k, k, 0], [0, 0, k]])
+        assert rc == 0
+        env = json.loads(out)
+        vectors = env["payload"]["certificate"]["vectors"]
+        assert vectors[-2:] == [
+            {"x": [1, 1, 0], "lambda": 442425},
+            {"x": [528, 528, 1], "lambda": 2},
+        ]
+        rc2, out2 = invoke(["verify"], env)
+        assert rc2 == 0
+        assert payload_of(out2)["verified"] is True
+
     def test_decompose_with_remainder_verifies(self, invoke):
         rc, out = invoke(["psd-decompose"], [list(r) for r in M6])
         assert rc == 0

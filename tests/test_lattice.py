@@ -167,3 +167,50 @@ class TestKxNonzeroPoint:
                 continue
             assert any(got)
             assert linalg.is_psd_exact(outer_sub(x, got))
+
+
+def by_reversed_tuple(points):
+    return sorted(points, key=lambda x: x[::-1])
+
+
+class TestResumedEnumeration:
+    # points(start=p) is the suffix of points() from p, in the order by
+    # the reversed tuple, which does not depend on the form
+    def test_plain_order_is_by_the_reversed_tuple(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            a = random_pd(rng, n, 2)
+            t = rng.randint(0, 14)
+            assert enumerate_below(a, t) == by_reversed_tuple(points_below_box(a, t))
+
+    def test_start_at_each_solution_yields_the_suffix(self):
+        rng = random.Random(59)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            q = QuadFormQuery(random_pd(rng, n, 2), rng.randint(0, 14))
+            pts = list(q.points())
+            for i, p in enumerate(pts):
+                assert list(q.points(start=p)) == pts[i:]
+
+    def test_start_off_the_solutions(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            a = random_pd(rng, n, 2)
+            t = rng.randint(0, 14)
+            q = QuadFormQuery(a, t)
+            order = by_reversed_tuple(points_below_box(a, t))
+            starts = [(0,) * n, (-9,) * n, (9,) * n]
+            starts += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(15)]
+            for s in starts:
+                expect = [x for x in order if x[::-1] >= s[::-1]]
+                assert list(q.points(start=s)) == expect, (a, t, s)
+
+    def test_start_of_the_wrong_length_raises(self):
+        q = QuadFormQuery(linalg.identity(3), 2)
+        for s in ((1, 0), (1, 0, 0, 0), ()):
+            with pytest.raises(ValueError, match="start must have the form's length"):
+                list(q.points(start=s))
+        with pytest.raises(TypeError):
+            list(q.points(start=(1, 0, 0.0)))

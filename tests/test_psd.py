@@ -2,14 +2,18 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     adjugate_cofactor,
     congruence_backtrack,
     det_cofactor,
     gl_generators_by_inversion,
+    peel_by_one_decompose,
     plain_shells,
     psd_by_minors,
     random_unimodular,
@@ -140,6 +144,35 @@ class TestIsSporadic:
             u = random_unimodular(n, rng.randint(1, 5), rng)
             assert is_sporadic(a) == is_sporadic(conjugate(u, a)) == False
 
+    def test_rank_below_two_searches_nothing(self, monkeypatch):
+        # b x x^T has the peel x, so ranks 0 and 1 answer from the rank alone
+        def refuse(*_):
+            raise AssertionError("searched a matrix of rank below two")
+
+        monkeypatch.setattr(lattice, "_kx_first", refuse)
+        monkeypatch.setattr(linalg, "reduce_rank", refuse)
+        assert not is_sporadic(((0, 0, 0),) * 3)
+        for b, x in ((1, (0, 1, 0)), (3, (2, -1, 0)), (7, (0, -3, 5)), (4, (6, 4, -2))):
+            rows = tuple(tuple(b * v for v in row) for row in outer(x))
+            assert not is_sporadic(rows)
+            assert subtractable_vector_box(rows, max(map(abs, x))) is not None
+
+    def test_matches_the_box_oracle(self):
+        # X - x x^T PSD needs x_i^2 <= X_ii, so a box of radius
+        # isqrt(max X_ii) holds every peel
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            a = random_psd_sum(rng, n, rng.randint(0, n), -2, 2)
+            radius = isqrt(max(a[i][i] for i in range(n)))
+            peel = subtractable_vector_box(a, radius) if radius else None
+            nonzero = any(v for row in a for v in row)
+            assert is_sporadic(a) == (nonzero and peel is None)
+            seen.add(linalg._psd_rank(a))
+        assert {0, 1, 2} <= seen
+        assert is_sporadic(M6) and subtractable_vector_box(M6, 1) is None
+
 
 class TestDecompose:
     def test_identity(self):
@@ -230,9 +263,81 @@ class TestDecompose:
             )
             d2 = det_cofactor(down)
             assert d2 == d - sum(a * c for a, c in zip(u, y))
-            got = psd._rank1_update(p, u, d, d2)
+            got = psd._rank1_update(p, u, d, d2, 1)
             assert tuple(map(tuple, got)) == adjugate_cofactor(down)
             checked += 1
+
+    def test_rank1_update_at_every_multiple(self):
+        # adj(B - lam y y^T) for every lam with B - lam y y^T PSD, the
+        # singular last multiple (d divisible by q) included
+        rng = random.Random(47)
+        checked = singular = 0
+        while checked < 40:
+            n = rng.randint(1, 4)
+            b = random_psd_sum(rng, n, n + 2)
+            d = det_cofactor(b)
+            if d == 0:
+                continue
+            p = adjugate_cofactor(b)
+            ys = lattice.enumerate_below(p, d)
+            y = rng.choice(ys) if rng.random() < 0.5 else ys[0]
+            u = linalg.mat_vec(p, y)
+            q = sum(a * c for a, c in zip(u, y))
+            for lam in range(1, d // q + 1):
+                down = tuple(
+                    tuple(b[i][j] - lam * y[i] * y[j] for j in range(n))
+                    for i in range(n)
+                )
+                got = psd._rank1_update(p, u, d, d - lam * q, lam)
+                assert tuple(map(tuple, got)) == adjugate_cofactor(down)
+            singular += d % q == 0
+            checked += 1
+        assert singular > 0
+
+    def test_rank_one_residue_is_closed_without_a_frame(self, monkeypatch):
+        calls = []
+        reduce_rank = linalg.reduce_rank
+        monkeypatch.setattr(
+            linalg, "reduce_rank", lambda x: calls.append(x) or reduce_rank(x)
+        )
+        cert = decompose(((18, -12, 6), (-12, 8, -4), (6, -4, 2)))
+        assert cert.vectors == (((3, -2, 1), 2),)
+        assert calls == []
+        # one frame for the rank-two input, none once the rank drops to one
+        cert = decompose(((2, 1), (1, 1)))
+        assert cert.vectors == (((1, 0), 1), ((1, 1), 1))
+        assert len(calls) == 1
+
+    def test_rank_one_close_checks_its_residue(self, monkeypatch):
+        monkeypatch.setattr(psd, "_rank_one_peel", lambda rows: ((1, 1), 1))
+        with pytest.raises(RuntimeError, match="nonzero residue"):
+            decompose(((4, 2), (2, 1)))
+
+    def test_tall_input_takes_few_enumerations(self, monkeypatch):
+        # one peel per copy took about 442,000 enumerations here
+        k = 10**6
+        tall = ((k, k, 0), (k, k, 0), (0, 0, k))
+        calls = []
+        points = lattice.QuadFormQuery.points
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return points(self, *args, **kwargs)
+
+        monkeypatch.setattr(lattice.QuadFormQuery, "points", counted)
+        cert = decompose(tall)
+        assert cert.vectors == (
+            ((1, 1, -999), 1),
+            ((1, 1, -44), 1),
+            ((1, 1, -7), 1),
+            ((1, 1, -3), 1),
+            ((1, 1, -1), 3),
+            ((1, 1, 0), 442425),
+            ((528, 528, 1), 2),
+        )
+        assert cert.remainder is None and cert.witness is None
+        assert cert.reconstruct() == tall
+        assert len(calls) <= 16
 
     def test_sporadic_remainder_with_shift(self):
         a = tuple(
@@ -249,6 +354,55 @@ class TestDecompose:
             cert = decompose(a)
             again = Rank1Certificate.from_json(cert.to_json())
             assert again == cert
+
+
+def _assert_same_certificate(a):
+    cert, old = decompose(a), peel_by_one_decompose(a)
+    assert cert.vectors == old.vectors, a
+    assert cert.remainder == old.remainder, a
+    assert cert.witness == old.witness, a
+    return cert
+
+
+class TestAgainstThePeelByOneLoop:
+    def test_criterion_02_inputs(self):
+        rng = random.Random(53)
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(40):
+                k = rng.randint(1, n)
+                _assert_same_certificate(random_psd_sum(rng, n, k, -5, 5))
+
+    def test_sporadic_residues(self):
+        rng = random.Random(59)
+        sporadic = 0
+        for trial in range(12):
+            a = M6 if trial == 0 else conjugate(random_unimodular(6, rng.randint(1, 4), rng), M6)
+            extra = random_psd_sum(rng, 6, trial % 3, -1, 1)
+            a = tuple(tuple(map(sum, zip(r, e))) for r, e in zip(a, extra))
+            cert = _assert_same_certificate(a)
+            sporadic += cert.remainder is not None
+        assert sporadic >= 4
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    st.integers(1, 3),
+                ),
+                max_size=n + 1,
+            ).map(lambda terms: (n, terms))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_sums(self, case):
+        n, terms = case
+        a = [[0] * n for _ in range(n)]
+        for x, lam in terms:
+            for i in range(n):
+                for j in range(n):
+                    a[i][j] += lam * x[i] * x[j]
+        _assert_same_certificate(tuple(map(tuple, a)))
 
 
 class TestUnimodularWitness:
