@@ -314,7 +314,7 @@ class TestDecompose:
             decompose(((4, 2), (2, 1)))
 
     def test_tall_input_takes_few_enumerations(self, monkeypatch):
-        # one peel per copy took about 442,000 enumerations here
+        # peeling one copy at a time takes about 442,000 enumerations on it
         k = 10**6
         tall = ((k, k, 0), (k, k, 0), (0, 0, k))
         calls = []
