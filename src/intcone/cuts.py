@@ -36,12 +36,26 @@ class Cone:
     unflatten: Callable[[Flat], object]
     member: Callable[[Flat], bool]
     weight: Flat  # the dot product with it is the trace or the height
-    generators: Mapping[str, Rows]  # label -> matrix acting on flat elements
+    generators: Mapping[str, Callable[[Flat], Flat]]  # label -> letter on flat elements
     roots: tuple  # the default roots, native
 
 
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def _congruence(g: Rows) -> Callable[[Flat], Flat]:
+    """X -> g X g^T on row-major entries, the Kronecker square of g, as a
+    letter: entry (i n + j, p n + q) is g_ip g_jq, so its nonzero entries
+    are the pairs of nonzero entries of rows i and j of g, and the
+    n^2 x n^2 matrix itself is never formed."""
+    n = len(g)
+    nonzero = [[(p, a) for p, a in enumerate(row) if a] for row in g]
+    return linalg.sparse_letter(
+        [(p * n + q, a * b) for p, a in nonzero[i] for q, b in nonzero[j]]
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def _psd_cone(n: int) -> Cone:
@@ -65,12 +79,8 @@ def _psd_cone(n: int) -> Cone:
         unflatten=unflatten,
         member=lambda y: linalg.is_psd_exact(unflatten(y)),
         weight=tuple(int(i == j) for i in range(n) for j in range(n)),
-        # X -> g X g^T on row-major entries is the Kronecker square of g
         generators=MappingProxyType(
-            {
-                label: tuple(tuple(a * b for a in gi for b in gj) for gi in g for gj in g)
-                for label, g in psd.gl_generators(n).items()
-            }
+            {label: _congruence(g) for label, g in psd.gl_generators(n).items()}
         ),
         roots=(e1,) + psd.sporadic_catalog(n),
     )
@@ -90,7 +100,7 @@ def _soc_cone(n: int) -> Cone:
         unflatten=lambda y: y,
         member=soc.in_cone,
         weight=tuple(int(i == n - 1) for i in range(n)),
-        generators=soc._generators(n),
+        generators=soc._letters(n),
         roots=soc.roots(n),
     )
 
@@ -253,7 +263,7 @@ def _walk(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
         if len(word) == word_cap:
             continue
         for label, g in gens:
-            child = linalg.mat_vec(g, y)
+            child = g(y)
             if child not in seen:
                 seen.add(child)
                 queue.append((child, root, (label,) + word))

@@ -9,19 +9,23 @@ the adjugate and the unimodular inverse; `_psd_rank`, behind
 `is_psd_exact` and the rank split, is its symmetric variant, pivoting on
 the diagonal.  One gcd ladder per kernel vector builds, in place, the
 rank split's U and U^{-T}.  Matrices stay well under 11x11 here, so the
-code favours clarity over asymptotics.  `apply_word` is the one fold of
-a generator word.  `as_int` is the one rule for integers read from JSON
-or passed to a constructor, `as_str` the one for JSON strings, and
-`as_labels` the one for lists of labels.
+code favours clarity over asymptotics.  A generator acts on vectors as a
+letter, a function built once by `letter` from the generator's nonzero
+entries, and `apply_word` is the one fold of a word of letters.  `as_int`
+is the one rule for integers read from JSON or passed to a constructor,
+`as_str` the one for JSON strings, and `as_labels` the one for lists of
+labels.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
 Rows = tuple[tuple[int, ...], ...]
+Letter = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 def as_int(v) -> int:
@@ -87,16 +91,52 @@ def mat_vec(a, v) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def apply_word(table, word, v) -> tuple[int, ...]:
-    """The word's matrix applied to v, for a table label -> rows: folded
-    right to left, so no matrix product is ever formed.  A label outside
-    the table raises ValueError."""
+def letter(rows) -> Letter:
+    """v -> rows v for a square matrix, as sparse_letter of its nonzero
+    entries."""
+    rows = tuple(map(tuple, rows))
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("a letter needs a square matrix")
+    return sparse_letter(
+        tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
+    )
+
+
+def sparse_letter(terms) -> Letter:
+    """v -> g v for the square matrix g whose row i holds the nonzero
+    entries terms[i], as (column, entry) pairs.  A g with one entry in each
+    row, such as a sign flip or a permutation, is one indexed
+    comprehension, any other g a short sum per row.  The letter's `size` is len(terms); it indexes v
+    without checking its length, which apply_word does."""
+    terms = tuple(map(tuple, terms))
+    if any(len(row) != 1 for row in terms):
+
+        def g(v):
+            return tuple([sum([a * v[j] for j, a in row]) for row in terms])
+
+    else:
+        pairs = tuple(row[0] for row in terms)
+
+        def g(v):
+            return tuple([a * v[j] for j, a in pairs])
+
+    g.size = len(terms)
+    return g
+
+
+def apply_word(letters, word, v) -> tuple[int, ...]:
+    """The word's matrix applied to v, for a table label -> letter: the
+    letters folded right to left, so no matrix product is ever formed.  A
+    label outside the table, or a v whose length is not a letter's size,
+    raises ValueError; the empty word returns any v as a tuple."""
     v = tuple(v)
     for label in reversed(word):
-        g = table.get(label)
+        g = letters.get(label)
         if g is None:
             raise ValueError(f"unknown generator label {label!r}")
-        v = mat_vec(g, v)
+        if len(v) != g.size:
+            raise ValueError(f"letter {label!r} acts on length {g.size}, not {len(v)}")
+        v = g(v)
     return v
 
 

@@ -80,16 +80,27 @@ def _generators(n: int) -> Mapping[str, Rows]:
 
 
 @lru_cache(maxsize=None)
+def _letters(n: int) -> Mapping[str, linalg.Letter]:
+    """The alphabet of dimension n as letters, label -> linalg.letter of
+    the rows of _generators(n), in the same label order: what words,
+    descents and orbits are applied through.  Read-only, as it is cached.
+    """
+    return MappingProxyType(
+        {label: linalg.letter(rows) for label, rows in _generators(n).items()}
+    )
+
+
+@lru_cache(maxsize=None)
 def generator_matrix(label: str, n: int) -> UnimodularMatrix:
     return UnimodularMatrix(_generators(n)[label])
 
 
 def apply_word(word, s):
-    """Apply the word's matrix to s by linalg.apply_word on the table of
+    """Apply the word's matrix to s by linalg.apply_word on the letters of
     s's dimension.  An empty word reads no table, so it returns s of any
     length unchanged."""
     s = tuple(s)
-    return linalg.apply_word(_generators(len(s)), word, s) if word else s
+    return linalg.apply_word(_letters(len(s)), word, s) if word else s
 
 
 # -- membership classes -----------------------------------------------------
@@ -235,7 +246,7 @@ def descend(s):
     if f != 0 and not is_sporadic_soc(s):
         raise ValueError("point is neither Pythagorean nor sporadic")
     root_set = set(roots(n))
-    aplus = _generators(n)["Aplus"]
+    aplus = _letters(n)["Aplus"]
     cur = tuple(s)
     word: list[str] = []
     while True:
@@ -244,7 +255,7 @@ def descend(s):
         if cur in root_set:
             break
         h = cur[-1]
-        cur = linalg.mat_vec(aplus, cur)
+        cur = aplus(cur)
         word.append("AplusInv")
         if not in_cone(cur) or cur[-1] >= h:
             raise RuntimeError("descent failed to lower the height")
@@ -411,7 +422,7 @@ def pythagorean_orbit(n: int, max_height: int) -> list[tuple[int, ...]]:
     _require_dim(n)
     if max_height < 0:
         raise ValueError("max_height must be nonnegative")
-    mats = _generators(n).values()
+    letters = _letters(n).values()
     seen: set[tuple[int, ...]] = set()
     queue = deque(
         r for r in roots(n) if lorentz_form(r, r) == 0 and r[-1] <= max_height
@@ -419,8 +430,8 @@ def pythagorean_orbit(n: int, max_height: int) -> list[tuple[int, ...]]:
     seen.update(queue)
     while queue:
         s = queue.popleft()
-        for m in mats:
-            t = linalg.mat_vec(m, s)
+        for g in letters:
+            t = g(s)
             if t[-1] <= max_height and t not in seen:
                 seen.add(t)
                 queue.append(t)

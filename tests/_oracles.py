@@ -7,8 +7,11 @@ generator matrices from the package, to multiply them here, and
 reduce_rank_dense its kernel vectors, so that both rank splits fold the
 same vectors, and gl_generators_by_inversion inverts with the package's
 inverse_unimodular, as the code it replaced did.  The uncached stream walk
-and icr search take the package's cone record (generators, weight,
-membership, flatten) from the caller, as the stream code they copy did.
+and icr search take the package's cone record (weight, membership,
+flatten) from the caller, as the stream code they copy did, but not its
+letters: dense_generators builds the dense matrices the walk multiplies
+by, from soc._generators rows and from Kronecker squares of
+psd.gl_generators formed here.
 peel_by_one_decompose is the peel loop that psd.decompose replaced, with
 the package's frame, enumeration, lift, catalog match and certificate
 type, and its own one-copy adjugate downdate.
@@ -516,13 +519,28 @@ def _rec_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def kronecker_square(g):
+    """The dense n^2 x n^2 matrix of X -> g X g^T on row-major entries."""
+    return tuple(tuple(a * b for a in gi for b in gj) for gi in g for gj in g)
+
+
+def dense_generators(rec):
+    """label -> dense matrix on flat elements for a cuts cone record, in
+    the record's label order: the SOC rows of soc._generators, or the
+    Kronecker squares of psd.gl_generators."""
+    if rec.shape == "vector":
+        return dict(soc._generators(len(rec.weight)))
+    n = isqrt(len(rec.weight))
+    return {label: kronecker_square(g) for label, g in psd.gl_generators(n).items()}
+
+
 def uncached_walk(rec, roots, word_cap, cap=None):
     """(element, root, word) as the generator stream emitted them before
     its walk was cached: walked again on every call, each root taken as
     given (a repeated root is walked twice), `cap` applied on emission.
     `rec` is a cuts cone record; roots are its native elements."""
     flat = tuple(rec.flatten(r) for r in roots)
-    gens = tuple(rec.generators.items())
+    gens = tuple(dense_generators(rec).items())
     seen = set(flat)
     queue = deque((y, r, ()) for y, r in zip(flat, roots))
     out = []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     congruence_walk,
+    dense_generators,
     gl_letters,
     uncached_icr_search,
     uncached_walk,
@@ -116,6 +118,45 @@ class TestFrozenRecords:
         reloaded = LCISystem.from_json(sys.to_json())
         for cut in cuts.cg_cuts(sys, GeneratorStream(cone="soc", n=3, word_cap=1)):
             assert cuts.check_cut(reloaded, cut) is None
+
+
+class TestLetters:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_psd_letters_are_the_dense_kronecker_squares(self, n):
+        rec = cuts.cone_record("psd", n)
+        dense = dense_generators(rec)
+        assert tuple(rec.generators) == tuple(dense) == tuple(psd.gl_generators(n))
+        rng = random.Random(f"psd-letters/{n}")
+        for label, g in rec.generators.items():
+            assert g.size == n * n
+            for _ in range(20):
+                y = tuple(rng.randint(-9, 9) for _ in range(n * n))
+                assert g(y) == linalg.mat_vec(dense[label], y), (label, n)
+
+    def test_psd_letters_act_by_congruence(self):
+        # X -> g X g^T on the native matrix, for a symmetric X
+        x = ((2, 1, 0), (1, 3, -1), (0, -1, 4))
+        for label, g in psd.gl_generators(3).items():
+            want = linalg.mat_mul(linalg.mat_mul(g, x), linalg.transpose(g))
+            assert cuts.apply_group_word("psd", 3, (label,), x) == want, label
+
+    def test_soc_letters_are_the_soc_alphabet(self):
+        for n in range(3, 11):
+            assert cuts.cone_record("soc", n).generators is soc._letters(n)
+
+    def test_large_psd_record_builds_no_kronecker_square(self, monkeypatch):
+        # dense Kronecker squares of n = 30 took 32.7 MB (n^4 entries each)
+        cuts.cone_record.cache_clear()
+        monkeypatch.setattr(cuts, "_streams", cuts._StreamCache())
+        tracemalloc.start()
+        try:
+            cuts.cone_record("psd", 30)
+            walk = list(GeneratorStream(cone="psd", n=30, word_cap=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(walk) > 1
+        assert peak < 4_000_000, peak
 
 
 class TestCGCutJson:
@@ -234,13 +275,13 @@ class TestGeneratorStream:
 
     def test_equal_streams_walk_once(self, monkeypatch):
         calls = []
-        mat_vec = linalg.mat_vec
+        walk = cuts._walk
 
-        def counted(g, y):
-            calls.append(g)
-            return mat_vec(g, y)
+        def counted(*key):
+            calls.append(key)
+            return walk(*key)
 
-        monkeypatch.setattr(linalg, "mat_vec", counted)
+        monkeypatch.setattr(cuts, "_walk", counted)
         monkeypatch.setattr(cuts, "_streams", cuts._StreamCache())
         first = list(GeneratorStream(cone="soc", n=3, word_cap=3))
         assert calls
@@ -259,11 +300,11 @@ class TestGeneratorStream:
 
     def test_cache_is_bounded_by_held_elements(self, monkeypatch):
         calls = []
-        mat_vec = linalg.mat_vec
+        walk = cuts._walk
 
-        def counted(g, y):
-            calls.append(g)
-            return mat_vec(g, y)
+        def counted(*key):
+            calls.append(key)
+            return walk(*key)
 
         def stream(word_cap):
             return GeneratorStream(cone="soc", n=3, word_cap=word_cap)
@@ -271,7 +312,7 @@ class TestGeneratorStream:
         def cached():
             return [key[2] for key in cuts._streams.entries]
 
-        monkeypatch.setattr(linalg, "mat_vec", counted)
+        monkeypatch.setattr(cuts, "_walk", counted)
         monkeypatch.setattr(cuts, "_MAX_HELD", 25)  # walks of 2, 7, 17 and 37
         monkeypatch.setattr(cuts, "_streams", cuts._StreamCache())
         one, two = list(stream(1)), list(stream(2))

@@ -270,21 +270,66 @@ class TestApplyWord:
         rng = random.Random(41)
         for _ in range(60):
             n = rng.randint(1, 5)
-            table = {k: random_unimodular(n, 4, rng) for k in "abc"}
+            rows = {k: random_unimodular(n, 4, rng) for k in "abc"}
+            table = {k: linalg.letter(g) for k, g in rows.items()}
             word = tuple(rng.choice("abc") for _ in range(rng.randint(0, 5)))
             v = tuple(rng.randint(-5, 5) for _ in range(n))
             product = identity(n)
             for label in word:
-                product = mat_mul(product, table[label])
+                product = mat_mul(product, rows[label])
             assert linalg.apply_word(table, word, v) == linalg.mat_vec(product, v)
 
     def test_empty_word_returns_the_vector_as_a_tuple(self):
         assert linalg.apply_word({}, (), [3, 4, 5]) == (3, 4, 5)
+        table = {"a": linalg.letter(identity(2))}
+        assert linalg.apply_word(table, (), [3, 4, 5]) == (3, 4, 5)
 
     def test_unknown_label(self):
-        table = {"a": identity(2)}
+        table = {"a": linalg.letter(identity(2))}
         with pytest.raises(ValueError, match="unknown generator label 'b'"):
             linalg.apply_word(table, ("a", "b"), (1, 2))
+
+    @pytest.mark.parametrize("v", [(1, 2, 3), (1,), ()])
+    def test_a_vector_of_the_wrong_length_raises(self, v):
+        # neither truncated (longer v) nor zero-padded (shorter v)
+        for g in (identity(2), ((1, 1), (0, 1)), ((0, -1), (1, 0))):
+            table = {"a": linalg.letter(g)}
+            with pytest.raises(ValueError, match="acts on length 2"):
+                linalg.apply_word(table, ("a",), v)
+        table = {"a": linalg.letter(identity(3)), "b": linalg.letter(identity(2))}
+        with pytest.raises(ValueError, match="letter 'b' acts on length 2, not 3"):
+            linalg.apply_word(table, ("a", "b"), (1, 2, 3))
+
+
+class TestLetter:
+    def test_matches_mat_vec(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            density = rng.random()
+
+            def entry():
+                return rng.randint(-3, 3) if rng.random() < density else 0
+
+            g = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+            v = tuple(rng.randint(-9, 9) for _ in range(n))
+            assert linalg.letter(g)(v) == linalg.mat_vec(g, v), g
+            assert linalg.letter(g).size == n
+
+    def test_each_kind_of_row(self):
+        v = (5, -7, 11)
+        # a permutation, a signed permutation, a sparse sum with a zero row
+        assert linalg.letter(((0, 0, 1), (1, 0, 0), (0, 1, 0)))(v) == (11, 5, -7)
+        assert linalg.letter(((0, 0, -1), (2, 0, 0), (0, 1, 0)))(v) == (-11, 10, -7)
+        assert linalg.letter(((1, 1, 0), (0, 0, 0), (0, -3, 1)))(v) == (-2, 0, 32)
+
+    def test_sparse_letter_reads_column_entry_pairs(self):
+        g = linalg.sparse_letter([[(1, 2), (0, -1)], [], [(2, 1)]])
+        assert g((5, -7, 11)) == (-19, 0, 11) and g.size == 3
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.letter(((1, 0, 0), (0, 1, 0)))
 
 
 class TestInverseUnimodular:

@@ -123,6 +123,24 @@ class TestGenerators:
         with pytest.raises(ValueError):
             soc._generators(11)
 
+    def test_letters_match_the_rows(self):
+        # every letter a word is applied through is its generator's rows
+        rng = random.Random(47)
+        for n in range(3, 11):
+            table, letters = soc._generators(n), soc._letters(n)
+            assert tuple(letters) == tuple(table)
+            for label, rows in table.items():
+                for _ in range(20):
+                    v = tuple(rng.randint(-50, 50) for _ in range(n))
+                    want = linalg.mat_vec(rows, v)
+                    assert linalg.letter(rows)(v) == want, (label, n)
+                    assert letters[label](v) == want, (label, n)
+                assert letters[label].size == n
+
+    def test_letter_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            soc._letters(3)["Q1"] = soc._letters(3)["Q2"]
+
     def test_unimodular_wrapper(self):
         m = generator_matrix("Aplus", 5)
         assert isinstance(m, linalg.UnimodularMatrix)
