@@ -17,6 +17,7 @@ from collections import OrderedDict, deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 from types import MappingProxyType
 
 from . import linalg, psd, soc
@@ -242,9 +243,9 @@ def check_cut(sys: LCISystem, cut: CGCut) -> str | None:
     return None
 
 
-# walk elements the stream cache holds in all: each costs about 500 bytes
+# walk elements the stream cache holds in all: each costs about 470 bytes
 # with its share of the search view (tracemalloc on the ("soc", 10, 4)
-# walk: 287 + 214), so the cache holds about 100 MB at most
+# walk: 287 + 187), so the cache holds about 95 MB at most
 _MAX_HELD = 200_000
 
 
@@ -277,17 +278,16 @@ def _direction(y: Flat) -> Flat:
 
 
 def _search_view(walk: tuple) -> tuple:
-    """(ys, weights, negated weights, rays): the walk's flat elements and
-    their weights heaviest first, ties in walk order; the negated weights,
-    ascending, for bisect; and for each primitive direction the ascending
-    indices of the elements on its ray."""
+    """(ys, weights, rays): the walk's flat elements and their weights
+    heaviest first, ties in walk order, and for each primitive direction
+    the ascending indices of the elements on its ray."""
     order = sorted(walk, key=lambda e: -e[1])
     ys = tuple(y for y, _, _, _ in order)
     weights = tuple(w for _, w, _, _ in order)
     rays = {}
     for i, y in enumerate(ys):
         rays.setdefault(_direction(y), []).append(i)
-    return ys, weights, tuple(-w for w in weights), rays
+    return ys, weights, rays
 
 
 class _StreamCache:
@@ -443,8 +443,8 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
         raise ValueError("element is outside the cone")
     total = _dot(rec.weight, s)
     limit = total if gen.cap is None else min(total, gen.cap)
-    _, (ys, weights, neg_weights, rays) = gen._cached()
-    first = bisect_left(neg_weights, -limit)
+    _, (ys, weights, rays) = gen._cached()
+    first = bisect_left(weights, -limit, key=neg)
 
     chosen = []
 
@@ -459,7 +459,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
                     chosen.append((res_weight // weights[i], ys[i]))
                     return True
             return False
-        for i in range(max(i0, bisect_left(neg_weights, -res_weight)), len(ys)):
+        for i in range(max(i0, bisect_left(weights, -res_weight, key=neg)), len(ys)):
             y, w = ys[i], weights[i]
             if not in_semigroup(rec, tuple(a - b for a, b in zip(res, y))):
                 continue

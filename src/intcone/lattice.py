@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 from . import linalg
@@ -58,19 +57,18 @@ def _floor_div_surd(p: int, d: int, q: int) -> int:
 def _decompose(rows):
     """Fraction-free LDL^T split of a positive definite A, as (d, M).
 
-    The Bareiss echelon of A: without a row swap its pivots are the leading
-    principal minors, so A is positive definite exactly when the echelon
-    makes no swap and finds n pivots, all positive (Sylvester's criterion).
-    Then d[k] is the leading principal minor of order k (d[0] = 1) and row k
-    of M holds the entries M[k][j], j > k, of the k-th elimination step, so
-    that L_jk = M[k][j] / d[k+1] and D_k = d[k+1] / d[k].  Raises if A is
-    not positive definite.
+    A is positive definite exactly when it is PSD of full rank, and then
+    its symmetric elimination (linalg._psd_echelon) pivots on 0, 1, ... in
+    turn: d[k] is the leading principal minor of order k (d[0] = 1) and
+    row k of M holds the entries M[k][j], j > k, of the k-th elimination
+    step, so that L_jk = M[k][j] / d[k+1] and D_k = d[k+1] / d[k].  Raises
+    if A is not positive definite.
     """
-    m, pivots, swaps = linalg._echelon(rows)
-    d = [1] + [m[k][k] for k in range(len(pivots))]
-    if swaps or len(pivots) < len(m) or min(d) <= 0:
+    elim = linalg._psd_echelon(rows)
+    if elim is None or len(elim[0]) < len(rows):
         raise ValueError("matrix is not positive definite")
-    return d, m
+    m = elim[1]
+    return [1] + [m[k][k] for k in range(len(m))], m
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,7 @@ class QuadFormQuery:
     """A positive definite form together with an enumeration bound.
 
     Construction validates positive definiteness (the R D R^T split doubles
-    as the check) and caches the split, so `points` reuses the split that
-    the constructor checked instead of computing it again.
+    as the check) and keeps the split for `points`.
     """
 
     a: linalg.Rows
@@ -91,11 +88,7 @@ class QuadFormQuery:
             raise ValueError("form matrix must be symmetric")
         if linalg.as_int(self.bound) < 0:
             raise ValueError("bound must be nonnegative")
-        self._split  # force PD validation at construction
-
-    @cached_property
-    def _split(self):
-        return _decompose(self.a)
+        object.__setattr__(self, "_split", _decompose(self.a))
 
     def points(self, start=None):
         """Yield the canonical nonzero solutions in deterministic order:

@@ -1,20 +1,21 @@
 """Exact linear algebra over the integers.
 
 Everything in here works on small dense matrices represented as tuples (or
-lists) of rows of Python ints.  No floats and no fractions anywhere: one
-fraction-free (Bareiss) echelon, whose entries are minors of the input so
-that every division in it is exact, serves the determinant, the rank, the
-kernel vector and lattice's positive-definite split, and, run on [A | I],
-the adjugate and the unimodular inverse; `_psd_rank`, behind
-`is_psd_exact` and the rank split, is its symmetric variant, pivoting on
-the diagonal.  One gcd ladder per kernel vector builds, in place, the
-rank split's U and U^{-T}.  Matrices stay well under 11x11 here, so the
-code favours clarity over asymptotics.  A generator acts on vectors as a
-letter, a function built once by `letter` from the generator's nonzero
-entries, and `apply_word` is the one fold of a word of letters.  `as_int`
-is the one rule for integers read from JSON or passed to a constructor,
-`as_str` the one for JSON strings, and `as_labels` the one for lists of
-labels.
+lists) of rows of Python ints.  No floats and no fractions anywhere: two
+fraction-free (Bareiss) eliminations do the work, and their entries are
+minors of the input, so every division is exact.  The symmetric one,
+`_psd_echelon`, pivoting on the diagonal, answers every PSD and
+positive-definite question: PSD membership, rank, determinant, lattice's
+positive-definite split and the rank split's kernel vectors.  The
+general `_echelon` serves `det`, `rank` and `primitive_kernel_vector` on
+any matrix and, run on [A | I], the adjugate and the unimodular inverse.
+One gcd ladder per kernel vector builds, in place, the rank split's U and
+U^{-T}.  Matrices stay well under 11x11 here, so the code favours clarity
+over asymptotics.  A generator acts on vectors as a letter, a function built
+once by `letter` from the generator's nonzero entries, and `apply_word`
+is the one fold of a word of letters.  `as_int` is the one rule for
+integers read from JSON or passed to a constructor, `as_str` the one for
+JSON strings, and `as_labels` the one for lists of labels.
 """
 
 from __future__ import annotations
@@ -196,28 +197,31 @@ def _adjugate_det(rows):
 
 
 def is_psd_exact(rows) -> bool:
-    """Exact positive-semidefiniteness: whether _psd_rank finds a rank."""
-    return _psd_rank(rows) is not None
+    """Exact positive-semidefiniteness: whether _psd_echelon completes."""
+    return _psd_echelon(rows) is not None
 
 
-def _psd_rank(rows):
-    """The rank of a PSD matrix by symmetric Bareiss elimination, or None
-    when the matrix is not PSD.
+def _psd_echelon(rows):
+    """Symmetric Bareiss elimination of a PSD matrix, as (pivots, rows
+    after elimination), or None when the matrix is not PSD.
 
     A negative diagonal entry refutes, a zero diagonal entry with a nonzero
     row refutes, otherwise pivot on the first positive diagonal entry and
     eliminate.  The remaining entries are the Schur complement scaled by
     the last pivot, a positive principal minor, so every sign test reads
-    the Schur complement itself.  Once every remaining row is zero the
-    number of pivots taken is the rank.  The zero (or empty) matrix is PSD
-    of rank 0.
+    the Schur complement itself.  Once every remaining row is zero, pivots
+    lists the pivot indices in order: its length is the rank, and at full
+    rank the last pivot is det(A).  Row pivots[k] keeps its entries of the
+    k-th step.  While the pivots run 0, 1, ..., k, the general echelon
+    takes the same steps without a swap, so rows 0..k agree with its rows
+    on and above the diagonal (lattice's LDL^T split, _kernel_vector).
     """
     if not is_symmetric(rows):
         raise ValueError("is_psd_exact expects a symmetric matrix")
     a = [list(row) for row in rows]
     idx = list(range(len(a)))
     prev = 1
-    pivots = 0
+    pivots = []
     while idx:
         pivot_i = None
         for i in idx:
@@ -240,8 +244,8 @@ def _psd_rank(rows):
             for j in idx:
                 row_i[j] = (p * row_i[j] - ci * row_p[j]) // prev
         prev = p
-        pivots += 1
-    return pivots
+        pivots.append(pivot_i)
+    return pivots, a
 
 
 def _echelon(rows):
@@ -289,16 +293,20 @@ def rank(rows) -> int:
 
 
 def primitive_kernel_vector(rows):
-    """A primitive integer kernel vector of a rank-deficient matrix.
-
-    Deterministic: in the fraction-free echelon form the first free column
-    f follows f pivot columns, so the kernel has exactly one direction
-    supported on columns 0..f.  Back-substitution with z_f set to the last
-    pivot minor stays integral (Cramer's rule); divide by the gcd and flip
-    so the first nonzero entry is positive.  Returns None for full column
-    rank.
-    """
+    """A primitive integer kernel vector of a rank-deficient matrix, or None
+    for full column rank: _kernel_vector of its echelon form."""
     a, pivots, _ = _echelon(rows)
+    return _kernel_vector(a, pivots)
+
+
+def _kernel_vector(a, pivots):
+    """The primitive kernel vector of an elimination whose first pivots
+    are columns 0, 1, ... on rows 0, 1, ..., None at full column rank.
+
+    The first free column f follows f pivot columns, so the kernel has
+    exactly one direction supported on columns 0..f: back-substitution with
+    z_f the last pivot minor stays integral (Cramer's rule), then divide by
+    the gcd and flip so that the first nonzero entry is positive."""
     m = len(a[0]) if a else 0
     free = next((c for c, col in enumerate(pivots) if col != c), len(pivots))
     if free == m:
@@ -370,26 +378,24 @@ def reduce_rank(rows):
 
     Returns (U, U^{-T}, block) with U unimodular and U^T X U = diag(0, ...,
     0, block) where the zero block collects the kernel (top-left) and block
-    is full rank.  The rank r comes from _psd_rank, so exactly n - r kernel
-    vectors are split off.  Each kernel vector's gcd ladder acts in place
-    on the block, on U and, inverse-transposed, on U^{-T}: nothing is
-    inverted.  The closing check X U[:, :n-r] = 0 says the same as a zero
-    kernel block of U^T X U, as U is invertible.  Full-rank input returns
-    (identity, identity, X) unchanged; the all-zero matrix returns an
-    empty block.
+    is full rank.  While the block's symmetric elimination finds fewer
+    pivots than it has rows, the kernel vector read off it (_kernel_vector)
+    acts by its gcd ladder, in place, on the block, on U and,
+    inverse-transposed, on U^{-T}: nothing is inverted.  The closing check
+    X U[:, :n-r] = 0 says the same as a zero kernel block of U^T X U, as U
+    is invertible.  Full-rank input returns (identity, identity, X)
+    unchanged; the all-zero matrix returns an empty block.
     """
     x = freeze(rows)
-    r = _psd_rank(x)
-    if r is None:
+    elim = _psd_echelon(x)
+    if elim is None:
         raise ValueError("reduce_rank expects a PSD matrix")
-    n = len(x)
-    u, u_inv_t = ([list(row) for row in identity(n)] for _ in range(2))
+    pivots, elim_rows = elim
+    u, u_inv_t = ([list(row) for row in identity(len(x))] for _ in range(2))
     cur = x
-    for zeros in range(n - r):
-        z = primitive_kernel_vector(cur)
-        if z is None:
-            raise RuntimeError("reduce_rank found no kernel vector below the rank")
-        steps, sign = _ladder(z)
+    while len(pivots) < len(cur):
+        zeros = len(x) - len(cur)
+        steps, sign = _ladder(_kernel_vector(elim_rows, pivots))
         w = [list(row) for row in cur]
         _apply_ladder(w, steps, sign)  # cur u1
         w = [list(col) for col in zip(*w)]  # u1^T cur, as cur is symmetric
@@ -400,8 +406,9 @@ def reduce_rank(rows):
         inv_t = [(i, a, b, p, q) for i, p, q, a, b in steps]
         _apply_ladder(u_inv_t, inv_t, sign, zeros)
         cur = tuple(tuple(row[1:]) for row in w[1:])
+        pivots, elim_rows = _psd_echelon(cur)
     u, u_inv_t = tuple(map(tuple, u)), tuple(map(tuple, u_inv_t))
-    if any(any(mat_vec(x, z)) for z in list(zip(*u))[: n - r]):
+    if any(any(mat_vec(x, z)) for z in list(zip(*u))[: len(x) - len(cur)]):
         raise RuntimeError("reduce_rank left a kernel column of U outside the kernel")
     return u, u_inv_t, cur
 

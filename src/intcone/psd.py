@@ -51,10 +51,10 @@ def is_sporadic(x_rows) -> bool:
     two on is the first peel searched for (lattice._kx_first).
     """
     x_rows = linalg.freeze(x_rows)
-    r = linalg._psd_rank(x_rows)
-    if r is None:
+    elim = linalg._psd_echelon(x_rows)
+    if elim is None:
         raise ValueError("is_sporadic expects a PSD matrix")
-    return r >= 2 and lattice._kx_first(x_rows) is None
+    return len(elim[0]) >= 2 and lattice._kx_first(x_rows) is None
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,16 @@ def decompose(x_rows) -> Rank1Certificate:
     does not depend on the form, so no later peel comes before y: while
     d - lam q > 0 the frame holds and the next enumeration resumes at y
     (QuadFormQuery.points' start).  At d - lam q = 0 the rank, taken once
-    by _psd_rank, drops by one, and the residue is reduced again, except
+    by _psd_echelon, drops by one, and the residue is reduced again, except
     at rank one: there it is lam x x^T, closed from one of its rows
     (_rank_one_peel).  The vectors are those of peeling one copy at a time
     and merging equal neighbours.
     """
     x0 = linalg.freeze(x_rows)
-    r = linalg._psd_rank(x0)
-    if r is None:
+    elim = linalg._psd_echelon(x0)
+    if elim is None:
         raise ValueError("decompose expects a PSD matrix")
+    r = len(elim[0])
     n = len(x0)
     cur = x0
     vectors: list[tuple[tuple[int, ...], int]] = []
@@ -305,8 +306,8 @@ def _shell_record(rows, d, cap) -> _ShellRecord:
 def unimodular_witness(x_rows, y_rows):
     """A unimodular U with U X U^T = Y, or None when none exists.
 
-    Cheap congruence invariants first: determinant, rank (from the
-    _psd_rank pass that also checks PSD), and the count of vectors at each
+    Cheap congruence invariants first: rank and determinant (from the
+    _psd_echelon pass that also checks PSD), and the count of vectors at each
     form value up to the largest diagonal entry of Y.  The _shell_record of
     each matrix, one enumeration below that value, holds these counts; only
     when they agree does the shell product table backtrack of X's record
@@ -319,19 +320,19 @@ def unimodular_witness(x_rows, y_rows):
     if len(x) != len(y):
         raise ValueError("unimodular_witness expects matrices of equal size")
     n = len(x)
-    ranks = []
-    for m in (x, y):
-        ranks.append(linalg._psd_rank(m))
-        if ranks[-1] is None:
-            raise ValueError("unimodular_witness expects PSD matrices")
     if n == 0:
         return UnimodularMatrix(())
-    d = linalg.det(x)
-    if d != linalg.det(y):
+    invariants = []
+    for m in (x, y):
+        elim = linalg._psd_echelon(m)
+        if elim is None:
+            raise ValueError("unimodular_witness expects PSD matrices")
+        pivots, rows = elim  # at full rank the last pivot is the determinant
+        d = rows[pivots[-1]][pivots[-1]] if len(pivots) == n else 0
+        invariants.append((len(pivots), d))
+    if invariants[0] != invariants[1]:
         return None
-    r = ranks[0]
-    if r != ranks[1]:
-        return None
+    r, d = invariants[0]
     if r < n:
         ux, _, bx = linalg.reduce_rank(x)
         _, uy_inv_t, by = linalg.reduce_rank(y)

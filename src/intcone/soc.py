@@ -215,7 +215,7 @@ def _normalize_steps(s):
             applied.append(f"Q{k}")
     m = n - 1
     for t in range(m - 1, 0, -1):
-        j = min(range(t + 1), key=lambda i: cur[i])
+        j = cur.index(min(cur[: t + 1]))
         if cur[t] == cur[j]:
             continue
         if j != 0:
@@ -245,14 +245,13 @@ def descend(s):
     f = lorentz_form(s, s)
     if f != 0 and not is_sporadic_soc(s):
         raise ValueError("point is neither Pythagorean nor sporadic")
-    root_set = set(roots(n))
     aplus = _letters(n)["Aplus"]
     cur = tuple(s)
     word: list[str] = []
     while True:
         cur, steps = _normalize_steps(cur)
         word.extend(steps)
-        if cur in root_set:
+        if cur in roots(n):
             break
         h = cur[-1]
         cur = aplus(cur)

@@ -12,6 +12,8 @@ flatten) from the caller, as the stream code they copy did, but not its
 letters: dense_generators builds the dense matrices the walk multiplies
 by, from soc._generators rows and from Kronecker squares of
 psd.gl_generators formed here.
+echelon_split is the positive-definite split that lattice._decompose
+took from the general echelon before the symmetric elimination served it.
 peel_by_one_decompose is the peel loop that psd.decompose replaced, with
 the package's frame, enumeration, lift, catalog match and certificate
 type, and its own one-copy adjugate downdate.
@@ -64,6 +66,41 @@ def psd_by_minors(rows):
         if det_cofactor(sub) < 0:
             return False
     return True
+
+
+def echelon_split(rows):
+    """(d, upper rows of M): lattice's LDL^T split of a positive definite
+    matrix as the general Bareiss echelon gave it, before the split moved
+    to the symmetric elimination; raises ValueError on any other matrix.
+
+    Without a row swap the echelon's pivots are the leading principal
+    minors, so the matrix is positive definite exactly when the echelon
+    makes no swap and finds n pivots, all positive (Sylvester's
+    criterion).  Row k of the upper rows holds the echelon's entries from
+    column k on.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    swaps, prev, r = 0, 1, 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swaps += 1
+        p = a[r][col]
+        for i in range(r + 1, n):
+            lead = a[i][col]
+            for j in range(col + 1, n):
+                a[i][j] = (p * a[i][j] - lead * a[r][j]) // prev
+            a[i][col] = 0
+        prev = p
+        r += 1
+    d = [1] + [a[k][k] for k in range(r)]
+    if swaps or r < n or min(d) <= 0:
+        raise ValueError("matrix is not positive definite")
+    return d, [row[k:] for k, row in enumerate(a)]
 
 
 def form_value(a, x):

@@ -680,6 +680,27 @@ class TestIcrSearch:
             assert got.status == "ok", mat
             assert got.count <= 4, mat
 
+    def test_no_candidate_heavier_than_the_residual_is_tested(self, monkeypatch):
+        # each level bisects the heaviest-first weights for the residual's
+        # weight, so every membership test after the input's own is of a
+        # residual minus a candidate, and never of negative weight
+        tested = []
+
+        def recording(cone, y):
+            tested.append(cuts._dot(cone.weight, y))
+            return cone.member(y)
+
+        monkeypatch.setattr(cuts, "in_semigroup", recording)
+        for cone, n, word_cap, s in (
+            ("soc", 3, 3, (3, 3, 5)),
+            ("soc", 4, 3, (2, -1, 1, 5)),
+            ("psd", 3, 2, I3),
+        ):
+            tested.clear()
+            gen = GeneratorStream(cone=cone, n=n, word_cap=word_cap)
+            assert cuts.icr_search(s, gen, cap=8).status == "ok", s
+            assert len(tested) > 1 and min(tested[1:]) >= 0, (s, tested)
+
     def test_terms_reconstruct_the_input(self):
         rng = random.Random(23)
         gen = GeneratorStream(cone="soc", n=4, word_cap=3)

@@ -1,0 +1,59 @@
+"""Every PSD and positive-definite question runs the symmetric elimination.
+
+linalg has two fraction-free eliminations.  The symmetric one,
+`_psd_echelon`, answers PSD membership, the rank, the rank split, the
+LDL^T split and the congruence invariants; the general `_echelon` serves
+only the matrix functions that take any matrix.  The scan reads every
+reference to either name in src/intcone, as a bare name or as an
+attribute, and the top-level function (or method) it sits in.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "intcone"
+
+GENERAL = {
+    ("linalg", name)
+    for name in ("det", "rank", "primitive_kernel_vector", "_adjugate_det")
+}
+SYMMETRIC = {
+    ("linalg", "is_psd_exact"),
+    ("linalg", "reduce_rank"),
+    ("lattice", "_decompose"),
+    ("psd", "decompose"),
+    ("psd", "is_sporadic"),
+    ("psd", "unimodular_witness"),
+}
+
+
+def references(name):
+    """(module, enclosing top-level function or None) for each reference
+    to name in the package."""
+    out = []
+
+    def visit(node, module, func):
+        if func is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            out.append((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    return out
+
+
+def test_the_general_echelon_serves_only_general_matrices():
+    refs = references("_echelon")
+    assert ("linalg", "det") in refs
+    outside = set(refs) - GENERAL
+    assert not outside, f"_echelon referenced in {sorted(outside, key=str)}"
+
+
+def test_psd_questions_run_the_symmetric_elimination():
+    missing = SYMMETRIC - set(references("_psd_echelon"))
+    assert not missing, f"not running _psd_echelon: {sorted(missing)}"

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import form_value, points_below_box
+from _oracles import echelon_split, form_value, points_below_box
 from intcone import lattice, linalg
 from intcone.lattice import QuadFormQuery, enumerate_below, hermite_gamma
-from test_linalg import M6_ADJ
+from test_linalg import M6_ADJ, random_symmetric
 
 
 def random_pd(rng, n, spread=3):
@@ -71,8 +71,10 @@ class TestEnumerateBelow:
             enumerate_below(((1, 0), (0, 0)), 1)
         with pytest.raises(ValueError):
             enumerate_below(((-1, 0), (0, 1)), 1)
-        # not PSD, det 16: its echelon reaches four positive pivots after
-        # two row swaps, so only "no swap" (not an even count) rejects it
+        # not PSD, det 16: a general echelon reaches four positive pivots
+        # after two row swaps, but a PD matrix must be PSD of full rank,
+        # and the symmetric elimination refutes PSD at once: its first
+        # diagonal entry is zero on a nonzero row
         swapped = ((0, 0, 2, 0), (0, 0, -1, 2), (2, -1, 0, 0), (0, 2, 0, 0))
         with pytest.raises(ValueError):
             enumerate_below(swapped, 1)
@@ -103,6 +105,38 @@ class TestEnumerateBelow:
     def test_deterministic_order(self):
         a = ((2, 1), (1, 2))
         assert enumerate_below(a, 2) == enumerate_below(a, 2)
+
+
+class TestSplit:
+    def test_matches_the_echelon_split(self):
+        # B^T B + I is positive definite, B^T B for a B with fewer rows is
+        # singular PSD, and a random symmetric matrix is mostly indefinite:
+        # the symmetric split must equal the general echelon's above the
+        # diagonal, the only entries QuadFormQuery.points reads, and
+        # reject exactly what it rejected
+        rng = random.Random(37)
+        kinds = {"pd": 0, "rejected": 0}
+        for trial in range(600):
+            n = rng.randint(0, 6)
+            if trial % 3 == 0:
+                a = random_pd(rng, n)
+            elif trial % 3 == 1:
+                k = rng.randint(0, n)
+                b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+                a = linalg.mat_mul(linalg.transpose(b), b) if k else ((0,) * n,) * n
+            else:
+                a = random_symmetric(rng, n, -3, 3)
+            try:
+                want = echelon_split(a)
+            except ValueError:
+                with pytest.raises(ValueError, match="not positive definite"):
+                    lattice._decompose(a)
+                kinds["rejected"] += 1
+                continue
+            d, m = lattice._decompose(a)
+            assert (d, [row[k:] for k, row in enumerate(m)]) == want, a
+            kinds["pd"] += 1
+        assert min(kinds.values()) >= 150, kinds
 
 
 class TestShortestNonzero:

@@ -135,6 +135,12 @@ class TestAdjugate:
         )
 
 
+def psd_rank(m):
+    """The pivot count of linalg._psd_echelon, None when m is not PSD."""
+    elim = linalg._psd_echelon(m)
+    return None if elim is None else len(elim[0])
+
+
 class TestIsPsdExact:
     def test_examples(self):
         assert is_psd_exact(M6)
@@ -143,14 +149,14 @@ class TestIsPsdExact:
         assert is_psd_exact(((0, 0), (0, 0)))
         assert is_psd_exact(())
         for m in (((1, 0), (0, -1)), ((2, 3), (3, 2))):
-            assert linalg._psd_rank(m) is None
-        assert linalg._psd_rank(M6) == 6
-        assert linalg._psd_rank(((0, 0), (0, 0))) == 0
-        assert linalg._psd_rank(()) == 0
+            assert psd_rank(m) is None
+        assert psd_rank(M6) == 6
+        assert psd_rank(((0, 0), (0, 0))) == 0
+        assert psd_rank(()) == 0
 
     def test_zero_diag_nonzero_row(self):
         assert not is_psd_exact(((0, 1), (1, 2)))
-        assert linalg._psd_rank(((0, 1), (1, 2))) is None
+        assert psd_rank(((0, 1), (1, 2))) is None
 
     def test_exhaustive_2x2(self):
         for a in range(-3, 4):
@@ -159,7 +165,7 @@ class TestIsPsdExact:
                     m = ((a, b), (b, c))
                     assert is_psd_exact(m) == psd_by_minors(m), m
                     psd = psd_by_minors(m)
-                    assert linalg._psd_rank(m) == (rank(m) if psd else None), m
+                    assert psd_rank(m) == (rank(m) if psd else None), m
 
     def test_matches_minor_oracle(self):
         rng = random.Random(11)
@@ -168,7 +174,7 @@ class TestIsPsdExact:
             m = random_symmetric(rng, n, -3, 3)
             assert is_psd_exact(m) == psd_by_minors(m), m
             psd = psd_by_minors(m)
-            assert linalg._psd_rank(m) == (rank(m) if psd else None), m
+            assert psd_rank(m) == (rank(m) if psd else None), m
 
     def test_psd_sums_of_outer_products(self):
         rng = random.Random(13)
@@ -181,6 +187,25 @@ class TestIsPsdExact:
                     for j in range(n):
                         total[i][j] += x[i] * x[j]
             assert is_psd_exact(tuple(map(tuple, total)))
+
+    def test_rank_and_determinant_match_the_general_echelon(self):
+        # the pivot count is the rank, and at full rank the last pivot is
+        # the determinant, on PSD matrices of every rank
+        rng = random.Random(19)
+        ranks = set()
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            r = rng.randint(0, n)
+            g = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+            m = mat_mul(g, transpose(g)) if r else ((0,) * n,) * n
+            pivots, a = linalg._psd_echelon(m)
+            assert len(pivots) == rank(m), m
+            if len(pivots) < n:
+                assert det(m) == 0, m
+            elif n:
+                assert a[pivots[-1]][pivots[-1]] == det(m), m
+            ranks.add((n, len(pivots)))
+        assert len(ranks) >= 20
 
 
 class TestRank:
@@ -380,7 +405,7 @@ class TestReduceRank:
 
     def test_wrong_kernel_vector_raises(self, monkeypatch):
         # (1, 0) is primitive but not in the kernel of [[1, 1], [1, 1]]
-        monkeypatch.setattr(linalg, "primitive_kernel_vector", lambda rows: (1, 0))
+        monkeypatch.setattr(linalg, "_kernel_vector", lambda a, pivots: (1, 0))
         with pytest.raises(RuntimeError):
             reduce_rank(((1, 1), (1, 1)))
 
@@ -428,7 +453,7 @@ class TestReduceRank:
                         x = mat_mul(g, transpose(g)) if r else ((0,) * n,) * n
                         if rank(x) == r:
                             break
-                    assert linalg._psd_rank(x) == r
+                    assert psd_rank(x) == r
                     u, u_inv_t, block = reduce_rank(x)
                     assert (u, block) == reduce_rank_dense(x)
                     assert u_inv_t == transpose(inverse_unimodular(u))

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import types
 from fractions import Fraction
 from math import isqrt
 
@@ -32,6 +33,7 @@ from intcone.psd import (
     sporadic_det_bound,
     unimodular_witness,
 )
+from test_linalg import psd_rank
 
 
 def outer(x):
@@ -169,7 +171,7 @@ class TestIsSporadic:
             peel = subtractable_vector_box(a, radius) if radius else None
             nonzero = any(v for row in a for v in row)
             assert is_sporadic(a) == (nonzero and peel is None)
-            seen.add(linalg._psd_rank(a))
+            seen.add(psd_rank(a))
         assert {0, 1, 2} <= seen
         assert is_sporadic(M6) and subtractable_vector_box(M6, 1) is None
 
@@ -470,6 +472,43 @@ class TestUnimodularWitness:
             wit = unimodular_witness(a, y)
             assert wit is not None
             assert conjugate(wit.rows, a) == y
+
+
+def _raise(*args):
+    raise AssertionError("called a general elimination")
+
+
+class TestNoGeneralElimination:
+    # the rank, the determinant and the kernel vectors of a PSD matrix all
+    # come from its symmetric elimination (linalg._psd_echelon)
+    def test_decompose_takes_no_general_kernel_vector(self, monkeypatch):
+        monkeypatch.setattr(linalg, "primitive_kernel_vector", _raise)
+        rng = random.Random(1)
+        for n in (2, 3, 4, 5):
+            for _ in range(60):
+                rows = random_psd_sum(rng, n, rng.randint(1, n), -5, 5)
+                cert = decompose(rows)
+                assert cert.remainder is None
+                assert cert.reconstruct() == rows
+
+    def test_witness_takes_no_general_determinant(self, monkeypatch):
+        # psd's view of linalg loses det; the witness's own unimodularity
+        # check inside linalg keeps it
+        view = types.SimpleNamespace(**vars(linalg))
+        view.det = _raise
+        monkeypatch.setattr(psd, "linalg", view)
+        rng = random.Random(53)
+        cases = [(M6, conjugate(random_unimodular(6, 5, rng), M6))]
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            a = random_psd_sum(rng, n, rng.randint(0, n + 1))
+            cases.append((a, conjugate(random_unimodular(n, 3, rng), a)))
+        for x, y in cases:
+            wit = unimodular_witness(x, y)
+            assert wit is not None and conjugate(wit.rows, x) == y
+        assert unimodular_witness(((1, 0), (0, 1)), ((1, 0), (0, 2))) is None
+        assert unimodular_witness(((1, 0), (0, 4)), ((2, 0), (0, 2))) is None
+        assert unimodular_witness(((1, 0), (0, 0)), ((1, 1), (1, 2))) is None
 
 
 class TestSearchSporadic:
