@@ -422,6 +422,13 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     infeasibility within the candidate set, while exhausting only `cap`
     reports `exceeded`.  Iterative deepening over the support size with a
     strictly increasing candidate index keeps the search deterministic.
+    The rounds share one table of dead residuals, each with the least
+    start index from which it has no sum at any depth: a residual is dead
+    when every candidate it admits leads to a dead residual and none to
+    one that the round's depth bound cut off.  Every later visit from
+    that index or beyond is skipped.  A dead subtree holds no solution,
+    so the search meets its solutions in the same order as without the
+    table and returns the same first hit.
 
     The candidates are the stream's elements heaviest first, ties in walk
     order; those of weight at most min(weight(s), stream cap) are a suffix
@@ -447,18 +454,24 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     first = bisect_left(weights, -limit, key=neg)
 
     chosen = []
+    dead = {}  # residual -> least start index with no sum at any depth
 
     def dfs(res, res_weight, k_left, i0):
+        """True: found, terms in `chosen`; False: dead, no sum from i0 at
+        any depth; None: cut by the depth bound."""
         if res_weight == 0:
             return not any(res)
-        if k_left == 0:
+        if dead.get(res, i0 + 1) <= i0:
             return False
+        if k_left == 0:
+            return None
         if k_left == 1:
             for i in rays.get(_direction(res), ()):
                 if i >= i0 and res_weight % weights[i] == 0:
                     chosen.append((res_weight // weights[i], ys[i]))
                     return True
-            return False
+            return None
+        outcome = False
         for i in range(max(i0, bisect_left(weights, -res_weight, key=neg)), len(ys)):
             y, w = ys[i], weights[i]
             if not in_semigroup(rec, tuple(a - b for a, b in zip(res, y))):
@@ -473,10 +486,15 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
             for lam in range(lo, 0, -1):
                 nxt = tuple(a - lam * b for a, b in zip(res, y))
                 chosen.append((lam, y))
-                if dfs(nxt, res_weight - lam * w, k_left - 1, i + 1):
+                child = dfs(nxt, res_weight - lam * w, k_left - 1, i + 1)
+                if child:
                     return True
                 chosen.pop()
-        return False
+                if child is None:
+                    outcome = None
+        if outcome is False:
+            dead[res] = i0
+        return outcome
 
     depth_limit = min(cap, total, len(ys) - first)
     for k in range(depth_limit + 1):

@@ -328,6 +328,17 @@ class TestGeneratorStream:
         assert list(stream(2)) == two and cuts._streams.held == 17
 
 
+def outer_product_sum(rng, n):
+    """A sum of 1..n outer products of {-1, 0, 1} vectors."""
+    x = [[0] * n for _ in range(n)]
+    for _ in range(rng.randint(1, n)):
+        v = [rng.randint(-1, 1) for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                x[i][j] += v[i] * v[j]
+    return tuple(map(tuple, x))
+
+
 def seeded_points(cone, n, count, seed):
     """`count` nonzero cone elements: SOC points of height at most 8, PSD
     sums of 1..n outer products of {-1, 0, 1} vectors."""
@@ -339,14 +350,32 @@ def seeded_points(cone, n, count, seed):
             if soc.in_cone(s):
                 out.append(s)
             continue
-        x = [[0] * n for _ in range(n)]
-        for _ in range(rng.randint(1, n)):
-            v = [rng.randint(-1, 1) for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    x[i][j] += v[i] * v[j]
+        x = outer_product_sum(rng, n)
         if any(x[i][i] for i in range(n)):
-            out.append(tuple(map(tuple, x)))
+            out.append(x)
+    return out
+
+
+def workload_points(cone, n, count, seed):
+    """`count` elements drawn as the cuts-icr benchmark draws them: SOC
+    points of height 1..8, each coordinate drawn within what the height
+    leaves and then shuffled; PSD sums of 1..n outer products of
+    {-1, 0, 1} vectors with trace 1..6."""
+    rng = random.Random(f"workload/{cone}/{n}/{seed}")
+    out = []
+    while len(out) < count:
+        if cone == "soc":
+            h = rng.randint(1, 8)
+            budget, body = h * h, []
+            for _ in range(n - 1):
+                body.append(rng.randint(-isqrt(budget), isqrt(budget)))
+                budget -= body[-1] ** 2
+            rng.shuffle(body)
+            out.append(tuple(body) + (h,))
+            continue
+        x = outer_product_sum(rng, n)
+        if 0 < sum(x[i][i] for i in range(n)) <= 6:
+            out.append(x)
     return out
 
 
@@ -414,6 +443,29 @@ class TestAgainstTheUncachedStream:
                         s, rec, gen.roots, word_cap, stream_cap, c
                     )
                     assert (got.status, got.count, got.terms) == want, s
+
+    @pytest.mark.parametrize(
+        "key", [("soc", 5, 3), ("soc", 4, 4), ("psd", 3, 2)], ids=lambda k: "%s%d-w%d" % k
+    )
+    def test_icr_search_on_the_workload_mix(self, key):
+        # the benchmark's draws end infeasible or exceeded far more often
+        # than seeded_points', so they reach the dead residuals that
+        # icr_search carries from one deepening round to the next
+        cone, n, word_cap = key
+        gen = GeneratorStream(cone=cone, n=n, word_cap=word_cap)
+        cap = 2 * n - 2 if cone == "soc" else n * (n + 1) - 2
+        seen = []
+        for s in workload_points(cone, n, 60, "mix"):
+            for c in (cap, 3, 2, 1):
+                got = cuts.icr_search(s, gen, cap=c)
+                want = uncached_icr_search(s, gen._cone, gen.roots, word_cap, None, c)
+                assert (got.status, got.count, got.terms) == want, (s, c)
+                seen.append((got.status, got.count))
+        assert any(status == "infeasible" for status, _ in seen)
+        assert any(status == "exceeded" for status, _ in seen)
+        # an ok sum of three or more terms is met only after rounds that
+        # the depth bound cut off
+        assert any(status == "ok" and count >= 3 for status, count in seen)
 
     @pytest.mark.parametrize("stream_cap", [None, 4], ids=["uncapped", "cap4"])
     @pytest.mark.parametrize(
@@ -700,6 +752,38 @@ class TestIcrSearch:
             gen = GeneratorStream(cone=cone, n=n, word_cap=word_cap)
             assert cuts.icr_search(s, gen, cap=8).status == "ok", s
             assert len(tested) > 1 and min(tested[1:]) >= 0, (s, tested)
+
+    def test_dead_residuals_are_not_searched_again(self, monkeypatch):
+        # an infeasible SOC n = 5 element: with each deepening round walking
+        # the whole tree of the round before it, its search makes 1,825
+        # membership tests; with the dead residuals shared by the rounds, 582
+        tested = [0]
+
+        def counting(cone, y):
+            tested[0] += 1
+            return cone.member(y)
+
+        monkeypatch.setattr(cuts, "in_semigroup", counting)
+        gen = GeneratorStream(cone="soc", n=5, word_cap=3)
+        assert cuts.icr_search((2, 5, 3, 2, 7), gen, cap=8).status == "infeasible"
+        assert tested[0] <= 700
+
+    def test_a_residual_dead_from_a_later_start_is_searched_again(self):
+        # (0, 4, 6) is twice (0, 2, 3), the lightest candidate.  The round
+        # of depth 3 reaches the residual (3, -3, 16) as s - 2 (0, 2, 3),
+        # with no candidate left, and records it dead from there; the round
+        # of depth 4 reaches it again as s - (0, 4, 6), with the three
+        # candidates left that sum to it
+        roots = ((0, 4, 6), (-1, 3, 5), (4, -2, 6), (0, -4, 5), (0, 2, 3))
+        gen = GeneratorStream(cone="soc", n=3, word_cap=0, roots=roots)
+        got = cuts.icr_search((3, 1, 22), gen, cap=4)
+        assert got == IcrResult(
+            status="ok",
+            count=4,
+            terms=((1, (0, 4, 6)), (1, (4, -2, 6)), (1, (-1, 3, 5)), (1, (0, -4, 5))),
+        )
+        want = uncached_icr_search((3, 1, 22), gen._cone, gen.roots, 0, None, 4)
+        assert (got.status, got.count, got.terms) == want
 
     def test_terms_reconstruct_the_input(self):
         rng = random.Random(23)
