@@ -115,10 +115,20 @@ def _peel_candidate(s, h: int, primitive_only: bool):
 
     Walks the first n-1 coordinates with two exact interval constraints:
     the partial sum of p_i^2 must stay within h^2 (hit it exactly at the
-    end), and the partial sum of (s_i - p_i)^2 within (s_n - h)^2.  Each
-    node also checks that the sphere slice left for the remaining
-    coordinates still meets the remaining ball over the reals, which cuts
-    off empty subtrees at once.
+    end), and the partial sum of (s_i - p_i)^2 within (s_n - h)^2.
+
+    A node is entered only if the sphere slice left for the remaining
+    coordinates still meets the remaining ball over the reals.  The root
+    tests that itself; every other node is tested in its parent's loop,
+    where the gap of child v is linear in v, so a refused child costs no
+    call.  The loop stops at the first refused child after an admitted
+    one, and that is exact: child v is admitted exactly when v is an
+    integer in the projection onto coordinate i of the real cap
+    {x in R^k : |x|^2 = S, |x - s[i:]|^2 <= B} (S and B the sphere and
+    ball budgets left, k = n-1-i >= 2).  On the sphere the ball is the
+    half-space x . s[i:] >= (|s[i:]|^2 + S - B) / 2, and a sphere of
+    dimension k-1 >= 1 cut by a half-space is connected, so its
+    projection is an interval.
     """
     n = len(s)
     m = n - 1
@@ -129,10 +139,6 @@ def _peel_candidate(s, h: int, primitive_only: bool):
         suffix_sq[i] = suffix_sq[i + 1] + s[i] * s[i]
 
     def walk(i, sphere_left, ball_left):
-        c = suffix_sq[i]
-        gap = c + sphere_left - ball_left
-        if gap > 0 and gap * gap > 4 * c * sphere_left:
-            return None
         si = s[i]
         if i == m - 1:
             r = isqrt(sphere_left)
@@ -149,19 +155,35 @@ def _peel_candidate(s, h: int, primitive_only: bool):
         rb = isqrt(ball_left)
         lo = max(-rs, si - rb)
         hi = min(rs, si + rb)
+        c4 = 4 * suffix_sq[i + 1]
+        t2 = suffix_sq[i] + sphere_left - ball_left
+        admitted = False
         for v in range(lo, hi + 1):
+            left = sphere_left - v * v
+            gap = t2 - 2 * si * v
+            if gap > 0 and gap * gap > c4 * left:
+                if admitted:
+                    break
+                continue
+            admitted = True
             p[i] = v
-            got = walk(i + 1, sphere_left - v * v, ball_left - (si - v) ** 2)
+            got = walk(i + 1, left, ball_left - (si - v) ** 2)
             if got is not None:
                 return got
         return None
 
+    c = suffix_sq[0]
+    gap = c + h * h - ball
+    if gap > 0 and gap * gap > 4 * c * h * h:
+        return None
     return walk(0, h * h, ball)
 
 
-def _first_peel(s, primitive_only: bool):
+def _first_peel(s, primitive_only: bool, top: int | None = None):
     """Largest-height, lexicographically first [primitive] Pythagorean p
-    with s - p in T_n; None when no peel exists.
+    with s - p in T_n and p_n <= top (default s_n); None when there is
+    none.  decompose_soc passes top, to skip heights that an earlier peel
+    already refuted.
 
     Both settings find a peel on the same points: if s - k p' is in T_n
     for a primitive Pythagorean p' and some k >= 1, then s - p' = (1 -
@@ -170,8 +192,7 @@ def _first_peel(s, primitive_only: bool):
     multiples, the primitive walk runs on past them."""
     height = s[-1]
     c = sum(v * v for v in s[:-1])
-    r = isqrt(c)
-    for h in range(height, 0, -1):
+    for h in range(height if top is None else top, 0, -1):
         # a sphere of radius h must meet the ball around the prefix
         lead = 2 * h - height
         if lead > 0 and lead * lead > c:
@@ -190,6 +211,7 @@ def is_sporadic_soc(s) -> bool:
     of any kind ends the walk; a primitive one exists too (_first_peel),
     but the walk to it can run much longer.
     """
+    _require_dim(len(s))
     if not in_cone(s):
         raise ValueError("point is outside the cone")
     f = lorentz_form(s, s)
@@ -376,7 +398,10 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
 
     Peels always take the largest-height, lexicographically first
     primitive Pythagorean tuple that stays subtractable, with its maximal
-    integer multiple.  The sporadic residual (if any) is scaled to a
+    integer multiple.  Each later search starts at the last peel's height:
+    if s' = s - lam p and s' - q is in T_n, then so is s - q = (s' - q) +
+    lam p, so every peel of s' is a peel of s, and no primitive one is
+    taller than p.  The sporadic residual (if any) is scaled to a
     primitive point, descended, and contributes one term; with
     minimal_roots=True a residual landing on a redundant root is split
     into the two smaller roots carried by the same word.
@@ -386,9 +411,10 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
     if not in_cone(s):
         raise ValueError("point is outside the cone")
     cur = tuple(s)
+    top = cur[-1]
     terms: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
     while any(cur):
-        p = _first_peel(cur, primitive_only=True)
+        p = _first_peel(cur, primitive_only=True, top=top)
         if p is None:
             g = vec_gcd(cur)
             prim = tuple(v // g for v in cur)
@@ -404,6 +430,7 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
         root, word = descend(p)
         terms.append((lam, word, root))
         cur = tuple(a - lam * b for a, b in zip(cur, p))
+        top = min(cur[-1], p[-1])
     return SocCertificate(n=n, terms=tuple(terms))
 
 

@@ -17,6 +17,10 @@ took from the general echelon before the symmetric elimination served it.
 peel_by_one_decompose is the peel loop that psd.decompose replaced, with
 the package's frame, enumeration, lift, catalog match and certificate
 type, and its own one-copy adjugate downdate.
+soc_peel_candidate and soc_first_peel are the SOC peel walk as it was
+before each child was tested in its parent's loop and a peel search took
+a top height; soc_decompose_from_each_height is decompose_soc over them,
+with the package's descent, maximal multiple and certificate type.
 """
 
 from collections import deque
@@ -678,3 +682,91 @@ def peel_by_one_decompose(x_rows):
     return psd.Rank1Certificate(
         n=n, vectors=vectors, remainder=linalg.SymIntMatrix(cur), witness=witness
     )
+
+
+def soc_peel_candidate(s, h: int, primitive_only: bool):
+    """soc._peel_candidate as it was before each child was tested in its
+    parent's loop: every child in the box range is entered, and refused
+    by its own gap test."""
+    n = len(s)
+    m = n - 1
+    ball = (s[-1] - h) ** 2
+    p = [0] * m
+    suffix_sq = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix_sq[i] = suffix_sq[i + 1] + s[i] * s[i]
+
+    def walk(i, sphere_left, ball_left):
+        c = suffix_sq[i]
+        gap = c + sphere_left - ball_left
+        if gap > 0 and gap * gap > 4 * c * sphere_left:
+            return None
+        si = s[i]
+        if i == m - 1:
+            r = isqrt(sphere_left)
+            if r * r != sphere_left:
+                return None
+            for v in ((-r, r) if r else (0,)):
+                d = si - v
+                if d * d <= ball_left:
+                    p[i] = v
+                    if not primitive_only or gcd(linalg.vec_gcd(p), h) == 1:
+                        return tuple(p) + (h,)
+            return None
+        rs = isqrt(sphere_left)
+        rb = isqrt(ball_left)
+        lo = max(-rs, si - rb)
+        hi = min(rs, si + rb)
+        for v in range(lo, hi + 1):
+            p[i] = v
+            got = walk(i + 1, sphere_left - v * v, ball_left - (si - v) ** 2)
+            if got is not None:
+                return got
+        return None
+
+    return walk(0, h * h, ball)
+
+
+def soc_first_peel(s, primitive_only: bool):
+    """soc._first_peel as it was before it took a top height: every height
+    from s_n down, through soc_peel_candidate."""
+    height = s[-1]
+    c = sum(v * v for v in s[:-1])
+    r = isqrt(c)
+    for h in range(height, 0, -1):
+        # a sphere of radius h must meet the ball around the prefix
+        lead = 2 * h - height
+        if lead > 0 and lead * lead > c:
+            continue
+        got = soc_peel_candidate(s, h, primitive_only)
+        if got is not None:
+            return got
+    return None
+
+
+def soc_decompose_from_each_height(s, minimal_roots=False):
+    """soc.decompose_soc with every peel search started at the residual's
+    own height (soc_first_peel), as it ran before a peel search resumed at
+    the last peel's height; the package's descent, maximal multiple, root
+    splits and certificate type."""
+    n = len(s)
+    cur = tuple(s)
+    terms = []
+    while any(cur):
+        p = soc_first_peel(cur, primitive_only=True)
+        if p is None:
+            g = linalg.vec_gcd(cur)
+            prim = tuple(v // g for v in cur)
+            root, word = soc.descend(prim)
+            if minimal_roots and root in soc.root_splits(n):
+                x, y = soc.root_splits(n)[root]
+                terms.append((g, word, x))
+                terms.append((g, word, y))
+            else:
+                terms.append((g, word, root))
+            break
+        lam = soc._max_multiple(cur, p)
+        root, word = soc.descend(p)
+        terms.append((lam, word, root))
+        cur = tuple(a - lam * b for a, b in zip(cur, p))
+    return soc.SocCertificate(n=n, terms=tuple(terms))

@@ -408,6 +408,16 @@ class TestSocCommands:
         rc, _ = invoke(["soc-sporadic"], [9, 9, 9])
         assert rc == 1
 
+    @pytest.mark.parametrize("point", [[], [5], [0, 1], [0] * 10 + [1]])
+    def test_sporadic_rejects_bad_dimensions(self, invoke, point):
+        # as soc-decompose and soc-descend do, before any cone test
+        for cmd in ("soc-sporadic", "soc-decompose", "soc-descend"):
+            rc, out = invoke([cmd], point)
+            assert rc == 1, cmd
+            assert payload_of(out) == {
+                "error": "dimension must be between 3 and 10"
+            }, cmd
+
     def test_tree_matches_the_module(self, invoke):
         rc, out = invoke(["soc-tree", "--n", "3", "--max-height", "5"])
         assert rc == 0

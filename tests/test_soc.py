@@ -1,4 +1,5 @@
 import random
+import sys
 from math import isqrt
 
 import pytest
@@ -10,9 +11,11 @@ from _oracles import (
     evaluate_word,
     primitive_pythagorean_signed,
     root_splits_table,
+    soc_decompose_from_each_height,
     soc_generator_labels,
     soc_generator_parse,
     soc_inverse_label,
+    soc_peel_candidate,
     sporadic_by_search,
 )
 from intcone import cuts, linalg, soc
@@ -46,6 +49,65 @@ def random_cone_point(rng, n, max_height):
         budget -= v * v
     rng.shuffle(coords)
     return tuple(coords) + (h,)
+
+
+def walk_points(rng, n, count, max_height=60):
+    """Seeded points of T_n of height <= max_height for the peel-walk
+    comparisons: plain draws, points with zero coordinates (a zero
+    coordinate, or a zero tail of the first n-1), points whose first n-1
+    coordinates repeat one value up to sign, points with no positive
+    coordinate, and every multiple of every root within the cap."""
+    m = n - 1
+    points = [
+        tuple(k * v for v in r)
+        for r in roots(n)
+        for k in range(1, max_height // r[-1] + 1)
+    ]
+    while len(points) < count:
+        kind = len(points) % 5
+        s = list(random_cone_point(rng, n, max_height))
+        h = s[-1]
+        if kind == 1:
+            for i in rng.sample(range(m), rng.randint(1, m - 1)):
+                s[i] = 0
+        elif kind == 2:
+            tail = rng.randint(1, m - 1)
+            s[m - tail : m] = [0] * tail
+        elif kind == 3:
+            v = rng.randint(0, isqrt(h * h // m))
+            s[:m] = [rng.choice((v, -v)) if rng.random() < 0.8 else 0 for _ in range(m)]
+        elif kind == 4:
+            s[:m] = [-abs(v) for v in s[:m]]
+        points.append(tuple(s))
+    return points
+
+
+def walk_nodes(fn, *args):
+    """fn(*args), and the (i, sphere_left, ball_left) of every call of
+    fn's inner walk made during it, in call order."""
+    consts = fn.__code__.co_consts
+    walk_code = next(c for c in consts if getattr(c, "co_name", None) == "walk")
+    nodes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is walk_code:
+            loc = frame.f_locals
+            nodes.append((loc["i"], loc["sphere_left"], loc["ball_left"]))
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, nodes
+
+
+def refuted(suffix_sq, sphere_left, ball_left):
+    """The real relaxation's verdict on a walk node: the sphere of squared
+    radius sphere_left misses the ball of squared radius ball_left around
+    the rest of s, whose squared length is suffix_sq."""
+    gap = suffix_sq + sphere_left - ball_left
+    return gap > 0 and gap * gap > 4 * suffix_sq * sphere_left
 
 
 def signature_matrix(n):
@@ -253,6 +315,14 @@ class TestSporadicSoc:
         with pytest.raises(ValueError):
             is_sporadic_soc((5, 0, 3))
 
+    @pytest.mark.parametrize("s", [(), (5,), (0, 1), (0,) * 10 + (1,)])
+    def test_rejects_bad_dimension(self, s):
+        # checked before cone membership, as decompose_soc does
+        with pytest.raises(ValueError, match="dimension must be between 3 and 10"):
+            is_sporadic_soc(s)
+        with pytest.raises(ValueError, match="dimension must be between 3 and 10"):
+            decompose_soc(s)
+
     def test_against_brute_force_dim3(self):
         for h in range(0, 7):
             for x in range(-h, h + 1):
@@ -316,6 +386,91 @@ class TestSporadicSoc:
                 t = apply_word((label,), s)
                 if in_cone(t):
                     assert is_sporadic_soc(t), (s, label)
+
+
+class TestPeelWalk:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_height_matches_the_unpruned_walk(self, n):
+        # the walk that enters every child in the box range and lets it
+        # refuse itself finds the same peel at every height.  Heights stop
+        # at 30: at 60 the n = 9 points alone take minutes
+        rng = random.Random(70 + n)
+        points = walk_points(rng, n, 300, max_height=30)
+        assert len(points) >= 300
+        assert any(0 in s[:-1] and any(s[:-1]) for s in points)
+        assert any(s[-2] == 0 and any(s[:-1]) for s in points)
+        assert any(len(set(map(abs, s[:-1]))) == 1 and s[0] for s in points)
+        found = 0
+        for s in points:
+            for h in range(1, s[-1] + 1):
+                for prim in (False, True):
+                    got = soc._peel_candidate(s, h, prim)
+                    assert got == soc_peel_candidate(s, h, prim), (s, h, prim)
+                    found += got is not None
+        assert found > 300
+
+    def test_first_peel_starts_at_top(self):
+        # the first peel at or below top, by the unpruned walk height by height
+        rng = random.Random(72)
+        for n in (3, 5, 8):
+            for s in walk_points(rng, n, 30, max_height=20):
+                for prim in (False, True):
+                    peels = [soc_peel_candidate(s, h, prim) for h in range(s[-1] + 1)]
+                    for top in range(s[-1] + 1):
+                        want = next(
+                            (p for p in reversed(peels[1 : top + 1]) if p), None
+                        )
+                        assert soc._first_peel(s, prim, top=top) == want, (s, top)
+                    assert soc._first_peel(s, prim) == soc._first_peel(
+                        s, prim, top=s[-1]
+                    )
+
+    def test_entered_nodes_survive_the_real_relaxation(self):
+        # no node below the root is entered only to be refused, and the
+        # children each node admits are consecutive, so the loop may stop
+        # at the first refused child after an admitted one
+        rng = random.Random(73)
+        entered = 0
+        for n in (3, 4, 6, 10):
+            for s in walk_points(rng, n, 40, max_height=30):
+                m = n - 1
+                suffix_sq = [sum(v * v for v in s[i:m]) for i in range(m + 1)]
+                for h in range(1, s[-1] + 1):
+                    _, nodes = walk_nodes(soc._peel_candidate, s, h, False)
+                    entered += len(nodes)
+                    for i, sphere, ball in nodes:
+                        assert not refuted(suffix_sq[i], sphere, ball), (s, h, i)
+                        if i == m - 1:
+                            continue
+                        rs, rb = isqrt(sphere), isqrt(ball)
+                        box = range(max(-rs, s[i] - rb), min(rs, s[i] + rb) + 1)
+                        admitted = [
+                            v
+                            for v in box
+                            if not refuted(
+                                suffix_sq[i + 1], sphere - v * v, ball - (s[i] - v) ** 2
+                            )
+                        ]
+                        if admitted:
+                            assert admitted == list(
+                                range(admitted[0], admitted[-1] + 1)
+                            ), (s, h, i, sphere, ball)
+        assert entered > 1_000
+
+    def test_walk_node_count(self):
+        # a shorter cousin of the slow tall point (ROADMAP item 1): over
+        # every height the unpruned walk enters 19,693 nodes, the walk
+        # that tests each child in its parent's loop 2,427
+        s = (8, -1, -3, 3, 2, 4, -3, -2, 20, 23)
+        nodes = unpruned = 0
+        for h in range(1, s[-1] + 1):
+            got, walked = walk_nodes(soc._peel_candidate, s, h, True)
+            want, entered = walk_nodes(soc_peel_candidate, s, h, True)
+            assert got == want, h
+            nodes += len(walked)
+            unpruned += len(entered)
+        assert unpruned == 19_693
+        assert nodes <= 3_000
 
 
 class TestDescend:
@@ -548,6 +703,40 @@ class TestDecomposeSoc:
                 assert in_cone(moved)
                 if lorentz_form(root, root) == 0:
                     assert soc.vec_gcd(moved) == 1
+
+    def test_matches_a_search_from_each_residual_height(self):
+        # each later peel search starts at the last peel's height; the
+        # certificates equal those of a search from the residual's height
+        rng = random.Random(79)
+        multi = 0
+        for n in range(3, 11):
+            for s in walk_points(rng, n, 130, max_height=40):
+                cert = decompose_soc(s)
+                assert cert == soc_decompose_from_each_height(s), s
+                multi += len(cert.terms) > 2
+        assert multi > 100
+        for n in (9, 10):
+            for s in walk_points(rng, n, 40, max_height=20):
+                assert decompose_soc(s, minimal_roots=True) == (
+                    soc_decompose_from_each_height(s, minimal_roots=True)
+                ), s
+
+    def test_peel_searches_resume_at_the_last_peel(self, monkeypatch):
+        # (16, 11, 20) peels (3, 4, 5), then (4, 3, 5) at the same height,
+        # then (1, 0, 1).  Searching each residual from its own height
+        # tries 42 candidate heights; resuming at the last peel tries 22
+        calls = []
+        walk = soc._peel_candidate
+
+        def counted(s, h, primitive_only):
+            calls.append(h)
+            return walk(s, h, primitive_only)
+
+        monkeypatch.setattr(soc, "_peel_candidate", counted)
+        cert = decompose_soc((16, 11, 20))
+        assert cert == soc_decompose_from_each_height((16, 11, 20))
+        assert [lam for lam, _, _ in cert.terms] == [1, 1, 1, 1]
+        assert len(calls) <= 25
 
     def test_minimal_mode_still_reconstructs(self):
         rng = random.Random(43)
