@@ -24,6 +24,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 Rows = tuple[tuple[int, ...], ...]
 Letter = Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -83,13 +84,12 @@ def transpose(rows) -> Rows:
 
 def mat_mul(a, b) -> Rows:
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(a, v) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    """a v; a row longer or shorter than v is truncated to the shorter."""
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def letter(rows) -> Letter:

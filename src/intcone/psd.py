@@ -401,12 +401,18 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     Next come the e_i +- e_j probes, then _swap_minimal (each adjacent
     equal-diagonal swap, sign-normalized, must not give a lexicographically
     smaller matrix; it decides the ties and the swap of the first two rows,
-    and the orbit minimum always survives), then the full sporadicity test.
-    A sporadic leaf is compared only with the classes found so far that
-    share its determinant (_join_class), by the backtrack through each
-    class's shell product table; its shell counts up to diag_bound (one
-    enumeration of the leaf) are computed only when two or more classes
-    share the determinant.  Deterministic order throughout.
+    and the orbit minimum always survives).  A surviving leaf is then
+    compared with the classes found so far that share its determinant
+    (_join_class), by the backtrack through each class's shell product
+    table; its shell counts up to diag_bound (one enumeration of the leaf)
+    are computed only when two or more classes share the determinant.  A
+    match ends the leaf: if X - x x^T is PSD for an integral x != 0, so is
+    U X U^T - (U x)(U x)^T = U (X - x x^T) U^T, so congruence preserves
+    sporadicity and the leaf is a known class.  Only a leaf that matches no
+    class runs the full sporadicity test, an enumeration of its ellipsoid,
+    and a sporadic one is appended as a new class; the classes and their
+    order are those of testing every leaf first.  Deterministic order
+    throughout.
     """
     n = linalg.as_int(n)
     diag_bound = linalg.as_int(diag_bound)
@@ -515,33 +521,36 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
     entry(0, 0, False, True)
 
 
-def _sign_normalize(m, n):
-    """Flip basis signs so every column's first nonzero entry is positive."""
-    for k in range(1, n):
-        lead = next((m[i][k] for i in range(k) if m[i][k]), 0)
-        if lead < 0:
-            for i in range(n):
-                m[i][k] = -m[i][k]
-                m[k][i] = -m[k][i]
-    return m
-
-
-def _upper_key(m, n):
-    return tuple(m[i][k] for k in range(1, n) for i in range(k))
-
-
 def _swap_minimal(rows, n):
-    """False when an adjacent equal-diagonal swap lowers the matrix order."""
-    base = _upper_key(rows, n)
+    """False when an adjacent equal-diagonal swap lowers the matrix order.
+
+    rows must be sign-normalized (each column's first nonzero entry above
+    the diagonal positive), as every leaf of the walk is.  The order is
+    lexicographic on the upper triangle read column by column, and a swap
+    of k and k+1 is compared after the basis sign flips that normalize its
+    columns left to right.  Columns before k are untouched by the swap and
+    already normalized, so the comparison starts at column max(k, 1).
+    Flipping basis vector c changes only column c's entries and those of
+    later columns, so each column is normalized just before it is compared,
+    and the comparison stops at the first differing entry.
+    """
     for k in range(n - 1):
         if rows[k][k] != rows[k + 1][k + 1]:
             continue
-        sw = [list(r) for r in rows]
-        sw[k], sw[k + 1] = sw[k + 1], sw[k]
-        for r in sw:
-            r[k], r[k + 1] = r[k + 1], r[k]
-        if _upper_key(_sign_normalize(sw, n), n) < base:
-            return False
+        p = list(range(n))
+        p[k], p[k + 1] = k + 1, k
+        sign = [1] * n
+        for c in range(max(k, 1), n):
+            pc = p[c]
+            col = [sign[i] * rows[p[i]][pc] for i in range(c)]
+            if next((v for v in col if v), 0) < 0:
+                sign[c] = -1
+                col = [-v for v in col]
+            base = [rows[i][c] for i in range(c)]
+            if col < base:
+                return False
+            if col != base:
+                break
     return True
 
 
@@ -553,7 +562,11 @@ def _check_leaf(a, n, p, col, d_old, d, cap, reps):
     The e_i probe reads the diagonal of adj(a) from the bordered update
     before building it: its last entry is d_old, and entry r is (d p_rr +
     u_r^2) / d_old with u_r = p[r] . c, formed one row at a time; the first
-    entry <= d rejects the leaf (X - e_i e_i^T stays PSD).
+    entry <= d rejects the leaf (X - e_i e_i^T stays PSD).  Then come the
+    e_i +- e_j probes and _swap_minimal.  A surviving leaf is matched
+    against the known classes of its determinant before the full
+    sporadicity test (_join_class): a match is sporadic and already known,
+    so only a leaf that matches no class enumerates its ellipsoid.
     """
     if d_old <= d:
         return
@@ -572,23 +585,35 @@ def _check_leaf(a, n, p, col, d_old, d, cap, reps):
                 return  # some e_i +- e_j peels off
     if not _swap_minimal(a, n):
         return
-    if next(QuadFormQuery(adj, d).points(), None) is not None:
-        return
-    _join_class(tuple(tuple(r) for r in a), d, cap, reps)
+    _join_class(
+        tuple(tuple(r) for r in a),
+        d,
+        cap,
+        reps,
+        lambda: next(QuadFormQuery(adj, d).points(), None) is None,
+    )
 
 
-def _join_class(rows, d, cap, reps):
-    """The record in reps congruent to the positive definite rows; when
-    there is none, rows' own _ShellRecord below cap is appended to reps as
-    a new class and None is returned.
+def _join_class(rows, d, cap, reps, sporadic):
+    """The record in reps congruent to the positive definite rows, or None;
+    with none, rows' own _ShellRecord below cap is appended to reps as a
+    new class when sporadic(), the full sporadicity test of rows, holds.
+
+    A match needs no full test, since unimodular congruence preserves
+    sporadicity: if X - x x^T is PSD for an integral x != 0, then U X U^T -
+    (U x)(U x)^T = U (X - x x^T) U^T is PSD, and U x != 0 is integral; U^-1
+    is integral too, so U X U^T is sporadic exactly when X is.  Every
+    record in reps is sporadic, so a match is a known sporadic class.
 
     Only records with rows' determinant d are searched, each by its table
     backtrack (_ShellRecord.witness), and every find is checked.  When two
     or more records share d, rows' record is built first, and records
     whose shell counts differ from its counts are skipped; a new class
     keeps that record, so rows is enumerated at most once.  With a single
-    such record the backtrack runs alone: it fails at most once per new
-    class, and a failed backtrack costs more than the counts only there.
+    such record the backtrack runs alone: it fails only on a new class or
+    on a leaf that sporadic() then rejects (no search through (7, 2) and
+    (6, 3) has one), and a failed backtrack costs more than the counts only
+    there.  With none, sporadic() runs at once.
     """
     same = [rec for rec in reps if rec.det == d]
     own = None
@@ -600,7 +625,8 @@ def _join_class(rows, d, cap, reps):
         if u is not None:
             _check_witness(u, rec.rows, rows)
             return rec
-    reps.append(own if own is not None else _shell_record(rows, d, cap))
+    if sporadic():
+        reps.append(own if own is not None else _shell_record(rows, d, cap))
     return None
 
 

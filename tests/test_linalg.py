@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from _oracles import (
     adjugate_cofactor,
     det_cofactor,
+    mat_mul as mat_mul_oracle,
     psd_by_minors,
     random_unimodular,
     reduce_rank_dense,
@@ -288,6 +289,30 @@ class TestExtendToUnimodular:
         u = ladder_completion((3, -5, 7))
         ui = inverse_unimodular(u)
         assert mat_mul(u, ui) == identity(3)
+
+
+class TestProducts:
+    def test_mat_mul_and_mat_vec_match_the_oracle(self):
+        # square and non-square shapes, and empty ones: no rows on the left,
+        # or no columns on the right
+        rng = random.Random(71)
+
+        def draw(r, c):
+            return tuple(tuple(rng.randint(-9, 9) for _ in range(c)) for _ in range(r))
+
+        shapes = [(r, k, c) for r in range(5) for k in range(1, 5) for c in range(5)]
+        for r, k, c in shapes * 5 + [(6, 6, 6), (7, 3, 5)] * 20:
+            a, b = draw(r, k), draw(k, c)
+            assert mat_mul(a, b) == mat_mul_oracle(a, b), (a, b)
+            v = tuple(row[0] for row in draw(k, 1))
+            column = mat_mul_oracle(a, tuple((x,) for x in v))
+            assert linalg.mat_vec(a, v) == tuple(row[0] for row in column)
+
+    def test_mat_vec_truncates_to_the_shorter(self):
+        a = ((1, 2, 3), (4, 5, 6))
+        assert linalg.mat_vec(a, (1, 1)) == (3, 9)
+        assert linalg.mat_vec(a, (1, 1, 1, 1)) == (6, 15)
+        assert linalg.mat_vec((), (1, 2)) == ()
 
 
 class TestApplyWord:

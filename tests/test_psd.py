@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _swap_minimal as swap_minimal_oracle,
     adjugate_cofactor,
     congruence_backtrack,
     det_cofactor,
@@ -518,6 +519,13 @@ class TestSearchSporadic:
     def test_dimension_five_empty(self):
         assert search_sporadic(5, 2) == []
 
+    @pytest.mark.parametrize("n, b", [(4, 3), (4, 4), (5, 3)])
+    def test_leaves_that_pass_every_probe_are_not_classes(self, n, b):
+        # some leaves of these searches pass every probe and match no class
+        # (3, 11 and 18 of them); only the full test shows they are not
+        # sporadic
+        assert search_sporadic(n, b) == []
+
     def test_unit_diagonal_empty(self):
         assert search_sporadic(6, 1) == []
 
@@ -571,16 +579,21 @@ def dedup_streams():
 
 
 def test_dedup_agrees_with_unimodular_witness(monkeypatch):
+    # _join_class(rows, d, cap, reps, sporadic): a match ends the leaf
+    # without the full test; only an unmatched leaf calls sporadic() once,
+    # after every backtrack, and is appended when it holds.  Each stream
+    # runs twice: rule "all" calls every leaf sporadic, rule "some" calls
+    # every third one not
     witness = psd._ShellRecord.witness
     shell_record = psd._shell_record
-    backtracks = []
+    events = []
     counted = []
 
     def recording(rec, y):
         # the backtrack runs only against records with y's determinant
         assert rec.det == linalg.det(y)
         u = witness(rec, y)
-        backtracks.append((rec, u is not None))
+        events.append((rec, u is not None))
         return u
 
     def counting(rows, d, cap):
@@ -594,43 +607,87 @@ def test_dedup_agrees_with_unimodular_witness(monkeypatch):
     monkeypatch.setattr(psd, "_shell_record", counting)
     outcomes = []
     count_skips = 0
-    for stream in dedup_streams():
-        cap = max(m[i][i] for m in stream for i in range(len(m)))
-        reps = []
-        for m in stream:
-            d = linalg.det(m)
-            backtracks.clear()
-            counted.clear()
-            before = list(reps)
-            found = psd._join_class(m, d, cap, reps)
-            same = [r for r in before if r.det == d]
-            # the leaf's counts run only when two or more records share d,
-            # and then only records with equal counts are backtracked; a
-            # new class keeps the record, so the leaf is enumerated once
-            assert counted == ([m] if len(same) > 1 or found is None else [])
-            for rec, ok in backtracks:
-                assert any(rec is r for r in same)
-                assert len(same) == 1 or rec.counts == shell_counts(m, cap)
-                outcomes.append(ok)
-            if len(same) > 1:
-                count_skips += sum(r.counts != shell_counts(m, cap) for r in same)
-            expected = [
-                r for r in before if unimodular_witness(m, r.rows) is not None
-            ]
-            assert len(expected) <= 1
-            assert found is (expected[0] if expected else None)
-            if found is None:
-                assert reps[:-1] == before
-                assert reps[-1] == shell_record(m, d, cap)
-            else:
-                assert reps == before
-        assert [r.rows for r in reps] == [
-            m
-            for i, m in enumerate(stream)
-            if all(unimodular_witness(m, p) is None for p in stream[:i])
-        ]
+    refused = {"all": 0, "some": 0}
+    for rule in ("all", "some"):
+        for stream in dedup_streams():
+            cap = max(m[i][i] for m in stream for i in range(len(m)))
+            reps = []
+            kept = []
+            for i, m in enumerate(stream):
+                d = linalg.det(m)
+                verdict = rule == "all" or i % 3 != 1
+                events.clear()
+                counted.clear()
+                before = list(reps)
+
+                def sporadic():
+                    events.append("full test")
+                    return verdict
+
+                found = psd._join_class(m, d, cap, reps, sporadic)
+                same = [r for r in before if r.det == d]
+                backtracks = [e for e in events if e != "full test"]
+                # the full test runs once, last, and only without a match
+                assert events.count("full test") == (found is None)
+                assert "full test" not in events[:-1]
+                added = found is None and verdict
+                # the leaf's counts run only when two or more records share
+                # d, and then only records with equal counts are backtracked;
+                # a new class keeps the record, so the leaf is enumerated once
+                assert counted == ([m] if len(same) > 1 or added else [])
+                for rec, ok in backtracks:
+                    assert any(rec is r for r in same)
+                    assert len(same) == 1 or rec.counts == shell_counts(m, cap)
+                    outcomes.append(ok)
+                if len(same) > 1:
+                    count_skips += sum(r.counts != shell_counts(m, cap) for r in same)
+                expected = [
+                    r for r in before if unimodular_witness(m, r.rows) is not None
+                ]
+                assert len(expected) <= 1
+                assert found is (expected[0] if expected else None)
+                if added:
+                    assert reps[:-1] == before
+                    assert reps[-1] == shell_record(m, d, cap)
+                else:
+                    assert reps == before
+                    refused[rule] += found is None
+                known = any(unimodular_witness(m, p) is not None for p in kept)
+                if verdict and not known:
+                    kept.append(m)
+            assert [r.rows for r in reps] == kept
     assert True in outcomes and False in outcomes  # a backtrack that fails
     assert count_skips  # and records skipped on their counts
+    assert refused["all"] == 0 and refused["some"]  # unmatched leaves left out
+
+
+def test_search_full_tests_only_unmatched_leaves(monkeypatch):
+    # work-count pin: in (6, 2) only the first leaf of the M6 class is
+    # enumerated; the 254 later ones match it first (255 full tests when
+    # every leaf ran one before the match)
+    made = []
+
+    class Counting(lattice.QuadFormQuery):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(psd, "QuadFormQuery", Counting)
+    assert len(search_sporadic(6, 2)) == 1
+    assert len(made) <= 2
+
+
+def test_search_checks_every_witness(monkeypatch):
+    # a wrong congruence from the table is caught, not trusted
+    witness = psd._ShellRecord.witness
+
+    def wrong(rec, y):
+        u = witness(rec, y)
+        return None if u is None else linalg.identity(len(y))
+
+    monkeypatch.setattr(psd._ShellRecord, "witness", wrong)
+    with pytest.raises(RuntimeError):
+        search_sporadic(6, 2)
 
 
 # the sporadic class of search_sporadic(7, 2)
@@ -781,6 +838,76 @@ def test_swap_survivors_match_the_recording(search, monkeypatch):
             y = linalg.mat_vec(m, v)
             assert any(y)
             assert psd_by_minors([[m[i][j] - y[i] * y[j] for j in range(n)] for i in range(n)])
+
+
+def sign_normalized(m):
+    """m with basis signs flipped, columns left to right, so that each
+    column's first nonzero entry above the diagonal is positive: the form
+    of every leaf that reaches psd._swap_minimal."""
+    m = [list(r) for r in m]
+    n = len(m)
+    for j in range(1, n):
+        if next((m[i][j] for i in range(j) if m[i][j]), 0) < 0:
+            for i in range(n):
+                m[i][j], m[j][i] = -m[i][j], -m[j][i]
+    return m
+
+
+def swap_check_inputs(count, seed):
+    """Seeded sign-normalized symmetric matrices, n 2..7: short diagonal
+    alphabets for runs of equal entries, mostly zero off-diagonal entries
+    of both signs (so a swap can put a negative entry first in a column and
+    force a flip), and columns copied, up to sign, into the next one for
+    ties that the comparison must read past."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        n = 2 + t % 6
+        diag = [rng.choice((2, 2, 3) if t % 4 else (2, 3, 4)) for _ in range(n)]
+        if t % 3:
+            diag.sort()
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = diag[i]
+            for j in range(i):
+                m[i][j] = m[j][i] = rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -2))
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randrange(1, n)
+            s = rng.choice((1, -1))
+            for i in range(k - 1):
+                m[i][k] = m[k][i] = s * m[i][k - 1]
+        out.append(sign_normalized(m))
+    return out
+
+
+def test_swap_minimal_matches_the_oracle_on_random_matrices():
+    inputs = swap_check_inputs(3000, 67)
+    verdicts = []
+    for m in inputs:
+        n = len(m)
+        got = psd._swap_minimal(m, n)
+        assert got == swap_minimal_oracle(m), m
+        verdicts.append((n, got))
+    # every size both ways, but n = 2, where the swap keeps X_12 and its sign
+    assert set(verdicts) == {(2, True)} | {
+        (n, ok) for n in range(3, 8) for ok in (True, False)
+    }
+
+
+@pytest.mark.parametrize("n, b", [(5, 3), (6, 2)])
+def test_swap_minimal_matches_the_oracle_in_the_search(n, b, monkeypatch):
+    swap_minimal = psd._swap_minimal
+    seen = []
+
+    def recording(rows, n):
+        ok = swap_minimal(rows, n)
+        assert ok == swap_minimal_oracle(rows), rows
+        seen.append(ok)
+        return ok
+
+    monkeypatch.setattr(psd, "_swap_minimal", recording)
+    search_sporadic(n, b)
+    assert True in seen and False in seen
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
