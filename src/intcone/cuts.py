@@ -17,8 +17,9 @@ from collections import OrderedDict, deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import neg
+from operator import mul, neg
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import linalg, psd, soc
 from .linalg import Rows
@@ -39,10 +40,67 @@ class Cone:
     weight: Flat  # the dot product with it is the trace or the height
     generators: Mapping[str, Callable[[Flat], Flat]]  # label -> letter on flat elements
     roots: tuple  # the default roots, native
+    multiples: Multiples  # icr_search's admission test
+
+
+class Multiples(NamedTuple):
+    """How icr_search admits a candidate y against a residual res.  `norm`
+    is taken once per element of a cached search view and once per
+    residual; most(cone, res, norm(res), y, norm(y), top) is the largest
+    lam <= top with res - lam*y in the cone, 0 if there is none.  Callers
+    keep res in the cone and 1 <= top <= weight(res) // weight(y), so
+    res - lam*y keeps a nonnegative weight."""
+
+    norm: Callable[[Flat], object]
+    most: Callable[..., int]
+
+
+def _bisected_multiple(cone, res, _, y, __, top) -> int:
+    """Subtracting fewer copies of a cone element keeps membership, so the
+    feasible multiplicities run from 1 up to some largest one: one
+    membership test at 1 rules y in or out and bisection finds the
+    largest."""
+    if not in_semigroup(cone, tuple(a - b for a, b in zip(res, y))):
+        return 0
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if in_semigroup(cone, tuple(a - mid * b for a, b in zip(res, y))):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _lorentz_self(y: Flat) -> int:
+    return sum(map(mul, y, y)) - 2 * y[-1] * y[-1]
+
+
+def _lorentz_multiple(_, res, rr, y, yy, top) -> int:
+    """On the Lorentz form B(a, b) = a.b - a_n b_n, with rr = B(res, res)
+    and yy = B(y, y): res - lam*y lies in T_n exactly when its height is
+    nonnegative, which top ensures, and rr - 2 lam B(res, y) + lam^2 yy
+    <= 0.  The bisection is the one of _bisected_multiple on that
+    quadratic, so no tuple is built."""
+    ry2 = 2 * (sum(map(mul, res, y)) - 2 * res[-1] * y[-1])
+    if rr - ry2 + yy > 0:
+        return 0
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mid * yy - ry2) * mid + rr <= 0:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+_BY_MEMBERSHIP = Multiples(norm=lambda y: None, most=_bisected_multiple)
+_BY_LORENTZ_FORM = Multiples(norm=_lorentz_self, most=_lorentz_multiple)
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _congruence(g: Rows) -> Callable[[Flat], Flat]:
@@ -84,6 +142,7 @@ def _psd_cone(n: int) -> Cone:
             {label: _congruence(g) for label, g in psd.gl_generators(n).items()}
         ),
         roots=(e1,) + psd.sporadic_catalog(n),
+        multiples=_BY_MEMBERSHIP,
     )
 
 
@@ -103,6 +162,7 @@ def _soc_cone(n: int) -> Cone:
         weight=tuple(int(i == n - 1) for i in range(n)),
         generators=soc._letters(n),
         roots=soc.roots(n),
+        multiples=_BY_LORENTZ_FORM,
     )
 
 
@@ -243,9 +303,9 @@ def check_cut(sys: LCISystem, cut: CGCut) -> str | None:
     return None
 
 
-# walk elements the stream cache holds in all: each costs about 470 bytes
+# walk elements the stream cache holds in all: each costs about 490 bytes
 # with its share of the search view (tracemalloc on the ("soc", 10, 4)
-# walk: 287 + 187), so the cache holds about 95 MB at most
+# walk: 287 + 201), so the cache holds about 98 MB at most
 _MAX_HELD = 200_000
 
 
@@ -277,17 +337,18 @@ def _direction(y: Flat) -> Flat:
     return y if g == 1 else tuple(v // g for v in y)
 
 
-def _search_view(walk: tuple) -> tuple:
-    """(ys, weights, rays): the walk's flat elements and their weights
-    heaviest first, ties in walk order, and for each primitive direction
-    the ascending indices of the elements on its ray."""
+def _search_view(walk: tuple, norm: Callable[[Flat], object]) -> tuple:
+    """(ys, weights, norms, rays): the walk's flat elements, their weights
+    and their admission norms (Multiples.norm) heaviest first, ties in walk
+    order, and for each primitive direction the ascending indices of the
+    elements on its ray."""
     order = sorted(walk, key=lambda e: -e[1])
     ys = tuple(y for y, _, _, _ in order)
     weights = tuple(w for _, w, _, _ in order)
     rays = {}
     for i, y in enumerate(ys):
         rays.setdefault(_direction(y), []).append(i)
-    return ys, weights, rays
+    return ys, weights, tuple(map(norm, ys)), rays
 
 
 class _StreamCache:
@@ -305,7 +366,10 @@ class _StreamCache:
             self.entries.move_to_end(key)
             return entry
         walk = _walk(*key)
-        entry = self.entries[key] = walk, _search_view(walk)
+        entry = walk, _search_view(walk, cone_record(*key[:2]).multiples.norm)
+        if len(walk) > _MAX_HELD:
+            return entry
+        self.entries[key] = entry
         self.held += len(walk)
         while self.held > _MAX_HELD:
             self.held -= len(self.entries.popitem(last=False)[1][0])
@@ -369,10 +433,12 @@ def cg_cuts(sys: LCISystem, gen: GeneratorStream) -> list[CGCut]:
     """
     if gen.cone != sys.cone or gen.n != sys.n:
         raise ValueError("generator stream does not match the system's cone")
+    walk, _ = gen._cached()
     out = []
     seen = set()
-    for y, root, word in gen:
-        y = sys._cone.flatten(y)
+    for y, w, root, word in walk:
+        if gen.cap is not None and w > gen.cap:
+            continue
         u = tuple(_dot(y, ai) for ai in sys._a)
         rhs = _dot(y, sys._c)
         g = linalg.vec_gcd(u)
@@ -435,12 +501,16 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     of the cached view, and each level starts where the weights drop to
     the residual's.  Subtracting fewer copies of a cone element keeps
     membership, so a candidate's feasible multiplicities run from 1 up to
-    some largest one: one test at 1 rules the candidate in or out, and
-    bisection finds the largest, from which the search descends to 1
-    without testing again.  The last term must be the residual itself,
-    lambda times one candidate: it is the first candidate on the
-    residual's ray whose weight divides the residual's, found by the
-    ray's primitive vector without a membership test.
+    some largest one.  The cone record's `multiples` finds it (0 refuses
+    the candidate), and the search descends from it to 1 without testing
+    again.  PSD bisects with membership tests.  SOC bisects on the Lorentz
+    form B: each node takes B(res, res) once, each view element carries
+    B(y, y), its root's value since every generator preserves B, and a
+    candidate costs one product B(res, y) and integer steps, with no
+    residual built until it is admitted.  The last term must be the
+    residual itself, lambda times one candidate: it is the first
+    candidate on the residual's ray whose weight divides the residual's,
+    found by the ray's primitive vector without a membership test.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -450,7 +520,8 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
         raise ValueError("element is outside the cone")
     total = _dot(rec.weight, s)
     limit = total if gen.cap is None else min(total, gen.cap)
-    _, (ys, weights, rays) = gen._cached()
+    _, (ys, weights, norms, rays) = gen._cached()
+    norm, most = rec.multiples
     first = bisect_left(weights, -limit, key=neg)
 
     chosen = []
@@ -472,18 +543,10 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
                     return True
             return None
         outcome = False
+        rn = norm(res)
         for i in range(max(i0, bisect_left(weights, -res_weight, key=neg)), len(ys)):
             y, w = ys[i], weights[i]
-            if not in_semigroup(rec, tuple(a - b for a, b in zip(res, y))):
-                continue
-            lo, hi = 1, res_weight // w
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if in_semigroup(rec, tuple(a - mid * b for a, b in zip(res, y))):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            for lam in range(lo, 0, -1):
+            for lam in range(most(rec, res, rn, y, norms[i], res_weight // w), 0, -1):
                 nxt = tuple(a - lam * b for a, b in zip(res, y))
                 chosen.append((lam, y))
                 child = dfs(nxt, res_weight - lam * w, k_left - 1, i + 1)

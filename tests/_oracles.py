@@ -11,7 +11,9 @@ and icr search take the package's cone record (weight, membership,
 flatten) from the caller, as the stream code they copy did, but not its
 letters: dense_generators builds the dense matrices the walk multiplies
 by, from soc._generators rows and from Kronecker squares of
-psd.gl_generators formed here.
+psd.gl_generators formed here.  tuple_icr_search is icr_search as it was
+before the SOC record admitted candidates on the Lorentz form; it reads
+the stream's cached search view and admits by membership alone.
 echelon_split is the positive-definite split that lattice._decompose
 took from the general echelon before the symmetric elimination served it.
 peel_by_one_decompose is the peel loop that psd.decompose replaced, with
@@ -23,10 +25,12 @@ a top height; soc_decompose_from_each_height is decompose_soc over them,
 with the package's descent, maximal multiple and certificate type.
 """
 
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from math import gcd, isqrt
+from operator import neg
 
 from intcone import lattice, linalg, psd, soc
 
@@ -640,6 +644,76 @@ def uncached_icr_search(s, rec, roots, word_cap, stream_cap, cap):
         if dfs(s, total, k, 0):
             return "ok", k, tuple((lam, rec.unflatten(y)) for lam, y in chosen)
     if cap >= min(total, len(cands)):
+        return "infeasible", None, ()
+    return "exceeded", None, ()
+
+
+def tuple_icr_search(s, gen, cap):
+    """(status, count, terms) of cuts.icr_search as it ran before the
+    cone record chose how to admit a candidate: the same cached view, ray
+    lookup and table of dead residuals, but every candidate admitted by
+    building res - lam*y and testing it with the record's membership, one
+    test at 1 and a bisection for the largest multiplicity."""
+    rec = gen._cone
+    s = rec.flatten(s)
+    total = _rec_dot(rec.weight, s)
+    limit = total if gen.cap is None else min(total, gen.cap)
+    _, view = gen._cached()
+    ys, weights, rays = view[0], view[1], view[-1]
+    first = bisect_left(weights, -limit, key=neg)
+
+    def direction(y):
+        g = 0
+        for v in y:
+            g = gcd(g, v)
+        return tuple(v // g for v in y)
+
+    chosen = []
+    dead = {}
+
+    def dfs(res, res_weight, k_left, i0):
+        if res_weight == 0:
+            return not any(res)
+        if dead.get(res, i0 + 1) <= i0:
+            return False
+        if k_left == 0:
+            return None
+        if k_left == 1:
+            for i in rays.get(direction(res), ()):
+                if i >= i0 and res_weight % weights[i] == 0:
+                    chosen.append((res_weight // weights[i], ys[i]))
+                    return True
+            return None
+        outcome = False
+        for i in range(max(i0, bisect_left(weights, -res_weight, key=neg)), len(ys)):
+            y, w = ys[i], weights[i]
+            if not rec.member(tuple(a - b for a, b in zip(res, y))):
+                continue
+            lo, hi = 1, res_weight // w
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if rec.member(tuple(a - mid * b for a, b in zip(res, y))):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            for lam in range(lo, 0, -1):
+                nxt = tuple(a - lam * b for a, b in zip(res, y))
+                chosen.append((lam, y))
+                child = dfs(nxt, res_weight - lam * w, k_left - 1, i + 1)
+                if child:
+                    return True
+                chosen.pop()
+                if child is None:
+                    outcome = None
+        if outcome is False:
+            dead[res] = i0
+        return outcome
+
+    for k in range(min(cap, total, len(ys) - first) + 1):
+        chosen.clear()
+        if dfs(s, total, k, first):
+            return "ok", k, tuple((lam, rec.unflatten(y)) for lam, y in chosen)
+    if cap >= min(total, len(ys) - first):
         return "infeasible", None, ()
     return "exceeded", None, ()
 

@@ -6,13 +6,14 @@ import tracemalloc
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     congruence_walk,
     dense_generators,
     gl_letters,
+    tuple_icr_search,
     uncached_icr_search,
     uncached_walk,
 )
@@ -324,8 +325,57 @@ class TestGeneratorStream:
         assert cached() == [1, 0] and cuts._streams.held == 9  # 2 went first
         three = list(stream(3))
         assert three == uncached_walk(cuts.cone_record("soc", 3), soc.roots(3), 3)
-        assert cached() == [] and cuts._streams.held == 0  # 37 is never kept
-        assert list(stream(2)) == two and cuts._streams.held == 17
+        assert cached() == [1, 0] and cuts._streams.held == 9  # 37 is never kept
+        assert list(stream(2)) == two
+        assert cached() == [0, 2] and cuts._streams.held == 19  # 1 went first
+
+    def test_oversized_walk_leaves_the_held_walks(self, monkeypatch):
+        # a walk of 37 elements, past a bound of 25, is built for its caller
+        # and neither enters the cache nor pushes a held walk out
+        calls = []
+        walk = cuts._walk
+
+        def counted(*key):
+            calls.append(key[2])
+            return walk(*key)
+
+        def stream(word_cap):
+            return GeneratorStream(cone="soc", n=3, word_cap=word_cap)
+
+        monkeypatch.setattr(cuts, "_walk", counted)
+        monkeypatch.setattr(cuts, "_MAX_HELD", 25)
+        monkeypatch.setattr(cuts, "_streams", cuts._StreamCache())
+        one, two = list(stream(1)), list(stream(2))
+        for _ in range(2):
+            assert len(list(stream(3))) == 37
+            assert cuts.icr_search((1, 1, 2), stream(3), cap=4).status == "ok"
+        assert [key[2] for key in cuts._streams.entries] == [1, 2]
+        assert cuts._streams.held == 24
+        assert calls == [1, 2, 3, 3, 3, 3]
+        assert list(stream(1)) == one and list(stream(2)) == two
+        assert calls == [1, 2, 3, 3, 3, 3]
+
+
+def spy_admissions(monkeypatch):
+    """The admission tests of every icr_search from here on, as (residual,
+    candidate, top multiplicity): the cone records that cuts hands out,
+    and so the streams built after this call, carry a `multiples` whose
+    `most` records its arguments before it answers."""
+    tested = []
+    record = cuts.cone_record
+
+    def spied(name, n):
+        rec = record(name, n)
+        norm, most = rec.multiples
+
+        def recording(cone, res, rn, y, yn, top):
+            tested.append((res, y, top))
+            return most(cone, res, rn, y, yn, top)
+
+        return dataclasses.replace(rec, multiples=cuts.Multiples(norm, recording))
+
+    monkeypatch.setattr(cuts, "cone_record", spied)
+    return tested
 
 
 def outer_product_sum(rng, n):
@@ -521,6 +571,84 @@ class TestAgainstTheUncachedStream:
         assert (got.status, got.count, got.terms) == want
 
 
+class TestAgainstTheTupleSearch:
+    """icr_search against a copy of itself from before the cone record
+    chose the admission test, when every candidate was admitted by
+    building the residual and testing its membership."""
+
+    def test_icr_search_on_the_workload_keys(self):
+        seen = set()
+        for cone, n, word_cap in ICR_KEYS:
+            cap = 2 * n - 2 if cone == "soc" else n * (n + 1) - 2
+            for stream_cap in (None, 3):
+                gen = GeneratorStream(cone=cone, n=n, word_cap=word_cap, cap=stream_cap)
+                for s in workload_points(cone, n, 40, "tuple"):
+                    for c in (cap, 2, 1):
+                        got = cuts.icr_search(s, gen, cap=c)
+                        want = tuple_icr_search(s, gen, c)
+                        assert (got.status, got.count, got.terms) == want, (s, c)
+                        seen.add((cone, n, got.status))
+        assert {status for _, _, status in seen} == {"ok", "infeasible", "exceeded"}
+        assert {(cone, n) for cone, n, status in seen if status == "ok"} == {
+            key[:2] for key in ICR_KEYS
+        }
+
+
+@st.composite
+def form_cases(draw):
+    """(res, y): y an element of the SOC stream of word cap 2 in dimension
+    3, 5, 7 or 9, and res = p + m y for a point p of T_n and m in 1..3, so
+    that y is no heavier than res."""
+    n = draw(st.sampled_from([3, 5, 7, 9]))
+    walk = GeneratorStream(cone="soc", n=n, word_cap=2)._cached()[0]
+    y = draw(st.sampled_from([y for y, _, _, _ in walk]))
+    p = draw(soc_points(n=n, max_height=10))
+    m = draw(st.integers(1, 3))
+    return tuple(a + m * b for a, b in zip(p, y)), y
+
+
+class TestLorentzAdmission:
+    """The SOC record admits candidates on the Lorentz form; that must agree
+    with soc.in_cone on every residual it no longer builds."""
+
+    @given(case=form_cases())
+    @example(case=((3, 4, 9), (0, 0, 1)))  # B(y, y) = -1
+    @example(case=((2, 2, 2, 2, 2, 1, 7), (1, 1, 1, 1, 1, 1, 3)))  # -3
+    @example(case=((1, 2, 1, 2, 1, 2, 1, 1, 13), (2, 2, 2, 2, 2, 2, 2, 1, 6)))  # -7
+    @example(case=((4, 0, 0, 4), (1, 0, 0, 1)))  # 0, on the boundary
+    @settings(max_examples=300, deadline=None)
+    def test_form_agrees_with_membership(self, case):
+        res, y = case
+        rec = cuts.cone_record("soc", len(y))
+        norm, most = rec.multiples
+        top = res[-1] // y[-1]
+        largest = most(rec, res, norm(res), y, norm(y), top)
+        assert 0 <= largest <= top
+        for lam in range(1, top + 1):
+            inside = soc.in_cone(tuple(a - lam * b for a, b in zip(res, y)))
+            assert inside == (lam <= largest), lam
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_view_carries_each_roots_form(self, n):
+        # every generator preserves B, so each element's B(y, y) is its
+        # root's: -1 for e_last, -3 for (1, ..., 1, 3) in dimension 7, -7
+        # for (2, ..., 2, 1, 6) in dimension 9
+        gen = GeneratorStream(cone="soc", n=n, word_cap=2)
+        walk, (ys, _, norms, _) = gen._cached()
+        root_of = {y: root for y, _, root, _ in walk}
+        assert len(ys) == len(norms) == len(walk)
+        for y, yy in zip(ys, norms):
+            assert yy == soc.lorentz_form(y, y) == soc.lorentz_form(*[root_of[y]] * 2)
+        forms = {soc.lorentz_form(r, r) for r in soc.roots(n)}
+        assert -1 in forms and (n != 7 or -3 in forms) and (n != 9 or -7 in forms)
+
+    def test_psd_admits_by_membership(self):
+        gen = GeneratorStream(cone="psd", n=3, word_cap=2)
+        _, (ys, _, norms, _) = gen._cached()
+        assert norms == (None,) * len(ys)
+        assert gen._cone.multiples.most is cuts._bisected_multiple
+
+
 class TestCgCuts:
     def test_soc_unit_bound_cut(self):
         gen = GeneratorStream(
@@ -584,6 +712,30 @@ class TestCgCuts:
             assert tuple(cuts.pair("psd", y, ai) for ai in sys.a) == cut.u
             assert cuts.pair("psd", y, sys.c) == cut.rhs
 
+
+    @pytest.mark.parametrize("stream_cap", [None, 3], ids=["uncapped", "cap3"])
+    def test_cuts_read_the_cached_walk(self, monkeypatch, stream_cap):
+        # each cut comes from the walk's flat entries, so no emitted matrix
+        # is read again and checked for symmetry, and the cuts are those of
+        # the stream's emissions
+        a1 = ((1, 0), (0, 0))
+        a2 = ((0, 1), (1, 0))
+        sys = LCISystem(cone="psd", n=2, c=((3, 1), (1, 2)), a=(a1, a2))
+        gen = GeneratorStream(cone="psd", n=2, word_cap=2, cap=stream_cap)
+        want, seen = [], set()
+        for y, root, word in gen:
+            y = tuple(v for row in y for v in row)
+            u = tuple(cuts._dot(y, ai) for ai in sys._a)
+            rhs = cuts._dot(y, sys._c)
+            g = linalg.vec_gcd(u)
+            key = (tuple(v // g for v in u), rhs // g) if g > 1 and rhs % g == 0 else (u, rhs)
+            if key not in seen:
+                seen.add(key)
+                want.append(CGCut(u=u, rhs=rhs, root=root, word=word))
+        checked = []
+        monkeypatch.setattr(linalg, "is_symmetric", lambda rows: checked.append(rows) or True)
+        assert cuts.cg_cuts(sys, gen) == want
+        assert checked == []
 
 class TestValidateCut:
     def cut(self):
@@ -734,15 +886,10 @@ class TestIcrSearch:
 
     def test_no_candidate_heavier_than_the_residual_is_tested(self, monkeypatch):
         # each level bisects the heaviest-first weights for the residual's
-        # weight, so every membership test after the input's own is of a
-        # residual minus a candidate, and never of negative weight
-        tested = []
-
-        def recording(cone, y):
-            tested.append(cuts._dot(cone.weight, y))
-            return cone.member(y)
-
-        monkeypatch.setattr(cuts, "in_semigroup", recording)
+        # weight, so every admission test is of a candidate no heavier than
+        # the residual, and no multiplicity it may try leaves a negative
+        # weight
+        tested = spy_admissions(monkeypatch)
         for cone, n, word_cap, s in (
             ("soc", 3, 3, (3, 3, 5)),
             ("soc", 4, 3, (2, -1, 1, 5)),
@@ -751,22 +898,24 @@ class TestIcrSearch:
             tested.clear()
             gen = GeneratorStream(cone=cone, n=n, word_cap=word_cap)
             assert cuts.icr_search(s, gen, cap=8).status == "ok", s
-            assert len(tested) > 1 and min(tested[1:]) >= 0, (s, tested)
+            weight = gen._cone.weight
+            left = [
+                cuts._dot(weight, res) - top * cuts._dot(weight, y)
+                for res, y, top in tested
+            ]
+            assert tested and min(top for _, _, top in tested) >= 1, s
+            assert min(left) >= 0, (s, left)
 
     def test_dead_residuals_are_not_searched_again(self, monkeypatch):
         # an infeasible SOC n = 5 element: with each deepening round walking
         # the whole tree of the round before it, its search makes 1,825
-        # membership tests; with the dead residuals shared by the rounds, 582
-        tested = [0]
-
-        def counting(cone, y):
-            tested[0] += 1
-            return cone.member(y)
-
-        monkeypatch.setattr(cuts, "in_semigroup", counting)
+        # membership tests; with the dead residuals shared by the rounds, 582:
+        # the input's own, 25 bisection steps and 556 admission tests, each
+        # of which admits or refuses a candidate and is counted here
+        tested = spy_admissions(monkeypatch)
         gen = GeneratorStream(cone="soc", n=5, word_cap=3)
         assert cuts.icr_search((2, 5, 3, 2, 7), gen, cap=8).status == "infeasible"
-        assert tested[0] <= 700
+        assert 0 < len(tested) <= 700
 
     def test_a_residual_dead_from_a_later_start_is_searched_again(self):
         # (0, 4, 6) is twice (0, 2, 3), the lightest candidate.  The round
