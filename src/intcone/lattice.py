@@ -118,8 +118,11 @@ class QuadFormQuery:
             # subtree is tight in turn
             dk, nk = d[k + 1], offs[k]
             cap = d[k] * e
-            hi = _floor_div_surd(-nk, cap, dk)
-            lo = -_floor_div_surd(nk, cap, dk)
+            # the integer v d[k+1] + offs[k] squares to at most cap exactly
+            # when its absolute value is at most isqrt(cap) (_floor_div_surd)
+            r = isqrt(cap)
+            hi = (r - nk) // dk
+            lo = -((r + nk) // dk)
             if tight:
                 s = start[k]
                 if k and lo <= s <= hi:
@@ -153,21 +156,26 @@ def enumerate_below(a, t: int) -> list[tuple[int, ...]]:
     return list(QuadFormQuery(a, t).points())
 
 
-def _peel_data(x_rows):
-    """The first-peel search of a PSD X, as (lift, adj(B), det(B)).
+def _peel_data(x, elim=None):
+    """The first-peel search of a frozen PSD X, as (lift, adj(B), det(B));
+    elim is X's _psd_echelon when the caller holds it, else it is taken
+    here.
 
-    linalg.reduce_rank gives U^T X U = diag(0, B) with B full rank, and
-    U^{-T} from the same gcd ladder.  The peels of X (x with X - x x^T PSD)
-    are exactly x = lift y with lift the last len(B) columns of U^{-T} and
-    y a peel of B, i.e. y^T adj(B) y <= det(B).  A peel lies in the range of
-    X, so X - x x^T keeps the kernel of X, and while its rank holds the same
-    U reduces it, to B - y y^T.  adj(B) and det(B) come from one echelon
-    of [B | I] (linalg._adjugate_det).
+    linalg._reduce_rank gives U^T X U = diag(0, B) with B full rank, U^{-T}
+    from the same gcd ladder, and B's own symmetric elimination.  The peels
+    of X (x with X - x x^T PSD) are exactly x = lift y with lift the last
+    len(B) columns of U^{-T} and y a peel of B, i.e. y^T adj(B) y <= det(B).
+    A peel lies in the range of X, so X - x x^T keeps the kernel of X, and
+    while its rank holds the same U reduces it, to B - y y^T.  adj(B) is
+    bordered up from B's leading minors, read off that elimination
+    (linalg._bordered_adjugate).
     """
-    _, u_inv_t, block = linalg.reduce_rank(x_rows)
+    if elim is None:
+        elim = linalg._psd_echelon(x)
+    _, u_inv_t, block, block_elim = linalg._reduce_rank(x, elim)
     zeros = len(u_inv_t) - len(block)
     lift = tuple(row[zeros:] for row in u_inv_t)
-    adj, d = linalg._adjugate_det(block)
+    adj, d = linalg._bordered_adjugate(block, block_elim)
     return lift, adj, d
 
 
@@ -178,8 +186,9 @@ def _lift(lift, y):
     return x if next(v for v in x if v) > 0 else tuple(-v for v in x)
 
 
-def _kx_first(x_rows):
-    """The first point of K(X) = {x != 0 : X - x x^T is PSD}, or None."""
-    lift, adj, d = _peel_data(x_rows)
+def _kx_first(x_rows, elim=None):
+    """The first point of K(X) = {x != 0 : X - x x^T is PSD}, or None; elim
+    is X's _psd_echelon when the caller holds it."""
+    lift, adj, d = _peel_data(linalg.freeze(x_rows), elim)
     y = next(QuadFormQuery(adj, d).points(), None)
     return None if y is None else _lift(lift, y)

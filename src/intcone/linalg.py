@@ -6,11 +6,15 @@ fraction-free (Bareiss) eliminations do the work, and their entries are
 minors of the input, so every division is exact.  The symmetric one,
 `_psd_echelon`, pivoting on the diagonal, answers every PSD and
 positive-definite question: PSD membership, rank, determinant, lattice's
-positive-definite split and the rank split's kernel vectors.  The
-general `_echelon` serves `det`, `rank` and `primitive_kernel_vector` on
-any matrix and, run on [A | I], the adjugate and the unimodular inverse.
-One gcd ladder per kernel vector builds, in place, the rank split's U and
-U^{-T}.  Matrices stay well under 11x11 here, so the code favours clarity
+positive-definite split and the rank split's kernel vectors; the leading
+minors on its diagonal border up the adjugate of a peel frame's block
+(`_bordered_adjugate`, by the identity `_border` that the sporadic search
+also uses).  The general `_echelon` serves `det`, `rank` and
+`primitive_kernel_vector` on any matrix and, run on [A | I], only the
+public `adjugate` and `inverse_unimodular`.  One gcd ladder per kernel
+vector builds, in place, the rank split's U and U^{-T}; `_reduce_rank`
+takes an elimination its caller already holds and hands back the block's.
+Matrices stay well under 11x11 here, so the code favours clarity
 over asymptotics.  A generator acts on vectors as a letter, a function built
 once by `letter` from the generator's nonzero entries, and `apply_word`
 is the one fold of a word of letters.  `as_int` is the one rule for
@@ -70,12 +74,13 @@ def freeze(rows) -> Rows:
 
 
 def is_symmetric(rows) -> bool:
-    n = len(rows)
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
+    """Whether the rows equal the columns, compared a row at a time; a
+    matrix that is not square is never symmetric."""
+    return tuple(map(tuple, rows)) == tuple(zip(*rows))
 
 
 def identity(n: int) -> Rows:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
 
 
 def transpose(rows) -> Rows:
@@ -378,19 +383,31 @@ def reduce_rank(rows):
 
     Returns (U, U^{-T}, block) with U unimodular and U^T X U = diag(0, ...,
     0, block) where the zero block collects the kernel (top-left) and block
-    is full rank.  While the block's symmetric elimination finds fewer
-    pivots than it has rows, the kernel vector read off it (_kernel_vector)
-    acts by its gcd ladder, in place, on the block, on U and,
-    inverse-transposed, on U^{-T}: nothing is inverted.  The closing check
-    X U[:, :n-r] = 0 says the same as a zero kernel block of U^T X U, as U
-    is invertible.  Full-rank input returns (identity, identity, X)
-    unchanged; the all-zero matrix returns an empty block.
+    is full rank: _reduce_rank of X and its symmetric elimination.
+    Full-rank input returns (identity, identity, X) unchanged; the all-zero
+    matrix returns an empty block.  Input that is not PSD raises ValueError.
     """
     x = freeze(rows)
-    elim = _psd_echelon(x)
+    return _reduce_rank(x, _psd_echelon(x))[:3]
+
+
+def _reduce_rank(x, elim):
+    """reduce_rank of a frozen X from elim = _psd_echelon(X), as (U, U^{-T},
+    block, the block's _psd_echelon); elim None (X not PSD) raises
+    ValueError, and at full rank X is its own block at once.
+
+    While the block's symmetric elimination finds fewer pivots than it has
+    rows, the kernel vector read off it (_kernel_vector) acts by its gcd
+    ladder, in place, on the block, on U and, inverse-transposed, on
+    U^{-T}: nothing is inverted.  The closing check X U[:, :n-r] = 0 says
+    the same as a zero kernel block of U^T X U, as U is invertible.
+    """
     if elim is None:
         raise ValueError("reduce_rank expects a PSD matrix")
     pivots, elim_rows = elim
+    if len(pivots) == len(x):
+        eye = identity(len(x))
+        return eye, eye, x, elim
     u, u_inv_t = ([list(row) for row in identity(len(x))] for _ in range(2))
     cur = x
     while len(pivots) < len(cur):
@@ -410,7 +427,48 @@ def reduce_rank(rows):
     u, u_inv_t = tuple(map(tuple, u)), tuple(map(tuple, u_inv_t))
     if any(any(mat_vec(x, z)) for z in list(zip(*u))[: len(x) - len(cur)]):
         raise RuntimeError("reduce_rank left a kernel column of U outside the kernel")
-    return u, u_inv_t, cur
+    return u, u_inv_t, cur, (pivots, elim_rows)
+
+
+def _rank1_update(p, u, d_old, d_new, lam) -> list[list[int]]:
+    """(d_new p + lam u u^T) / d_old as lists of rows, every division
+    exact: the adjugate of B - lam y y^T for p = adj(B), u = p y, d_old =
+    det(B) and d_new = det(B - lam y y^T), and, with lam = 1, the top-left
+    block of the bordered adjugate (_border)."""
+    return [
+        [(d_new * pj + lur * uj) // d_old for pj, uj in zip(pr, u)]
+        for pr, lur in zip(p, [lam * ur for ur in u])
+    ]
+
+
+def _border(p, u, d_old, d_new) -> Rows:
+    """adj(A) for A = [[B, c], [c^T, t]] with det(A) = d_new, from p =
+    adj(B), d_old = det(B) and u = p c: the bordered-inverse identity, every
+    division exact.  Its diagonal is (d_new p_rr + u_r^2) / d_old, then
+    d_old."""
+    top = _rank1_update(p, u, d_old, d_new, 1)
+    for row, ur in zip(top, u):
+        row.append(-ur)
+    top.append([-v for v in u] + [d_old])
+    return tuple(map(tuple, top))
+
+
+def _bordered_adjugate(rows, elim):
+    """(adj(B), det(B)) of a positive definite B from elim = _psd_echelon(B),
+    bordering B's leading blocks one row and column at a time (_border).
+
+    B's elimination pivots on 0, 1, ... in turn, so entry (k, k) of its
+    rows is the leading principal minor of order k + 1: each step's
+    determinant is read off it, and no other elimination runs.  The empty
+    matrix gives ((), 1).
+    """
+    minors = elim[1]
+    adj, d = (), 1
+    for k, row in enumerate(rows):
+        u = [sum(map(mul, pr, row)) for pr in adj]  # row[:k] is B's column k
+        adj = _border(adj, u, d, minors[k][k])
+        d = minors[k][k]
+    return adj, d
 
 
 @dataclass(frozen=True)

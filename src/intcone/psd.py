@@ -54,7 +54,7 @@ def is_sporadic(x_rows) -> bool:
     elim = linalg._psd_echelon(x_rows)
     if elim is None:
         raise ValueError("is_sporadic expects a PSD matrix")
-    return len(elim[0]) >= 2 and lattice._kx_first(x_rows) is None
+    return len(elim[0]) >= 2 and lattice._kx_first(x_rows, elim) is None
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ class Rank1Certificate:
 
 
 def _sub_outer(rows, x, lam):
-    n = len(rows)
     return tuple(
-        tuple(rows[i][j] - lam * x[i] * x[j] for j in range(n)) for i in range(n)
+        tuple([v - lxi * xj for v, xj in zip(row, x)])
+        for row, lxi in zip(rows, [lam * xi for xi in x])
     )
 
 
@@ -138,13 +138,15 @@ def decompose(x_rows) -> Rank1Certificate:
 
     Each step peels the first peel of the residue (lattice._kx_first) at its
     maximal multiple, so each distinct peel vector is one step.  The
-    residue is reduced to its full-rank block B once (lattice._peel_data),
-    and the first y with y^T adj(B) y <= det(B) is lifted back to x.
+    residue is reduced to its full-rank block B once (lattice._peel_data:
+    one symmetric elimination of B gives the frame, its leading minors and
+    so adj(B); the first frame reuses the elimination that checked X), and
+    the first y with y^T adj(B) y <= det(B) is lifted back to x.
     With q = y^T adj(B) y and d = det(B), B - lam y y^T is PSD exactly
     while lam q <= d, so x goes at lam = d // q, and the adjugate of B -
     lam y y^T comes from an exact integer rank-one downdate of B's
-    (_rank1_update).  The peel set only shrinks and the enumeration order
-    does not depend on the form, so no later peel comes before y: while
+    (linalg._rank1_update).  The peel set only shrinks and the enumeration
+    order does not depend on the form, so no later peel comes before y: while
     d - lam q > 0 the frame holds and the next enumeration resumes at y
     (QuadFormQuery.points' start).  At d - lam q = 0 the rank, taken once
     by _psd_echelon, drops by one, and the residue is reduced again, except
@@ -163,8 +165,8 @@ def decompose(x_rows) -> Rank1Certificate:
     d = 0
     while r > 1:
         if d == 0:
-            lift, adj, d = lattice._peel_data(cur)
-            y = None
+            lift, adj, d = lattice._peel_data(cur, elim)
+            elim = y = None
         y = next(QuadFormQuery(adj, d).points(start=y), None)
         if y is None:
             break
@@ -176,7 +178,7 @@ def decompose(x_rows) -> Rank1Certificate:
         cur = _sub_outer(cur, x, lam)
         d2 = d - lam * q
         if d2:
-            adj = _rank1_update(adj, ay, d, d2, lam)
+            adj = linalg._rank1_update(adj, ay, d, d2, lam)
         else:
             r -= 1
         d = d2
@@ -322,20 +324,21 @@ def unimodular_witness(x_rows, y_rows):
     n = len(x)
     if n == 0:
         return UnimodularMatrix(())
-    invariants = []
+    elims, invariants = [], []
     for m in (x, y):
         elim = linalg._psd_echelon(m)
         if elim is None:
             raise ValueError("unimodular_witness expects PSD matrices")
         pivots, rows = elim  # at full rank the last pivot is the determinant
         d = rows[pivots[-1]][pivots[-1]] if len(pivots) == n else 0
+        elims.append(elim)
         invariants.append((len(pivots), d))
     if invariants[0] != invariants[1]:
         return None
     r, d = invariants[0]
     if r < n:
-        ux, _, bx = linalg.reduce_rank(x)
-        _, uy_inv_t, by = linalg.reduce_rank(y)
+        ux, _, bx, _ = linalg._reduce_rank(x, elims[0])
+        _, uy_inv_t, by, _ = linalg._reduce_rank(y, elims[1])
         if r == 0:
             core: Rows = ()
         else:
@@ -430,29 +433,6 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     return [rec.rows for rec in reps]
 
 
-def _rank1_update(p, u, d_old, d_new, lam) -> list[list[int]]:
-    """(d_new p + lam u u^T) / d_old as lists of rows, every division
-    exact: the adjugate of B - lam y y^T for p = adj(B), u = p y, d_old =
-    det(B) and d_new = det(B - lam y y^T), and, with lam = 1, the top-left
-    block of the bordered adjugate (_border)."""
-    return [
-        [(d_new * pj + lur * uj) // d_old for pj, uj in zip(pr, u)]
-        for pr, lur in zip(p, [lam * ur for ur in u])
-    ]
-
-
-def _border(p, u, d_old, d_new) -> Rows:
-    """adj(A) for A = [[B, c], [c^T, t]] with det(A) = d_new, from p =
-    adj(B), d_old = det(B) and u = p c: the bordered-inverse identity, every
-    division exact.  Its diagonal is (d_new p_rr + u_r^2) / d_old, then
-    d_old."""
-    top = _rank1_update(p, u, d_old, d_new, 1)
-    for row, ur in zip(top, u):
-        row.append(-ur)
-    top.append([-v for v in u] + [d_old])
-    return tuple(map(tuple, top))
-
-
 def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
     t = a[k][k]
     col = [0] * k
@@ -477,7 +457,7 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
                 _check_leaf(a, n, p, col, d_old, d_new, cap, reps)
             else:
                 u = [sum(map(mul, pr, col)) for pr in p]
-                adjs.append(_border(p, u, d_old, d_new))
+                adjs.append(linalg._border(p, u, d_old, d_new))
                 dets.append(d_new)
                 _fill_column(a, k + 1, n, adjs, dets, bound, cap, reps)
                 adjs.pop()
@@ -577,7 +557,7 @@ def _check_leaf(a, n, p, col, d_old, d, cap, reps):
         if d * pr[r] + ur * ur <= dd:
             return
         u.append(ur)
-    adj = _border(p, u, d_old, d)
+    adj = linalg._border(p, u, d_old, d)
     for i in range(n):
         for j in range(i):
             cross = 2 * adj[i][j]

@@ -2,10 +2,12 @@
 
 linalg has two fraction-free eliminations.  The symmetric one,
 `_psd_echelon`, answers PSD membership, the rank, the rank split, the
-LDL^T split and the congruence invariants; the general `_echelon` serves
-only the matrix functions that take any matrix.  The scan reads every
-reference to either name in src/intcone, as a bare name or as an
-attribute, and the top-level function (or method) it sits in.
+LDL^T split, the peel frame's adjugate and the congruence invariants; the
+general `_echelon` serves only the matrix functions that take any matrix,
+and its run on [A | I] (`_adjugate_det`) only the public adjugate and
+unimodular inverse.  The scan reads every reference to each of these
+names in src/intcone, as a bare name or as an attribute, and the top-level
+function (or method) it sits in.
 """
 
 import ast
@@ -20,6 +22,8 @@ GENERAL = {
 SYMMETRIC = {
     ("linalg", "is_psd_exact"),
     ("linalg", "reduce_rank"),
+    ("linalg", "_reduce_rank"),
+    ("lattice", "_peel_data"),
     ("lattice", "_decompose"),
     ("psd", "decompose"),
     ("psd", "is_sporadic"),
@@ -52,6 +56,12 @@ def test_the_general_echelon_serves_only_general_matrices():
     assert ("linalg", "det") in refs
     outside = set(refs) - GENERAL
     assert not outside, f"_echelon referenced in {sorted(outside, key=str)}"
+
+
+def test_the_bracket_echelon_serves_only_the_public_inverses():
+    # the echelon of [A | I]; a peel frame borders its adjugate instead
+    refs = set(references("_adjugate_det"))
+    assert refs == {("linalg", "adjugate"), ("linalg", "inverse_unimodular")}
 
 
 def test_psd_questions_run_the_symmetric_elimination():

@@ -136,6 +136,24 @@ class TestAdjugate:
         )
 
 
+class TestIsSymmetric:
+    def test_matches_the_entrywise_test(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            a = [list(row) for row in random_symmetric(rng, n, -2, 2)]
+            if n and rng.random() < 0.5:
+                i, j = rng.randrange(n), rng.randrange(n)
+                a[i][j] += rng.choice((-1, 1))
+            want = all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
+            assert linalg.is_symmetric(a) == linalg.is_symmetric(tuple(map(tuple, a))) == want
+
+    def test_a_matrix_that_is_not_square_is_not_symmetric(self):
+        for rows in (((1, 2),), ((1, 2), (2,)), ((1,), (1, 2)), ((0, 0, 0), (0, 0, 0))):
+            assert not linalg.is_symmetric(rows)
+        assert linalg.is_symmetric(())
+
+
 def psd_rank(m):
     """The pivot count of linalg._psd_echelon, None when m is not PSD."""
     elim = linalg._psd_echelon(m)
@@ -482,6 +500,38 @@ class TestReduceRank:
                     u, u_inv_t, block = reduce_rank(x)
                     assert (u, block) == reduce_rank_dense(x)
                     assert u_inv_t == transpose(inverse_unimodular(u))
+                    # the kernel split also hands back the block's elimination
+                    split = linalg._reduce_rank(x, linalg._psd_echelon(x))
+                    assert split == (u, u_inv_t, block, linalg._psd_echelon(block))
+
+
+class TestBorderedAdjugate:
+    def test_matches_the_echelon_and_cofactor_adjugates(self):
+        # Gram matrices of n + 2 random vectors, redrawn until positive
+        # definite: 140 for each n from 0 to 6 and 24 at n = 7, where the
+        # cofactor oracle takes about 0.1 s a matrix
+        rng = random.Random(59)
+        checked = 0
+        for n in range(8):
+            for _ in range(140 if n < 7 else 24):
+                while True:
+                    g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 2)]
+                    b = mat_mul(transpose(g), g) if n else ()
+                    elim = linalg._psd_echelon(b)
+                    if len(elim[0]) == n:
+                        break
+                adj, d = linalg._bordered_adjugate(b, elim)
+                assert (adj, d) == linalg._adjugate_det(b)
+                assert (adj, d) == (adjugate_cofactor(b), det_cofactor(b))
+                checked += 1
+        assert checked >= 1000
+
+    def test_empty_and_one_by_one(self):
+        assert linalg._bordered_adjugate((), linalg._psd_echelon(())) == ((), 1)
+        assert linalg._bordered_adjugate(((7,),), linalg._psd_echelon(((7,),))) == (
+            ((1,),),
+            7,
+        )
 
 
 class TestDataclasses:

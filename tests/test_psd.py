@@ -153,7 +153,7 @@ class TestIsSporadic:
             raise AssertionError("searched a matrix of rank below two")
 
         monkeypatch.setattr(lattice, "_kx_first", refuse)
-        monkeypatch.setattr(linalg, "reduce_rank", refuse)
+        monkeypatch.setattr(linalg, "_reduce_rank", refuse)
         assert not is_sporadic(((0, 0, 0),) * 3)
         for b, x in ((1, (0, 1, 0)), (3, (2, -1, 0)), (7, (0, -3, 5)), (4, (6, 4, -2))):
             rows = tuple(tuple(b * v for v in row) for row in outer(x))
@@ -266,7 +266,7 @@ class TestDecompose:
             )
             d2 = det_cofactor(down)
             assert d2 == d - sum(a * c for a, c in zip(u, y))
-            got = psd._rank1_update(p, u, d, d2, 1)
+            got = linalg._rank1_update(p, u, d, d2, 1)
             assert tuple(map(tuple, got)) == adjugate_cofactor(down)
             checked += 1
 
@@ -291,7 +291,7 @@ class TestDecompose:
                     tuple(b[i][j] - lam * y[i] * y[j] for j in range(n))
                     for i in range(n)
                 )
-                got = psd._rank1_update(p, u, d, d - lam * q, lam)
+                got = linalg._rank1_update(p, u, d, d - lam * q, lam)
                 assert tuple(map(tuple, got)) == adjugate_cofactor(down)
             singular += d % q == 0
             checked += 1
@@ -299,9 +299,9 @@ class TestDecompose:
 
     def test_rank_one_residue_is_closed_without_a_frame(self, monkeypatch):
         calls = []
-        reduce_rank = linalg.reduce_rank
+        peel_data = lattice._peel_data
         monkeypatch.setattr(
-            linalg, "reduce_rank", lambda x: calls.append(x) or reduce_rank(x)
+            lattice, "_peel_data", lambda *a: calls.append(a) or peel_data(*a)
         )
         cert = decompose(((18, -12, 6), (-12, 8, -4), (6, -4, 2)))
         assert cert.vectors == (((3, -2, 1), 2),)
@@ -310,6 +310,27 @@ class TestDecompose:
         cert = decompose(((2, 1), (1, 1)))
         assert cert.vectors == (((1, 0), 1), ((1, 1), 1))
         assert len(calls) == 1
+
+    def test_full_rank_input_is_eliminated_once(self, monkeypatch):
+        # the entry check's elimination is the first frame's: _psd_echelon
+        # runs on the input itself once, not again to reduce it
+        calls = []
+        psd_echelon = linalg._psd_echelon
+        monkeypatch.setattr(
+            linalg, "_psd_echelon", lambda rows: calls.append(rows) or psd_echelon(rows)
+        )
+        rng = random.Random(61)
+        inputs = [((2, 1), (1, 1)), ((3, 1, 0), (1, 2, 1), (0, 1, 2))]
+        while len(inputs) < 30:
+            n = rng.randint(2, 5)
+            a = random_psd_sum(rng, n, n + 2, -5, 5)
+            if psd_rank(a) == n and linalg.adjugate(a) != a:
+                inputs.append(a)
+        for a in inputs:
+            calls.clear()
+            cert = decompose(a)
+            assert cert.reconstruct() == a
+            assert sum(tuple(map(tuple, rows)) == a for rows in calls) == 1
 
     def test_rank_one_close_checks_its_residue(self, monkeypatch):
         monkeypatch.setattr(psd, "_rank_one_peel", lambda rows: ((1, 1), 1))
@@ -491,6 +512,19 @@ class TestNoGeneralElimination:
                 cert = decompose(rows)
                 assert cert.remainder is None
                 assert cert.reconstruct() == rows
+
+    def test_peel_frames_take_no_general_adjugate(self, monkeypatch):
+        # a frame borders adj(B) up from the leading minors of B's
+        # symmetric elimination; the echelon of [B | I] never runs
+        monkeypatch.setattr(linalg, "_adjugate_det", _raise)
+        rng = random.Random(67)
+        for n in (2, 3, 4, 5):
+            for _ in range(60):
+                rows = random_psd_sum(rng, n, rng.randint(1, n), -5, 5)
+                cert = decompose(rows)
+                assert cert.remainder is None
+                assert cert.reconstruct() == rows
+                assert not is_sporadic(rows)
 
     def test_witness_takes_no_general_determinant(self, monkeypatch):
         # psd's view of linalg loses det; the witness's own unimodularity
@@ -756,7 +790,7 @@ def test_leaf_adjugate_is_the_bordered_update(n, b, monkeypatch):
     # leaves that build their adjugate are exactly those whose adjugate's
     # diagonal exceeds det everywhere (the e_i probe, against an oracle)
     check_leaf = psd._check_leaf
-    border = psd._border
+    border = linalg._border
     current = []
     built = []
     passing = []
@@ -781,7 +815,7 @@ def test_leaf_adjugate_is_the_bordered_update(n, b, monkeypatch):
         return adj
 
     monkeypatch.setattr(psd, "_check_leaf", recording)
-    monkeypatch.setattr(psd, "_border", bordering)
+    monkeypatch.setattr(linalg, "_border", bordering)
     search_sporadic(n, b)
     assert built
     assert [leaf for leaf, _ in built] == passing
