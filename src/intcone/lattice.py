@@ -48,12 +48,6 @@ def hermite_gamma(n: int) -> Fraction:
     return Fraction(4, 3) ** (n * (n - 1) // 2)
 
 
-def _floor_div_surd(p: int, d: int, q: int) -> int:
-    # floor((p + sqrt(d)) / q) for q > 0, d >= 0; exact because no integer
-    # can sit strictly between isqrt(d) and sqrt(d).
-    return (p + isqrt(d)) // q
-
-
 def _decompose(rows):
     """Fraction-free LDL^T split of a positive definite A, as (d, M).
 
@@ -119,7 +113,8 @@ class QuadFormQuery:
             dk, nk = d[k + 1], offs[k]
             cap = d[k] * e
             # the integer v d[k+1] + offs[k] squares to at most cap exactly
-            # when its absolute value is at most isqrt(cap) (_floor_div_surd)
+            # when its absolute value is at most isqrt(cap), as no integer
+            # sits strictly between isqrt(cap) and sqrt(cap)
             r = isqrt(cap)
             hi = (r - nk) // dk
             lo = -((r + nk) // dk)

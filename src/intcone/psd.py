@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import ceil
+from math import ceil, isqrt
 from operator import mul
 
 from . import lattice, linalg
@@ -475,8 +475,11 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
         disc = beta * beta + alpha * (t * dets[i] - 1 - rho)
         if disc < 0:
             return
-        hi = lattice._floor_div_surd(-beta, disc, alpha)
-        lo = -lattice._floor_div_surd(beta, disc, alpha)
+        # the integer alpha v + beta squares to at most disc exactly when
+        # its absolute value is at most isqrt(disc)
+        r = isqrt(disc)
+        hi = (r - beta) // alpha
+        lo = -((r + beta) // alpha)
         if not seen and lo < 0:
             lo = 0
         tight = tight and i < len(prev)

@@ -79,15 +79,58 @@ def _generators(n: int) -> Mapping[str, Rows]:
     return MappingProxyType(table)
 
 
+def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
+    """Aplus and AplusInv of dimension n as closed forms.
+
+    Aplus = D R_r with D = diag(-1, ..., -1, 1) and R_r the Lorentz
+    reflection v -> v - 2 B(v, r) / B(r, r) r in r = (1, 1, 1) for n = 3
+    and r = (1, 1, 1, 0, ..., 0, 1) otherwise; both are involutions, so
+    AplusInv = R_r D.  With k = 2, c = 2 for n = 3 and k = 3, c = 1
+    otherwise, and b = c (v_1 + ... + v_k - v_n),
+        Aplus(v) = (b - v_1, ..., b - v_k, -v_{k+1}, ..., -v_{n-1}, v_n - b),
+    and AplusInv is the same with b = c (v_1 + ... + v_k + v_n) and last
+    entry v_n + b.  Like a linalg letter, each indexes v without checking
+    its length.
+    """
+    if n == 3:
+
+        def aplus(v):
+            x, y, z = v
+            b = 2 * (x + y - z)
+            return (b - x, b - y, z - b)
+
+        def aplus_inv(v):
+            x, y, z = v
+            b = 2 * (x + y + z)
+            return (b - x, b - y, z + b)
+
+    else:
+        m = n - 1
+
+        def aplus(v):
+            x, y, z, t = v[0], v[1], v[2], v[m]
+            b = x + y + z - t
+            return (b - x, b - y, b - z, *[-u for u in v[3:m]], t - b)
+
+        def aplus_inv(v):
+            x, y, z, t = v[0], v[1], v[2], v[m]
+            b = x + y + z + t
+            return (b - x, b - y, b - z, *[-u for u in v[3:m]], t + b)
+
+    aplus.size = aplus_inv.size = n
+    return aplus, aplus_inv
+
+
 @lru_cache(maxsize=None)
 def _letters(n: int) -> Mapping[str, linalg.Letter]:
-    """The alphabet of dimension n as letters, label -> linalg.letter of
-    the rows of _generators(n), in the same label order: what words,
+    """The alphabet of dimension n as letters, in the label order of
+    _generators(n): the closed forms of _sum_letters for Aplus and
+    AplusInv, linalg.letter of the rows for the others.  What words,
     descents and orbits are applied through.  Read-only, as it is cached.
     """
-    return MappingProxyType(
-        {label: linalg.letter(rows) for label, rows in _generators(n).items()}
-    )
+    table = {label: linalg.letter(rows) for label, rows in _generators(n).items()}
+    table["Aplus"], table["AplusInv"] = _sum_letters(n)
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +153,27 @@ def is_pythagorean(s) -> bool:
     return in_cone(s) and lorentz_form(s, s) == 0
 
 
+def _three_squares(x: int) -> bool:
+    """True iff x >= 0 is a sum of three squares: by Legendre's theorem,
+    iff x is not 4^a (8b + 7)."""
+    if not x:
+        return True
+    e = (x & -x).bit_length() - 1
+    return bool(e & 1) or (x >> e) & 7 != 7
+
+
+def _not_two_squares(x: int) -> bool:
+    """A sufficient test that x >= 0 is not a sum of two squares: the odd
+    part of x is 3 mod 4, or 3 divides x exactly once.  Either way a prime
+    3 mod 4 divides x to an odd power.  No trial division, so the cost
+    stays O(log x)."""
+    if not x:
+        return False
+    return (x >> ((x & -x).bit_length() - 1)) & 3 == 3 or (
+        x % 3 == 0 and x % 9 != 0
+    )
+
+
 def _peel_candidate(s, h: int, primitive_only: bool):
     """Lexicographically first Pythagorean p with p_n = h and s - p in T_n.
 
@@ -129,6 +193,13 @@ def _peel_candidate(s, h: int, primitive_only: bool):
     half-space x . s[i:] >= (|s[i:]|^2 + S - B) / 2, and a sphere of
     dimension k-1 >= 1 cut by a half-space is connected, so its
     projection is an interval.
+
+    An admitted child is still skipped, with no call, when no integer
+    point lies under it: one that would leave three coordinates on a
+    budget that is no sum of three squares (_three_squares), or two on
+    one that _not_two_squares refuses.  The node of coordinate n-2 tests
+    each child's leaf in its own loop, with one isqrt.  A skipped child
+    stays admitted for the stop rule, as it lies in the real cap.
     """
     n = len(s)
     m = n - 1
@@ -140,17 +211,6 @@ def _peel_candidate(s, h: int, primitive_only: bool):
 
     def walk(i, sphere_left, ball_left):
         si = s[i]
-        if i == m - 1:
-            r = isqrt(sphere_left)
-            if r * r != sphere_left:
-                return None
-            for v in ((-r, r) if r else (0,)):
-                d = si - v
-                if d * d <= ball_left:
-                    p[i] = v
-                    if not primitive_only or gcd(vec_gcd(p), h) == 1:
-                        return tuple(p) + (h,)
-            return None
         rs = isqrt(sphere_left)
         rb = isqrt(ball_left)
         lo = max(-rs, si - rb)
@@ -158,6 +218,7 @@ def _peel_candidate(s, h: int, primitive_only: bool):
         c4 = 4 * suffix_sq[i + 1]
         t2 = suffix_sq[i] + sphere_left - ball_left
         admitted = False
+        leaf, two, three = i == m - 2, i == m - 3, i == m - 4
         for v in range(lo, hi + 1):
             left = sphere_left - v * v
             gap = t2 - 2 * si * v
@@ -166,6 +227,21 @@ def _peel_candidate(s, h: int, primitive_only: bool):
                     break
                 continue
             admitted = True
+            if leaf:
+                # the last coordinate w must square to left exactly
+                r = isqrt(left)
+                if r * r != left:
+                    continue
+                ball_left_w = ball_left - (si - v) ** 2
+                for w in ((-r, r) if r else (0,)):
+                    d = s[m - 1] - w
+                    if d * d <= ball_left_w:
+                        p[i], p[m - 1] = v, w
+                        if not primitive_only or gcd(vec_gcd(p), h) == 1:
+                            return tuple(p) + (h,)
+                continue
+            if two and _not_two_squares(left) or three and not _three_squares(left):
+                continue
             p[i] = v
             got = walk(i + 1, left, ball_left - (si - v) ** 2)
             if got is not None:
@@ -224,6 +300,11 @@ def is_sporadic_soc(s) -> bool:
 
 # -- normal form and descent ------------------------------------------------
 
+# the labels _normalize_steps applies: _SIGN_LABELS[k] flips coordinate k,
+# _SWAP_LABELS[j] swaps coordinate j with the first (j >= 1)
+_SIGN_LABELS = tuple(f"Q{k + 1}" for k in range(MAX_DIM - 1))
+_SWAP_LABELS = tuple(f"P1{j + 1}" for j in range(MAX_DIM - 1))
+
 
 def _normalize_steps(s):
     """Applied labels (in application order) bringing the first n-1
@@ -231,20 +312,20 @@ def _normalize_steps(s):
     n = len(s)
     cur = list(s)
     applied = []
-    for k in range(1, n):
-        if cur[k - 1] < 0:
-            cur[k - 1] = -cur[k - 1]
-            applied.append(f"Q{k}")
-    m = n - 1
-    for t in range(m - 1, 0, -1):
-        j = cur.index(min(cur[: t + 1]))
-        if cur[t] == cur[j]:
+    for k in range(n - 1):
+        if cur[k] < 0:
+            cur[k] = -cur[k]
+            applied.append(_SIGN_LABELS[k])
+    for t in range(n - 2, 0, -1):
+        low = min(cur[: t + 1])
+        if cur[t] == low:
             continue
+        j = cur.index(low)
         if j != 0:
             cur[0], cur[j] = cur[j], cur[0]
-            applied.append(f"P1{j + 1}")
+            applied.append(_SWAP_LABELS[j])
         cur[0], cur[t] = cur[t], cur[0]
-        applied.append(f"P1{t + 1}")
+        applied.append(_SWAP_LABELS[t])
     return tuple(cur), applied
 
 
@@ -267,13 +348,22 @@ def descend(s):
     f = lorentz_form(s, s)
     if f != 0 and not is_sporadic_soc(s):
         raise ValueError("point is neither Pythagorean nor sporadic")
+    return _descent(s)
+
+
+def _descent(s):
+    """descend's loop without its entry checks, for a point its caller
+    already knows to be a primitive Pythagorean or sporadic point of T_n,
+    n in 3..10: decompose_soc's peels and its residual."""
+    n = len(s)
     aplus = _letters(n)["Aplus"]
+    found = _ROOT_SETS[n]
     cur = tuple(s)
     word: list[str] = []
     while True:
         cur, steps = _normalize_steps(cur)
         word.extend(steps)
-        if cur in roots(n):
+        if cur in found:
             break
         h = cur[-1]
         cur = aplus(cur)
@@ -329,6 +419,10 @@ def roots(n: int, minimal: bool = False) -> tuple[tuple[int, ...], ...]:
     if minimal:
         out = tuple(r for r in out if r not in root_splits(n))
     return out
+
+
+# every root of each dimension, for the descent's stopping test
+_ROOT_SETS = {n: frozenset(roots(n)) for n in range(MIN_DIM, MAX_DIM + 1)}
 
 
 def root_splits(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -405,6 +499,12 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
     primitive point, descended, and contributes one term; with
     minimal_roots=True a residual landing on a redundant root is split
     into the two smaller roots carried by the same word.
+
+    Both descents skip descend's entry checks (_descent): a peel is
+    primitive, Pythagorean and in the cone by construction, and when no
+    primitive peel at or below top exists, the residual has no peel at
+    all, by the argument above and _first_peel's; nor has its primitive
+    part q, since cur - p' = (g - 1) q + (q - p') for any peel p' of q.
     """
     n = len(s)
     _require_dim(n)
@@ -418,7 +518,7 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
         if p is None:
             g = vec_gcd(cur)
             prim = tuple(v // g for v in cur)
-            root, word = descend(prim)
+            root, word = _descent(prim)
             if minimal_roots and root in root_splits(n):
                 x, y = root_splits(n)[root]
                 terms.append((g, word, x))
@@ -427,7 +527,7 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
                 terms.append((g, word, root))
             break
         lam = _max_multiple(cur, p)
-        root, word = descend(p)
+        root, word = _descent(p)
         terms.append((lam, word, root))
         cur = tuple(a - lam * b for a, b in zip(cur, p))
         top = min(cur[-1], p[-1])

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 import sys
 from math import isqrt
@@ -80,6 +82,20 @@ def walk_points(rng, n, count, max_height=60):
             s[:m] = [-abs(v) for v in s[:m]]
         points.append(tuple(s))
     return points
+
+
+def tall_soc_points():
+    """The soc-decompose inputs of height >= 60 in the recorded envelopes."""
+    path = pathlib.Path(__file__).parent / "data" / "soc_envelopes.json"
+    cases = json.loads(path.read_text())
+    points = set()
+    for case in cases:
+        if case["argv"][0] == "soc-decompose":
+            doc = json.loads(case["input"])
+            s = tuple(doc["point"] if isinstance(doc, dict) else doc)
+            if s[-1] >= 60:
+                points.add(s)
+    return sorted(points)
 
 
 def walk_nodes(fn, *args):
@@ -198,6 +214,17 @@ class TestGenerators:
                     assert linalg.letter(rows)(v) == want, (label, n)
                     assert letters[label](v) == want, (label, n)
                 assert letters[label].size == n
+            # the closed-form sum letters: inverse to each other, preserving
+            # the Lorentz form, and equal to the rows on large entries
+            aplus, aplus_inv = letters["Aplus"], letters["AplusInv"]
+            for _ in range(200):
+                u = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+                v = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+                assert aplus(aplus_inv(v)) == v == aplus_inv(aplus(v)), n
+                for g in (aplus, aplus_inv):
+                    assert lorentz_form(g(u), g(v)) == lorentz_form(u, v), n
+                assert aplus(v) == linalg.mat_vec(table["Aplus"], v), n
+                assert aplus_inv(v) == linalg.mat_vec(table["AplusInv"], v), n
 
     def test_letter_table_is_read_only(self):
         with pytest.raises(TypeError):
@@ -388,6 +415,24 @@ class TestSporadicSoc:
                     assert is_sporadic_soc(t), (s, label)
 
 
+# points where, at some height, a child that the real relaxation admits
+# but the arithmetic refuses (no sum of two or three squares left, or no
+# square at the leaf) sits between two admitted children, and the peel
+# lies past it: a walk that stopped at such a child would miss the peel
+STOP_RULE_PINS = (
+    (3, -3, 10),
+    (1, 8, 10),
+    (11, 5, 17),
+    (4, 4, 0, 10),
+    (-1, 0, 1, -3, 6),
+    (-2, -2, -6, -1, -5, 9),
+    (0, -1, 0, 10, 0, -1, 11),
+    (4, -4, 4, 4, 4, 4, 4, 14),
+    (7, 0, 0, 0, 0, 0, -3, 0, 12),
+    (-2, 0, 0, 0, 0, 0, 12, 0, 0, 13),
+)
+
+
 class TestPeelWalk:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_every_height_matches_the_unpruned_walk(self, n):
@@ -396,6 +441,7 @@ class TestPeelWalk:
         # at 30: at 60 the n = 9 points alone take minutes
         rng = random.Random(70 + n)
         points = walk_points(rng, n, 300, max_height=30)
+        points += [s for s in STOP_RULE_PINS if len(s) == n]
         assert len(points) >= 300
         assert any(0 in s[:-1] and any(s[:-1]) for s in points)
         assert any(s[-2] == 0 and any(s[:-1]) for s in points)
@@ -408,6 +454,26 @@ class TestPeelWalk:
                     assert got == soc_peel_candidate(s, h, prim), (s, h, prim)
                     found += got is not None
         assert found > 300
+
+    def test_square_sum_refusals(self):
+        # _three_squares is exact (Legendre), and _not_two_squares never
+        # refuses a sum of two squares, by brute force up to 3,000
+        limit = 3_000
+        squares = [v * v for v in range(isqrt(limit) + 1)]
+        two = {a + b for a in squares for b in squares if a + b <= limit}
+        three = {a + c for a in two for c in squares if a + c <= limit}
+        refused = 0
+        for x in range(limit + 1):
+            assert soc._three_squares(x) == (x in three), x
+            if x in two:
+                assert not soc._not_two_squares(x), x
+            refused += soc._not_two_squares(x)
+        assert len(three) < limit + 1 and refused > 1_000
+        # tall budgets cost no trial division
+        assert not soc._three_squares(4**40 * 7)
+        assert soc._three_squares(2 * 4**40 * 7)
+        assert soc._not_two_squares(3 * 4**40) and soc._not_two_squares(5**60 * 3)
+        assert not soc._not_two_squares(9 * 5**60)
 
     def test_first_peel_starts_at_top(self):
         # the first peel at or below top, by the unpruned walk height by height
@@ -720,6 +786,38 @@ class TestDecomposeSoc:
                 assert decompose_soc(s, minimal_roots=True) == (
                     soc_decompose_from_each_height(s, minimal_roots=True)
                 ), s
+
+    def test_descents_need_no_entry_checks(self, monkeypatch):
+        # every peel and residual decompose_soc descends passes descend's
+        # entry checks, and _descent gives it descend's root and word
+        seen = set()
+        descent = soc._descent
+
+        def recorded(s):
+            seen.add(s)
+            return descent(s)
+
+        monkeypatch.setattr(soc, "_descent", recorded)
+        rng = random.Random(83)
+        points = [
+            random_cone_point(rng, n, 60) for n in range(3, 11) for _ in range(80)
+        ]
+        points += [
+            tuple(k * v for v in r)
+            for n in range(3, 11)
+            for r in roots(n)
+            for k in (1, 2, 7)
+        ]
+        points += tall_soc_points()
+        for s in points:
+            for minimal in (False, True):
+                decompose_soc(s, minimal_roots=minimal)
+        monkeypatch.undo()
+        assert len(seen) > 500
+        assert sum(lorentz_form(p, p) < 0 for p in seen) > 100
+        assert any(s[-1] >= 60 for s in seen)
+        for p in seen:
+            assert descent(p) == descend(p), p
 
     def test_peel_searches_resume_at_the_last_peel(self, monkeypatch):
         # (16, 11, 20) peels (3, 4, 5), then (4, 3, 5) at the same height,
