@@ -11,6 +11,10 @@ the representative whose first nonzero entry is positive is produced, in
 ascending order per level, which fixes a deterministic total order used by
 every "first hit" consumer in the package; the order does not depend on
 the form, so an enumeration can resume after a point found under another.
+The walk is one loop over per-level arrays (the loop form of Schnorr and
+Euchner) with the last coordinate's level folded into the loop of the one
+before it, which yields only the canonical values of x_0, so no point is
+scanned for its sign.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class QuadFormQuery:
     """A positive definite form together with an enumeration bound.
 
     Construction validates positive definiteness (the R D R^T split doubles
-    as the check) and keeps the split for `points`.
+    as the check) and keeps the split for `points`.  The package's own
+    adjugates, built and known positive definite, skip the query: their
+    split goes to the walk, _points, directly.
     """
 
     a: linalg.Rows
@@ -85,65 +91,117 @@ class QuadFormQuery:
         object.__setattr__(self, "_split", _decompose(self.a))
 
     def points(self, start=None):
-        """Yield the canonical nonzero solutions in deterministic order:
-        ascending in x_{n-1}, then in x_{n-2} and so on down to x_0, that
-        is, by the reversed tuple, whatever the form.
+        """An iterator over the canonical nonzero solutions in deterministic
+        order: ascending in x_{n-1}, then in x_{n-2} and so on down to x_0,
+        that is, by the reversed tuple, whatever the form.
 
         With start, a vector of the form's length, only the solutions at or
         after start in that order are yielded, whether or not start is a
         solution itself; a start of another length raises ValueError.  The
-        start is applied once per level, as a floor on the levels that
-        match its prefix, so the enumeration after it is the plain one.
+        start floors each level on the first path only, so the enumeration
+        after it is the plain one.
+
+        The walk (_points) is one loop over per-level arrays.  The level of
+        x_0 is folded into the loop of x_1: each value of x_1 computes the
+        interval of x_0 in place and yields only its canonical values, from
+        0 when the first nonzero entry of x[1:] is positive and from 1
+        otherwise.
         """
-        d, m = self._split
-        n = len(d) - 1
         if start is not None:
             start = tuple(map(linalg.as_int, start))
-            if len(start) != n:
+            if len(start) != len(self.a):
                 raise ValueError("start must have the form's length")
-        if n == 0:
-            return
-        x = [0] * n
+        return _points(self._split, self.bound, start)
 
-        def level(k, e, offs, tight=False):
-            # e = d[k+1] * (budget left); coordinate k may take v exactly
-            # when (v d[k+1] + offs[k])^2 <= d[k] e; tight says x[k+1:] is
-            # start[k+1:], so x[k] starts at start[k], the one value whose
-            # subtree is tight in turn
-            dk, nk = d[k + 1], offs[k]
-            cap = d[k] * e
-            # the integer v d[k+1] + offs[k] squares to at most cap exactly
-            # when its absolute value is at most isqrt(cap), as no integer
-            # sits strictly between isqrt(cap) and sqrt(cap)
-            r = isqrt(cap)
-            hi = (r - nk) // dk
-            lo = -((r + nk) // dk)
-            if tight:
-                s = start[k]
-                if k and lo <= s <= hi:
-                    x[k] = s
-                    w = s * dk + nk
-                    offs2 = [offs[i] + m[i][k] * s for i in range(k)]
-                    yield from level(k - 1, (cap - w * w) // dk, offs2, True)
-                    lo = s + 1
-                elif s > lo:
-                    lo = s
-            for v in range(lo, hi + 1):
-                x[k] = v
-                if k == 0:
-                    for xi in x:
-                        if xi > 0:
-                            yield tuple(x)
-                            break
-                        if xi < 0:
-                            break
-                else:
-                    w = v * dk + nk
-                    offs2 = [offs[i] + m[i][k] * v for i in range(k)]
-                    yield from level(k - 1, (cap - w * w) // dk, offs2)
-            x[k] = 0
 
-        yield from level(n - 1, d[n] * self.bound, [0] * n, start is not None)
+def _points(split, bound, start=None):
+    """The walk of QuadFormQuery.points on a split (d, M) from _decompose,
+    for a bound >= 0 and a start of the form's length or None, unchecked.
+
+    One loop over per-level arrays: at level k >= 1, x[k] is the value to
+    try next and hi[k] the upper end of its interval, cap[k] = d[k] e with
+    e = d[k+1] * (budget left), offs[k] the offsets N_i of the coordinates
+    i <= k given x[k+1:], and sg[k] the sign of the first nonzero entry of
+    x[k+1:].  Coordinate k may take v exactly when (v d[k+1] + N_k)^2 <=
+    cap[k], that is |v d[k+1] + N_k| <= isqrt(cap[k]), as no integer sits
+    strictly between isqrt(cap) and sqrt(cap).  A value past hi[k] returns
+    to level k+1 and advances it.  Level 0 is folded into the loop of level
+    1: each x[1] computes the interval of x_0 in place and yields only its
+    canonical values, from 0 when x[1:] has a positive first nonzero entry
+    (x[1] > 0, or x[1] = 0 and sg[1] > 0) and from 1 otherwise.  tight
+    says x[k:] is start[k:]: a level entered tight starts at start[k] and
+    stays tight when start[k] is at or above its lower end, else it starts
+    at its lower end and clears the flag, and any advance clears it, so
+    the start floors the first path alone.
+    """
+    d, m = split
+    n = len(d) - 1
+    if n == 0:
+        return
+    tight = start is not None
+    if n == 1:
+        d1 = d[1]
+        lo = start[0] if tight and start[0] > 1 else 1
+        for v in range(lo, isqrt(d1 * bound) // d1 + 1):
+            yield (v,)
+        return
+    x = [0] * n
+    hi = [0] * n
+    cap = [0] * n
+    offs = [None] * n
+    sg = [0] * n
+    j = n - 1
+    cap[j] = d[j] * d[n] * bound
+    offs[j] = [0] * n
+    m0 = m[0]
+    d1 = d[1]
+    while True:
+        # enter level j: cap[j], offs[j] and sg[j] are set
+        nj = offs[j][j]
+        dj = d[j + 1]
+        r = isqrt(cap[j])
+        hi[j] = (r - nj) // dj
+        lo = -((r + nj) // dj)
+        if tight:
+            if start[j] >= lo:
+                lo = start[j]
+            else:
+                tight = False
+        x[j] = lo
+        k = j
+        while True:
+            v = x[k]
+            if v > hi[k]:
+                k += 1
+                if k == n:
+                    return
+                x[k] += 1
+                tight = False
+                continue
+            o = offs[k]
+            dk = d[k + 1]
+            w = v * dk + o[k]
+            e = (cap[k] - w * w) // dk
+            if k > 1:
+                break
+            # level 0: d[0] = 1, so its cap is e itself
+            n0 = o[0] + m0[1] * v
+            r = isqrt(e)
+            lo = -((r + n0) // d1)
+            floor = 0 if v > 0 or (v == 0 and sg[1] > 0) else 1
+            if tight and start[0] > floor:
+                floor = start[0]
+            if lo < floor:
+                lo = floor
+            for u in range(lo, (r - n0) // d1 + 1):
+                x[0] = u
+                yield tuple(x)
+            x[1] = v + 1
+            tight = False
+        j = k - 1
+        offs[j] = [o[i] + m[i][k] * v for i in range(k)]
+        cap[j] = d[j] * e
+        sg[j] = 1 if v > 0 else -1 if v < 0 else sg[k]
 
 
 def enumerate_below(a, t: int) -> list[tuple[int, ...]]:
@@ -185,5 +243,5 @@ def _kx_first(x_rows, elim=None):
     """The first point of K(X) = {x != 0 : X - x x^T is PSD}, or None; elim
     is X's _psd_echelon when the caller holds it."""
     lift, adj, d = _peel_data(linalg.freeze(x_rows), elim)
-    y = next(QuadFormQuery(adj, d).points(), None)
+    y = next(_points(_decompose(adj), d), None)
     return None if y is None else _lift(lift, y)

@@ -18,7 +18,6 @@ from math import ceil, isqrt
 from operator import mul
 
 from . import lattice, linalg
-from .lattice import QuadFormQuery
 from .linalg import Rows, SymIntMatrix, UnimodularMatrix
 
 # The unique (up to unimodular congruence) sporadic class in dimension six.
@@ -148,11 +147,12 @@ def decompose(x_rows) -> Rank1Certificate:
     (linalg._rank1_update).  The peel set only shrinks and the enumeration
     order does not depend on the form, so no later peel comes before y: while
     d - lam q > 0 the frame holds and the next enumeration resumes at y
-    (QuadFormQuery.points' start).  At d - lam q = 0 the rank, taken once
-    by _psd_echelon, drops by one, and the residue is reduced again, except
-    at rank one: there it is lam x x^T, closed from one of its rows
-    (_rank_one_peel).  The vectors are those of peeling one copy at a time
-    and merging equal neighbours.
+    (lattice._points' start; each enumeration walks the split of an
+    adjugate built here, with no QuadFormQuery to re-read it).  At d - lam
+    q = 0 the rank, taken once by _psd_echelon, drops by one, and the
+    residue is reduced again, except at rank one: there it is lam x x^T,
+    closed from one of its rows (_rank_one_peel).  The vectors are those of
+    peeling one copy at a time and merging equal neighbours.
     """
     x0 = linalg.freeze(x_rows)
     elim = linalg._psd_echelon(x0)
@@ -167,7 +167,7 @@ def decompose(x_rows) -> Rank1Certificate:
         if d == 0:
             lift, adj, d = lattice._peel_data(cur, elim)
             elim = y = None
-        y = next(QuadFormQuery(adj, d).points(start=y), None)
+        y = next(lattice._points(lattice._decompose(adj), d, y), None)
         if y is None:
             break
         ay = linalg.mat_vec(adj, y)
@@ -573,7 +573,7 @@ def _check_leaf(a, n, p, col, d_old, d, cap, reps):
         d,
         cap,
         reps,
-        lambda: next(QuadFormQuery(adj, d).points(), None) is None,
+        lambda: next(lattice._points(lattice._decompose(adj), d), None) is None,
     )
 
 

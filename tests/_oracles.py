@@ -19,6 +19,9 @@ took from the general echelon before the symmetric elimination served it.
 peel_by_one_decompose is the peel loop that psd.decompose replaced, with
 the package's frame, enumeration, lift, catalog match and certificate
 type, and its own one-copy adjugate downdate.
+recursive_points is the enumeration walk of QuadFormQuery.points as it
+was before the loop over per-level arrays, one generator per level, on
+the package's split.
 soc_peel_candidate and soc_first_peel are the SOC peel walk as it was
 before each child was tested in its parent's loop and a peel search took
 a top height; soc_decompose_from_each_height is decompose_soc over them,
@@ -114,6 +117,57 @@ def echelon_split(rows):
 def form_value(a, x):
     n = len(x)
     return sum(a[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+
+
+def recursive_points(split, bound, start=None):
+    """QuadFormQuery.points on a split (d, M) as the recursive walk it was:
+    one generator per level, each point passed up a yield-from chain and
+    scanned for its sign at level 0."""
+    d, m = split
+    n = len(d) - 1
+    if n == 0:
+        return
+    x = [0] * n
+
+    def level(k, e, offs, tight=False):
+        # e = d[k+1] * (budget left); coordinate k may take v exactly
+        # when (v d[k+1] + offs[k])^2 <= d[k] e; tight says x[k+1:] is
+        # start[k+1:], so x[k] starts at start[k], the one value whose
+        # subtree is tight in turn
+        dk, nk = d[k + 1], offs[k]
+        cap = d[k] * e
+        # the integer v d[k+1] + offs[k] squares to at most cap exactly
+        # when its absolute value is at most isqrt(cap), as no integer
+        # sits strictly between isqrt(cap) and sqrt(cap)
+        r = isqrt(cap)
+        hi = (r - nk) // dk
+        lo = -((r + nk) // dk)
+        if tight:
+            s = start[k]
+            if k and lo <= s <= hi:
+                x[k] = s
+                w = s * dk + nk
+                offs2 = [offs[i] + m[i][k] * s for i in range(k)]
+                yield from level(k - 1, (cap - w * w) // dk, offs2, True)
+                lo = s + 1
+            elif s > lo:
+                lo = s
+        for v in range(lo, hi + 1):
+            x[k] = v
+            if k == 0:
+                for xi in x:
+                    if xi > 0:
+                        yield tuple(x)
+                        break
+                    if xi < 0:
+                        break
+            else:
+                w = v * dk + nk
+                offs2 = [offs[i] + m[i][k] * v for i in range(k)]
+                yield from level(k - 1, (cap - w * w) // dk, offs2)
+        x[k] = 0
+
+    yield from level(n - 1, d[n] * bound, [0] * n, start is not None)
 
 
 def points_below_box(a, t):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import echelon_split, form_value, points_below_box
+from _oracles import echelon_split, form_value, points_below_box, recursive_points
 from intcone import lattice, linalg
 from intcone.lattice import QuadFormQuery, enumerate_below, hermite_gamma
 from test_linalg import M6_ADJ, random_symmetric
@@ -248,3 +248,34 @@ class TestResumedEnumeration:
                 list(q.points(start=s))
         with pytest.raises(TypeError):
             list(q.points(start=(1, 0, 0.0)))
+
+
+class TestLoopWalk:
+    # the loop over per-level arrays yields what the recursive walk it
+    # replaced yielded, in the same order, from every start
+    def test_matches_the_recursive_walk(self):
+        rng = random.Random(67)
+        seen = {"bound 0": 0, "x0 = 0, x1 > 0": 0, "x0 = x1 = 0": 0, "resumed": 0}
+        for trial in range(140):
+            n = 1 + trial % 7
+            a = random_pd(rng, n, 1)
+            top = max(a[i][i] for i in range(n)) + 4
+            t = 0 if trial % 10 == 0 else rng.randint(1, top)
+            split = lattice._decompose(a)
+            q = QuadFormQuery(a, t)
+            pts = list(q.points())
+            assert pts == list(recursive_points(split, t)), (a, t)
+            seen["bound 0"] += t == 0
+            # the negation of such a point has x0 = 0 in front of a
+            # negative tail, which the leaf must refuse
+            seen["x0 = 0, x1 > 0"] += any(p[0] == 0 and p[1] > 0 for p in pts if n > 1)
+            seen["x0 = x1 = 0"] += any(p[0] == p[1] == 0 for p in pts if n > 2)
+            starts = [(-9,) * n, (9,) * n, (0,) * n]
+            starts += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(6)]
+            for p in pts:
+                starts += [p, (p[0] + 1,) + p[1:], (-9,) + p[1:], (9,) + p[1:]]
+            for s in starts:
+                got = list(q.points(start=s))
+                assert got == list(recursive_points(split, t, s)), (a, t, s)
+                seen["resumed"] += len(got)
+        assert min(seen.values()) >= 10, seen
