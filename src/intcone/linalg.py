@@ -10,10 +10,10 @@ positive-definite split and the rank split's kernel vectors; the leading
 minors on its diagonal border up the adjugate of a peel frame's block
 (`_bordered_adjugate`, by the identity `_border` that the sporadic search
 also uses).  The general `_echelon` serves `det`, `rank` and
-`primitive_kernel_vector` on any matrix and, run on [A | I], only the
-public `adjugate` and `inverse_unimodular`.  One gcd ladder per kernel
-vector builds, in place, the rank split's U and U^{-T}; `_reduce_rank`
-takes an elimination its caller already holds and hands back the block's.
+`primitive_kernel_vector` on any matrix and, through `det`, the cofactors of
+the public `adjugate` and `inverse_unimodular`.  One gcd ladder per kernel
+vector builds, in place, the rank split's U and U^{-T}; `_reduce_rank` takes
+an elimination its caller already holds and hands back the block's.
 Matrices stay well under 11x11 here, so the code favours clarity
 over asymptotics.  A generator acts on vectors as a letter, a function built
 once by `letter` from the generator's nonzero entries, and `apply_word`
@@ -157,9 +157,10 @@ def det(rows) -> int:
     """Determinant: the signed last pivot of the fraction-free echelon form.
 
     0 when some column has no pivot; the empty 0x0 matrix has determinant 1
-    (empty product).
-    """
+    (empty product).  A matrix that is not square raises ValueError."""
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
     if n == 0:
         return 1
     a, pivots, swaps = _echelon(rows)
@@ -170,35 +171,23 @@ def det(rows) -> int:
 
 def adjugate(rows) -> Rows:
     """Adjugate of a nonsingular symmetric matrix (the result is symmetric
-    as well), from one echelon of [A | I].  Singular input raises
-    ValueError, as in inverse_unimodular."""
+    as well), from its cofactors.  Singular input raises ValueError, as in
+    inverse_unimodular."""
     if not is_symmetric(rows):
         raise ValueError("adjugate expects a symmetric matrix")
-    adj, _ = _adjugate_det(rows)
-    if adj is None:
+    if not det(rows):
         raise ValueError("adjugate expects a nonsingular matrix")
-    return adj
+    return _cofactors(rows)
 
 
-def _adjugate_det(rows):
-    """(adj(A), det(A)) from one echelon of [A | I]; (None, 0) if singular.
-
-    The echelon takes [A | I] to [R | E] with R = E A upper triangular, so
-    R adj(A) = det(A) E: back-substitution from the last row gives adj(A),
-    and every division is exact because adj(A) is integral.
-    """
-    n = len(rows)
-    a, pivots, swaps = _echelon([(*r, *e) for r, e in zip(rows, identity(n))])
-    if pivots != list(range(n)):
-        return None, 0
-    d = (-1) ** swaps * (a[n - 1][n - 1] if n else 1)
-    adj = [[0] * n for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        row_k = a[k]
-        for c in range(n):
-            s = d * row_k[n + c] - sum(row_k[j] * adj[j][c] for j in range(k + 1, n))
-            adj[k][c] = s // row_k[k]
-    return tuple(map(tuple, adj)), d
+def _cofactors(rows) -> Rows:
+    """adj(A) of a square A: entry (i, j) is (-1)^(i+j) det of A without
+    row j and column i, n^2 determinants in all."""
+    without = [[(*r[:i], *r[i + 1 :]) for r in rows] for i in range(len(rows))]
+    return tuple(
+        tuple((-1) ** (i + j) * det(rest[:j] + rest[j + 1 :]) for j in range(len(rest)))
+        for i, rest in enumerate(without)
+    )
 
 
 def is_psd_exact(rows) -> bool:
@@ -269,8 +258,6 @@ def _echelon(rows):
     prev = 1
     for col in range(m):
         r = len(pivots)
-        if r == n:
-            break
         piv = r
         while piv < n and not a[piv][col]:
             piv += 1
@@ -371,11 +358,11 @@ def _apply_ladder(m, steps, sign, at=0):
 
 def inverse_unimodular(u) -> Rows:
     """Exact integer inverse of a matrix with determinant +-1: det(u)
-    adj(u), both from one echelon."""
-    adj, d = _adjugate_det(u)
+    adj(u), the adjugate from its cofactors."""
+    d = det(u)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(d * v for v in row) for row in adj)
+    return tuple(tuple(d * v for v in row) for row in _cofactors(u))
 
 
 def reduce_rank(rows):

@@ -52,23 +52,14 @@ def _generators(n: int) -> Mapping[str, Rows]:
     order: the descent matrix Aplus and its inverse, the sign flips Q1..Q{n-1}
     of one coordinate, and the transpositions P12..P1{n-1} of the first
     coordinate with another.  These 2 + (n - 1) + (n - 2) labels are the only
-    ones; a word is read by lookup, never parsed.  Read-only, as it is
-    cached.
+    ones; a word is read by lookup, never parsed.  The rows of Aplus and
+    AplusInv are read off the closed forms that define them (_sum_letters),
+    as the images of the unit vectors.  Read-only, as it is cached.
     """
     _require_dim(n)
     eye = linalg.identity(n)
-    if n == 3:
-        aplus = ((1, 2, -2), (2, 1, -2), (-2, -2, 3))
-    else:
-        pad = (0,) * (n - 4)
-        aplus = (
-            (0, 1, 1) + pad + (-1,),
-            (1, 0, 1) + pad + (-1,),
-            (1, 1, 0) + pad + (-1,),
-            *(tuple(-v for v in eye[i]) for i in range(3, n - 1)),
-            (-1, -1, -1) + pad + (2,),
-        )
-    table = {"Aplus": aplus, "AplusInv": linalg.inverse_unimodular(aplus)}
+    aplus, aplus_inv = (linalg.transpose([g(e) for e in eye]) for g in _sum_letters(n))
+    table = {"Aplus": aplus, "AplusInv": aplus_inv}
     for k in range(1, n):
         table[f"Q{k}"] = tuple(
             tuple(-v for v in row) if i == k - 1 else row for i, row in enumerate(eye)
@@ -80,7 +71,8 @@ def _generators(n: int) -> Mapping[str, Rows]:
 
 
 def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
-    """Aplus and AplusInv of dimension n as closed forms.
+    """Aplus and AplusInv of dimension n as closed forms: the one
+    definition of both, whose rows _generators reads off.
 
     Aplus = D R_r with D = diag(-1, ..., -1, 1) and R_r the Lorentz
     reflection v -> v - 2 B(v, r) / B(r, r) r in r = (1, 1, 1) for n = 3
@@ -124,12 +116,14 @@ def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
 @lru_cache(maxsize=None)
 def _letters(n: int) -> Mapping[str, linalg.Letter]:
     """The alphabet of dimension n as letters, in the label order of
-    _generators(n): the closed forms of _sum_letters for Aplus and
-    AplusInv, linalg.letter of the rows for the others.  What words,
+    _generators(n): the closed forms of _sum_letters, which define Aplus
+    and AplusInv, and linalg.letter of the rows for the others.  What words,
     descents and orbits are applied through.  Read-only, as it is cached.
     """
-    table = {label: linalg.letter(rows) for label, rows in _generators(n).items()}
-    table["Aplus"], table["AplusInv"] = _sum_letters(n)
+    table = dict(zip(("Aplus", "AplusInv"), _sum_letters(n)))
+    for label, rows in _generators(n).items():
+        if label not in table:
+            table[label] = linalg.letter(rows)
     return MappingProxyType(table)
 
 

@@ -3,11 +3,12 @@
 linalg has two fraction-free eliminations.  The symmetric one,
 `_psd_echelon`, answers PSD membership, the rank, the rank split, the
 LDL^T split, the peel frame's adjugate and the congruence invariants; the
-general `_echelon` serves only the matrix functions that take any matrix,
-and its run on [A | I] (`_adjugate_det`) only the public adjugate and
-unimodular inverse.  The scan reads every reference to each of these
-names in src/intcone, as a bare name or as an attribute, and the top-level
-function (or method) it sits in.
+general `_echelon` serves only the matrix functions that take any matrix.
+The cofactor adjugate (`_cofactors`, n^2 determinants) serves only the
+public adjugate and unimodular inverse, which nothing in the package calls.
+The scan reads every reference to each of these names in src/intcone, as a
+bare name or as an attribute, and the top-level function (or method) it
+sits in.
 """
 
 import ast
@@ -15,10 +16,8 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "intcone"
 
-GENERAL = {
-    ("linalg", name)
-    for name in ("det", "rank", "primitive_kernel_vector", "_adjugate_det")
-}
+GENERAL = {("linalg", name) for name in ("det", "rank", "primitive_kernel_vector")}
+INVERSES = ("adjugate", "inverse_unimodular")
 SYMMETRIC = {
     ("linalg", "is_psd_exact"),
     ("linalg", "reduce_rank"),
@@ -58,10 +57,12 @@ def test_the_general_echelon_serves_only_general_matrices():
     assert not outside, f"_echelon referenced in {sorted(outside, key=str)}"
 
 
-def test_the_bracket_echelon_serves_only_the_public_inverses():
-    # the echelon of [A | I]; a peel frame borders its adjugate instead
-    refs = set(references("_adjugate_det"))
-    assert refs == {("linalg", "adjugate"), ("linalg", "inverse_unimodular")}
+def test_the_cofactor_adjugate_serves_only_the_uncalled_public_inverses():
+    # O(n^5) in all; a peel frame borders its adjugate up instead
+    assert set(references("_cofactors")) == {("linalg", name) for name in INVERSES}
+    for name in INVERSES:
+        outside = set(references(name)) - {("linalg", name)}
+        assert not outside, f"{name} referenced in {sorted(outside, key=str)}"
 
 
 def test_psd_questions_run_the_symmetric_elimination():

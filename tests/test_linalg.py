@@ -67,6 +67,11 @@ class TestDet:
     def test_singular(self):
         assert det(((1, 1), (1, 1))) == 0
 
+    def test_rejects_a_matrix_that_is_not_square(self):
+        for m in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3,)), ((1, 0), (0, 1), (0, 0))):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                det(m)
+
     def test_matches_cofactor_oracle(self):
         rng = random.Random(7)
         # one row swap (det -1), then a 3-cycle: two swaps (det +1)
@@ -424,6 +429,11 @@ class TestInverseUnimodular:
             with pytest.raises(ValueError):
                 inverse_unimodular(m)
 
+    def test_rejects_a_matrix_that_is_not_square(self):
+        for m in (((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0,))):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                inverse_unimodular(m)
+
 
 class TestReduceRank:
     def test_full_rank_passthrough(self):
@@ -506,7 +516,7 @@ class TestReduceRank:
 
 
 class TestBorderedAdjugate:
-    def test_matches_the_echelon_and_cofactor_adjugates(self):
+    def test_matches_the_cofactor_adjugate(self):
         # Gram matrices of n + 2 random vectors, redrawn until positive
         # definite: 140 for each n from 0 to 6 and 24 at n = 7, where the
         # cofactor oracle takes about 0.1 s a matrix
@@ -521,7 +531,6 @@ class TestBorderedAdjugate:
                     if len(elim[0]) == n:
                         break
                 adj, d = linalg._bordered_adjugate(b, elim)
-                assert (adj, d) == linalg._adjugate_det(b)
                 assert (adj, d) == (adjugate_cofactor(b), det_cofactor(b))
                 checked += 1
         assert checked >= 1000

@@ -562,8 +562,8 @@ class TestNoGeneralElimination:
 
     def test_peel_frames_take_no_general_adjugate(self, monkeypatch):
         # a frame borders adj(B) up from the leading minors of B's
-        # symmetric elimination; the echelon of [B | I] never runs
-        monkeypatch.setattr(linalg, "_adjugate_det", _raise)
+        # symmetric elimination; no cofactor adjugate is ever taken
+        monkeypatch.setattr(linalg, "_cofactors", _raise)
         rng = random.Random(67)
         for n in (2, 3, 4, 5):
             for _ in range(60):

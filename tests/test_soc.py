@@ -215,16 +215,18 @@ class TestGenerators:
                     assert letters[label](v) == want, (label, n)
                 assert letters[label].size == n
             # the closed-form sum letters: inverse to each other, preserving
-            # the Lorentz form, and equal to the rows on large entries
+            # the Lorentz form, and equal on large entries to the rows of the
+            # replaced parser, as the table's own rows are read off them
             aplus, aplus_inv = letters["Aplus"], letters["AplusInv"]
+            parsed = {g: soc_generator_parse(g, n) for g in ("Aplus", "AplusInv")}
             for _ in range(200):
                 u = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
                 v = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
                 assert aplus(aplus_inv(v)) == v == aplus_inv(aplus(v)), n
                 for g in (aplus, aplus_inv):
                     assert lorentz_form(g(u), g(v)) == lorentz_form(u, v), n
-                assert aplus(v) == linalg.mat_vec(table["Aplus"], v), n
-                assert aplus_inv(v) == linalg.mat_vec(table["AplusInv"], v), n
+                assert aplus(v) == linalg.mat_vec(parsed["Aplus"], v), n
+                assert aplus_inv(v) == linalg.mat_vec(parsed["AplusInv"], v), n
 
     def test_letter_table_is_read_only(self):
         with pytest.raises(TypeError):
