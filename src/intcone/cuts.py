@@ -46,16 +46,16 @@ class Cone:
 class Multiples(NamedTuple):
     """How icr_search admits a candidate y against a residual res.  `norm`
     is taken once per element of a cached search view and once per
-    residual; most(cone, res, norm(res), y, norm(y), top) is the largest
-    lam <= top with res - lam*y in the cone, 0 if there is none.  Callers
-    keep res in the cone and 1 <= top <= weight(res) // weight(y), so
-    res - lam*y keeps a nonnegative weight."""
+    residual; most(res, norm(res), y, norm(y), top) is the largest lam <=
+    top with res - lam*y in the cone, 0 if there is none.  Callers keep
+    res in the cone and 1 <= top <= weight(res) // weight(y), so res -
+    lam*y keeps a nonnegative weight."""
 
     norm: Callable[[Flat], object]
     most: Callable[..., int]
 
 
-def _bisected_multiple(cone, res, _, y, __, top) -> int:
+def _bisected_multiple(cone, res, y, top) -> int:
     """Subtracting fewer copies of a cone element keeps membership, so the
     feasible multiplicities run from 1 up to some largest one: one
     membership test at 1 rules y in or out and bisection finds the
@@ -70,33 +70,6 @@ def _bisected_multiple(cone, res, _, y, __, top) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def _lorentz_self(y: Flat) -> int:
-    return sum(map(mul, y, y)) - 2 * y[-1] * y[-1]
-
-
-def _lorentz_multiple(_, res, rr, y, yy, top) -> int:
-    """On the Lorentz form B(a, b) = a.b - a_n b_n, with rr = B(res, res)
-    and yy = B(y, y): res - lam*y lies in T_n exactly when its height is
-    nonnegative, which top ensures, and rr - 2 lam B(res, y) + lam^2 yy
-    <= 0.  The bisection is the one of _bisected_multiple on that
-    quadratic, so no tuple is built."""
-    ry2 = 2 * (sum(map(mul, res, y)) - 2 * res[-1] * y[-1])
-    if rr - ry2 + yy > 0:
-        return 0
-    lo, hi = 1, top
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if (mid * yy - ry2) * mid + rr <= 0:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-_BY_MEMBERSHIP = Multiples(norm=lambda y: None, most=_bisected_multiple)
-_BY_LORENTZ_FORM = Multiples(norm=_lorentz_self, most=_lorentz_multiple)
 
 
 def _dot(a, b) -> int:
@@ -130,8 +103,11 @@ def _psd_cone(n: int) -> Cone:
     def unflatten(y):
         return tuple(y[i * n : (i + 1) * n] for i in range(n))
 
+    def most(res, _, y, __, top):
+        return _bisected_multiple(rec, res, y, top)
+
     e1 = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))
-    return Cone(
+    rec = Cone(
         shape="matrix",
         ambient_dim=n * (n + 1) // 2,
         flatten=flatten,
@@ -142,8 +118,9 @@ def _psd_cone(n: int) -> Cone:
             {label: _congruence(g) for label, g in psd.gl_generators(n).items()}
         ),
         roots=(e1,) + psd.sporadic_catalog(n),
-        multiples=_BY_MEMBERSHIP,
+        multiples=Multiples(norm=lambda y: None, most=most),
     )
+    return rec
 
 
 def _soc_cone(n: int) -> Cone:
@@ -162,7 +139,7 @@ def _soc_cone(n: int) -> Cone:
         weight=tuple(int(i == n - 1) for i in range(n)),
         generators=soc._letters(n),
         roots=soc.roots(n),
-        multiples=_BY_LORENTZ_FORM,
+        multiples=Multiples(norm=lambda y: soc._form(y, y), most=soc._most_multiple),
     )
 
 
@@ -216,18 +193,22 @@ class LCISystem:
     def m(self) -> int:
         return len(self.a)
 
-    def slack(self, x):
-        """c - A(x) as a cone element."""
+    def _slack(self, x) -> Flat:
+        x = tuple(map(linalg.as_int, x))
         if len(x) != self.m:
             raise ValueError("variable vector has the wrong length")
         out = list(self._c)
         for xi, ai in zip(x, self._a):
             for k, v in enumerate(ai):
                 out[k] -= xi * v
-        return self._cone.unflatten(tuple(out))
+        return tuple(out)
+
+    def slack(self, x):
+        """c - A(x) as a cone element, for x read with as_int."""
+        return self._cone.unflatten(self._slack(x))
 
     def is_feasible(self, x) -> bool:
-        return in_semigroup(self._cone, self._cone.flatten(self.slack(x)))
+        return in_semigroup(self._cone, self._slack(x))
 
     def to_json(self) -> dict:
         return {
@@ -399,9 +380,9 @@ class GeneratorStream:
 
     def __post_init__(self):
         rec = cone_record(self.cone, self.n)
-        if self.word_cap < 0:
+        if linalg.as_int(self.word_cap) < 0:
             raise ValueError("word_cap must be nonnegative")
-        if self.cap is not None and self.cap < 0:
+        if self.cap is not None and linalg.as_int(self.cap) < 0:
             raise ValueError("cap must be nonnegative")
         roots = rec.roots if self.roots is None else self.roots
         flat = tuple(dict.fromkeys(rec.flatten(r) for r in roots))
@@ -503,14 +484,15 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     membership, so a candidate's feasible multiplicities run from 1 up to
     some largest one.  The cone record's `multiples` finds it (0 refuses
     the candidate), and the search descends from it to 1 without testing
-    again.  PSD bisects with membership tests.  SOC bisects on the Lorentz
-    form B: each node takes B(res, res) once, each view element carries
-    B(y, y), its root's value since every generator preserves B, and a
-    candidate costs one product B(res, y) and integer steps, with no
-    residual built until it is admitted.  The last term must be the
-    residual itself, lambda times one candidate: it is the first
-    candidate on the residual's ray whose weight divides the residual's,
-    found by the ray's primitive vector without a membership test.
+    again.  PSD bisects with membership tests.  SOC solves the quadratic
+    of the Lorentz form B in closed form (soc._most_multiple): each node
+    takes B(res, res) once, each view element carries B(y, y), its root's
+    value since every generator preserves B, and a candidate costs one
+    product B(res, y) and at most one isqrt, with no residual built until
+    it is admitted.  The last term must be the residual itself, lambda
+    times one candidate: it is the first candidate on the residual's ray
+    whose weight divides the residual's, found by the ray's primitive
+    vector without a membership test.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -546,7 +528,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
         rn = norm(res)
         for i in range(max(i0, bisect_left(weights, -res_weight, key=neg)), len(ys)):
             y, w = ys[i], weights[i]
-            for lam in range(most(rec, res, rn, y, norms[i], res_weight // w), 0, -1):
+            for lam in range(most(res, rn, y, norms[i], res_weight // w), 0, -1):
                 nxt = tuple(a - lam * b for a, b in zip(res, y))
                 chosen.append((lam, y))
                 child = dfs(nxt, res_weight - lam * w, k_left - 1, i + 1)

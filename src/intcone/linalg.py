@@ -16,8 +16,9 @@ vector builds, in place, the rank split's U and U^{-T}; `_reduce_rank` takes
 an elimination its caller already holds and hands back the block's.
 Matrices stay well under 11x11 here, so the code favours clarity
 over asymptotics.  A generator acts on vectors as a letter, a function built
-once by `letter` from the generator's nonzero entries, and `apply_word`
-is the one fold of a word of letters.  `as_int` is the one rule for
+once by `sparse_letter` from the generator's nonzero entries (or written
+as a closed form with the same `size` attribute), and `apply_word` is the
+one fold of a word of letters.  `as_int` is the one rule for
 integers read from JSON or passed to a constructor, `as_str` the one for
 JSON strings, and `as_labels` the one for lists of labels.
 """
@@ -97,23 +98,13 @@ def mat_vec(a, v) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, v)) for row in a])
 
 
-def letter(rows) -> Letter:
-    """v -> rows v for a square matrix, as sparse_letter of its nonzero
-    entries."""
-    rows = tuple(map(tuple, rows))
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("a letter needs a square matrix")
-    return sparse_letter(
-        tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
-    )
-
-
 def sparse_letter(terms) -> Letter:
     """v -> g v for the square matrix g whose row i holds the nonzero
     entries terms[i], as (column, entry) pairs.  A g with one entry in each
     row, such as a sign flip or a permutation, is one indexed
-    comprehension, any other g a short sum per row.  The letter's `size` is len(terms); it indexes v
-    without checking its length, which apply_word does."""
+    comprehension, any other g a short sum per row.  The letter's `size`
+    is len(terms); it indexes v without checking its length, which
+    apply_word does."""
     terms = tuple(map(tuple, terms))
     if any(len(row) != 1 for row in terms):
 
@@ -248,11 +239,13 @@ def _echelon(rows):
 
     Row k of the result is final once it holds the k-th pivot; its pivot
     entry is, up to the sign of the swaps, the leading minor on the first
-    k + 1 pivot rows and columns.
+    k + 1 pivot rows and columns.  Rows of unequal length raise ValueError.
     """
     a = [list(row) for row in rows]
     n = len(a)
     m = len(a[0]) if a else 0
+    if any(len(row) != m for row in a):
+        raise ValueError("matrix rows must have equal length")
     pivots: list[int] = []
     swaps = 0
     prev = 1

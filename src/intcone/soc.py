@@ -16,6 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg
@@ -30,8 +31,12 @@ def lorentz_form(a, b) -> int:
     minus the product of the last ones."""
     if len(a) != len(b):
         raise ValueError("vectors must have equal length")
-    n = len(a)
-    return sum(a[i] * b[i] for i in range(n - 1)) - a[n - 1] * b[n - 1]
+    return _form(a, b)
+
+
+def _form(a, b) -> int:
+    """lorentz_form without its length check, for vectors of one length."""
+    return sum(map(mul, a, b)) - 2 * a[-1] * b[-1]
 
 
 def in_cone(s) -> bool:
@@ -46,33 +51,16 @@ def _require_dim(n: int):
         raise ValueError(f"dimension must be between {MIN_DIM} and {MAX_DIM}")
 
 
-@lru_cache(maxsize=None)
-def _generators(n: int) -> Mapping[str, Rows]:
-    """The whole generator alphabet of dimension n, label -> rows, in label
-    order: the descent matrix Aplus and its inverse, the sign flips Q1..Q{n-1}
-    of one coordinate, and the transpositions P12..P1{n-1} of the first
-    coordinate with another.  These 2 + (n - 1) + (n - 2) labels are the only
-    ones; a word is read by lookup, never parsed.  The rows of Aplus and
-    AplusInv are read off the closed forms that define them (_sum_letters),
-    as the images of the unit vectors.  Read-only, as it is cached.
-    """
-    _require_dim(n)
-    eye = linalg.identity(n)
-    aplus, aplus_inv = (linalg.transpose([g(e) for e in eye]) for g in _sum_letters(n))
-    table = {"Aplus": aplus, "AplusInv": aplus_inv}
-    for k in range(1, n):
-        table[f"Q{k}"] = tuple(
-            tuple(-v for v in row) if i == k - 1 else row for i, row in enumerate(eye)
-        )
-    for j in range(2, n):
-        swap = {0: j - 1, j - 1: 0}
-        table[f"P1{j}"] = tuple(eye[swap.get(i, i)] for i in range(n))
-    return MappingProxyType(table)
+def _require_point(s):
+    """The public entry check: a dimension in 3..10, then a point of T_n."""
+    _require_dim(len(s))
+    if not in_cone(s):
+        raise ValueError("point is outside the cone")
 
 
 def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
     """Aplus and AplusInv of dimension n as closed forms: the one
-    definition of both, whose rows _generators reads off.
+    definition of both, which _letters holds.
 
     Aplus = D R_r with D = diag(-1, ..., -1, 1) and R_r the Lorentz
     reflection v -> v - 2 B(v, r) / B(r, r) r in r = (1, 1, 1) for n = 3
@@ -115,16 +103,32 @@ def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
 
 @lru_cache(maxsize=None)
 def _letters(n: int) -> Mapping[str, linalg.Letter]:
-    """The alphabet of dimension n as letters, in the label order of
-    _generators(n): the closed forms of _sum_letters, which define Aplus
-    and AplusInv, and linalg.letter of the rows for the others.  What words,
-    descents and orbits are applied through.  Read-only, as it is cached.
+    """The one definition of the generator alphabet of dimension n, label
+    -> letter in label order: Aplus and AplusInv (_sum_letters), the sign
+    flips Q1..Q{n-1} of one coordinate and the transpositions P12..P1{n-1}
+    of the first coordinate with another.  These are the only labels; a
+    word is read by lookup, never parsed.  Read-only, as it is cached.
     """
+    _require_dim(n)
     table = dict(zip(("Aplus", "AplusInv"), _sum_letters(n)))
-    for label, rows in _generators(n).items():
-        if label not in table:
-            table[label] = linalg.letter(rows)
+    for k in range(1, n):
+        table[f"Q{k}"] = linalg.sparse_letter(
+            [(i, -1 if i == k - 1 else 1)] for i in range(n)
+        )
+    for j in range(2, n):
+        swap = {0: j - 1, j - 1: 0}
+        table[f"P1{j}"] = linalg.sparse_letter([(swap.get(i, i), 1)] for i in range(n))
     return MappingProxyType(table)
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int) -> Mapping[str, Rows]:
+    """_letters(n) as rows, each read off its letter as the images of the
+    unit vectors.  Read-only, as it is cached."""
+    eye = linalg.identity(n)
+    return MappingProxyType(
+        {k: linalg.transpose([g(e) for e in eye]) for k, g in _letters(n).items()}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -281,9 +285,7 @@ def is_sporadic_soc(s) -> bool:
     of any kind ends the walk; a primitive one exists too (_first_peel),
     but the walk to it can run much longer.
     """
-    _require_dim(len(s))
-    if not in_cone(s):
-        raise ValueError("point is outside the cone")
+    _require_point(s)
     f = lorentz_form(s, s)
     if f == -1:
         return True
@@ -333,10 +335,7 @@ def descend(s):
     inverse of each applied letter in application order: AplusInv for
     Aplus, the other letters as they are (they are involutions).
     """
-    n = len(s)
-    _require_dim(n)
-    if not in_cone(s):
-        raise ValueError("point is outside the cone")
+    _require_point(s)
     if vec_gcd(s) != 1:
         raise ValueError("point must be primitive")
     f = lorentz_form(s, s)
@@ -472,13 +471,27 @@ class SocCertificate:
         )
 
 
-def _max_multiple(s, p) -> int:
-    """Largest k with s - k p still in the cone, for Pythagorean p."""
-    k = s[-1] // p[-1]
-    cross = lorentz_form(s, p)
-    if cross < 0:
-        k = min(k, lorentz_form(s, s) // (2 * cross))
-    return k
+def _most_multiple(s, ss, y, yy, top) -> int:
+    """The largest lam <= top with s - lam y in T_n, 0 if there is none,
+    for s, y in T_n, ss = B(s, s), yy = B(y, y) and 1 <= top <= s_n // y_n.
+
+    As heights stay nonnegative, that is q(lam) = ss - 2 lam c + lam^2 yy
+    <= 0 with c = B(s, y) <= 0.  q holds everywhere if c = 0, up to ss / 2c
+    if yy = 0, and otherwise, concave, everywhere if its discriminant
+    c^2 - yy ss is 0, else up to its smaller root (c + sqrt(c^2 - yy ss)) /
+    yy, as s - y lies below the larger.  lam = 1 is tested first: it
+    refuses most candidates of a rank search without an isqrt."""
+    c = _form(s, y)
+    if ss - 2 * c + yy > 0:
+        return 0
+    if c >= 0:
+        return top
+    if not yy:
+        return min(top, ss // (2 * c))
+    d = c * c - yy * ss
+    if d <= 0:
+        return top
+    return min(top, (c + isqrt(d - 1) + 1) // yy)
 
 
 def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
@@ -500,10 +513,8 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
     all, by the argument above and _first_peel's; nor has its primitive
     part q, since cur - p' = (g - 1) q + (q - p') for any peel p' of q.
     """
+    _require_point(s)
     n = len(s)
-    _require_dim(n)
-    if not in_cone(s):
-        raise ValueError("point is outside the cone")
     cur = tuple(s)
     top = cur[-1]
     terms: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
@@ -520,7 +531,7 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
             else:
                 terms.append((g, word, root))
             break
-        lam = _max_multiple(cur, p)
+        lam = _most_multiple(cur, _form(cur, cur), p, 0, cur[-1] // p[-1])
         root, word = _descent(p)
         terms.append((lam, word, root))
         cur = tuple(a - lam * b for a, b in zip(cur, p))
@@ -539,10 +550,9 @@ def pythagorean_orbit(n: int, max_height: int) -> list[tuple[int, ...]]:
     climbs, so every target is reachable without overshooting the cap.
     Output sorted by (height, coordinates).
     """
-    _require_dim(n)
+    letters = _letters(n).values()
     if max_height < 0:
         raise ValueError("max_height must be nonnegative")
-    letters = _letters(n).values()
     seen: set[tuple[int, ...]] = set()
     queue = deque(
         r for r in roots(n) if lorentz_form(r, r) == 0 and r[-1] <= max_height

@@ -25,7 +25,9 @@ the package's split.
 soc_peel_candidate and soc_first_peel are the SOC peel walk as it was
 before each child was tested in its parent's loop and a peel search took
 a top height; soc_decompose_from_each_height is decompose_soc over them,
-with the package's descent, maximal multiple and certificate type.
+with the package's descent and certificate type and its own maximal
+multiple.  lorentz_multiple is the bisection on the Lorentz form that the
+SOC cone record admitted candidates with before soc._most_multiple.
 """
 
 from bisect import bisect_left
@@ -33,7 +35,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from math import gcd, isqrt
-from operator import neg
+from operator import mul, neg
 
 from intcone import lattice, linalg, psd, soc
 
@@ -893,8 +895,31 @@ def soc_decompose_from_each_height(s, minimal_roots=False):
             else:
                 terms.append((g, word, root))
             break
-        lam = soc._max_multiple(cur, p)
+        # the largest k with cur - k p in T_n, for Pythagorean p
+        lam = cur[-1] // p[-1]
+        cross = soc.lorentz_form(cur, p)
+        if cross < 0:
+            lam = min(lam, soc.lorentz_form(cur, cur) // (2 * cross))
         root, word = soc.descend(p)
         terms.append((lam, word, root))
         cur = tuple(a - lam * b for a, b in zip(cur, p))
     return soc.SocCertificate(n=n, terms=tuple(terms))
+
+
+def lorentz_multiple(_, res, rr, y, yy, top) -> int:
+    """On the Lorentz form B(a, b) = a.b - a_n b_n, with rr = B(res, res)
+    and yy = B(y, y): res - lam*y lies in T_n exactly when its height is
+    nonnegative, which top ensures, and rr - 2 lam B(res, y) + lam^2 yy
+    <= 0.  The bisection is the one of _bisected_multiple on that
+    quadratic, so no tuple is built."""
+    ry2 = 2 * (sum(map(mul, res, y)) - 2 * res[-1] * y[-1])
+    if rr - ry2 + yy > 0:
+        return 0
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mid * yy - ry2) * mid + rr <= 0:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

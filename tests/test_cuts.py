@@ -57,6 +57,17 @@ class TestLCISystem:
         assert sys.is_feasible((-1,))
         assert not sys.is_feasible((2,))
 
+    def test_feasibility_is_membership_of_the_slack(self):
+        rng = random.Random(53)
+        for sys in (soc_system(), LCISystem(cone="psd", n=2, c=I2, a=(E11_2,))):
+            rec = cuts.cone_record(sys.cone, sys.n)
+            for _ in range(50):
+                x = tuple(rng.randint(-3, 3) for _ in range(sys.m))
+                assert sys.is_feasible(x) == rec.member(rec.flatten(sys.slack(x)))
+            for read in (sys.slack, sys.is_feasible):
+                with pytest.raises(TypeError, match="is not an integer"):
+                    read((1.0,))
+
     def test_rejects_bad_cone_tag(self):
         with pytest.raises(ValueError):
             LCISystem(cone="exp", n=3, c=(0, 0, 1), a=())
@@ -261,6 +272,21 @@ class TestGeneratorStream:
             GeneratorStream(cone="soc", n=3, word_cap=2, cap=-1)
         assert list(GeneratorStream(cone="soc", n=3, word_cap=2, cap=0)) == []
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            {"word_cap": 1.5},
+            {"word_cap": True},
+            {"word_cap": "2"},
+            {"word_cap": 2, "cap": 2.0},
+        ],
+    )
+    def test_rejects_a_cap_that_is_not_an_int(self, caps):
+        # never coerced: no word length would ever equal a word_cap of 1.5,
+        # so its walk would not end
+        with pytest.raises(TypeError, match="is not an integer"):
+            GeneratorStream(cone="soc", n=3, **caps)
+
     def test_repeated_root_is_emitted_once(self):
         once = list(GeneratorStream(cone="soc", n=3, word_cap=1, roots=((1, 0, 1),)))
         twice = GeneratorStream(
@@ -368,9 +394,9 @@ def spy_admissions(monkeypatch):
         rec = record(name, n)
         norm, most = rec.multiples
 
-        def recording(cone, res, rn, y, yn, top):
+        def recording(res, rn, y, yn, top):
             tested.append((res, y, top))
-            return most(cone, res, rn, y, yn, top)
+            return most(res, rn, y, yn, top)
 
         return dataclasses.replace(rec, multiples=cuts.Multiples(norm, recording))
 
@@ -622,7 +648,7 @@ class TestLorentzAdmission:
         rec = cuts.cone_record("soc", len(y))
         norm, most = rec.multiples
         top = res[-1] // y[-1]
-        largest = most(rec, res, norm(res), y, norm(y), top)
+        largest = most(res, norm(res), y, norm(y), top)
         assert 0 <= largest <= top
         for lam in range(1, top + 1):
             inside = soc.in_cone(tuple(a - lam * b for a, b in zip(res, y)))
@@ -642,11 +668,24 @@ class TestLorentzAdmission:
         forms = {soc.lorentz_form(r, r) for r in soc.roots(n)}
         assert -1 in forms and (n != 7 or -3 in forms) and (n != 9 or -7 in forms)
 
-    def test_psd_admits_by_membership(self):
+    def test_psd_admits_by_membership(self, monkeypatch):
+        # the SOC record holds the closed form itself, with no adapter; the
+        # PSD record bisects with membership tests on its own record
+        assert cuts.cone_record("soc", 5).multiples.most is soc._most_multiple
         gen = GeneratorStream(cone="psd", n=3, word_cap=2)
         _, (ys, _, norms, _) = gen._cached()
         assert norms == (None,) * len(ys)
-        assert gen._cone.multiples.most is cuts._bisected_multiple
+        tested = []
+        member = cuts.in_semigroup
+
+        def counted(cone, y):
+            tested.append(cone)
+            return member(cone, y)
+
+        monkeypatch.setattr(cuts, "in_semigroup", counted)
+        res, y = (3, 1, 0, 1, 3, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 0, 0)
+        assert gen._cone.multiples.most(res, None, y, None, 3) == 2
+        assert tested and all(cone is gen._cone for cone in tested)
 
 
 class TestCgCuts:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _oracles import (
     cone_member,
     evaluate_word,
+    lorentz_multiple,
     primitive_pythagorean_signed,
     root_splits_table,
     soc_decompose_from_each_height,
@@ -202,21 +203,21 @@ class TestGenerators:
             soc._generators(11)
 
     def test_letters_match_the_rows(self):
-        # every letter a word is applied through is its generator's rows
+        # every letter a word is applied through is the rows of the replaced
+        # parser, as the table's own rows are read off the letters
         rng = random.Random(47)
         for n in range(3, 11):
             table, letters = soc._generators(n), soc._letters(n)
             assert tuple(letters) == tuple(table)
-            for label, rows in table.items():
+            for label, g in letters.items():
+                parsed = soc_generator_parse(label, n)
                 for _ in range(20):
                     v = tuple(rng.randint(-50, 50) for _ in range(n))
-                    want = linalg.mat_vec(rows, v)
-                    assert linalg.letter(rows)(v) == want, (label, n)
-                    assert letters[label](v) == want, (label, n)
-                assert letters[label].size == n
+                    want = linalg.mat_vec(parsed, v)
+                    assert g(v) == want == linalg.mat_vec(table[label], v), (label, n)
+                assert g.size == n
             # the closed-form sum letters: inverse to each other, preserving
-            # the Lorentz form, and equal on large entries to the rows of the
-            # replaced parser, as the table's own rows are read off them
+            # the Lorentz form, and equal on large entries to the parser's rows
             aplus, aplus_inv = letters["Aplus"], letters["AplusInv"]
             parsed = {g: soc_generator_parse(g, n) for g in ("Aplus", "AplusInv")}
             for _ in range(200):
@@ -847,6 +848,98 @@ class TestDecomposeSoc:
             assert cert.reconstruct() == s
             for lam, word, root in cert.terms:
                 assert root in roots(n, minimal=True)
+
+
+def _most_multiple_cases(n, rng):
+    """Seeded (res, y, top) with res and y in T_n of height at most 40 and
+    1 <= top <= res_n // y_n: generic pairs, Pythagorean y, both on one
+    boundary ray, res on or just above the ray of an interior y, and tops
+    below the height ratio.  Points are drawn a coordinate at a time within the
+    height's budget, Pythagorean tuples as random words on (1, 0, ..., 1)."""
+    letters = list(soc._letters(n).values())
+
+    def point(h):
+        body, budget = [], h * h
+        for _ in range(n - 1):
+            r = isqrt(budget)
+            body.append(rng.randint(-r, r))
+            budget -= body[-1] ** 2
+        rng.shuffle(body)
+        return (*body, h)
+
+    def pythagorean():
+        while True:
+            p = (1,) + (0,) * (n - 2) + (1,)
+            for _ in range(rng.randint(0, 6)):
+                p = rng.choice(letters)(p)
+            if 0 < p[-1] <= 40:
+                return p
+
+    while True:
+        kind = rng.randrange(4)
+        if kind == 0:
+            res, y = point(rng.randint(1, 40)), point(rng.randint(1, 12))
+        elif kind == 1:
+            res, y = point(rng.randint(1, 40)), pythagorean()
+        elif kind == 2:
+            p, k = pythagorean(), rng.randint(1, 3)
+            res, y = tuple(3 * v for v in p), tuple(k * v for v in p)
+        else:
+            # on the ray, or lifted off it by a few units of height
+            y, k = point(rng.randint(1, 8)), rng.randint(1, 5)
+            res = tuple(k * v for v in y[:-1]) + (k * y[-1] + rng.choice((0, 0, 3)),)
+        ratio = res[-1] // y[-1]
+        if ratio >= 1:
+            yield res, y, rng.randint(1, ratio)
+
+
+def _check_most_multiple(res, y, top):
+    """soc._most_multiple against the bisection it replaced and against
+    in_cone on every multiple up to top; its answer."""
+    ss, yy = lorentz_form(res, res), lorentz_form(y, y)
+    got = soc._most_multiple(res, ss, y, yy, top)
+    assert got == lorentz_multiple(None, res, ss, y, yy, top), (res, y, top)
+    for k in range(1, top + 1):
+        inside = in_cone(tuple(a - k * b for a, b in zip(res, y)))
+        assert inside == (k <= got), (res, y, top, k)
+    return got
+
+
+class TestMostMultiple:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_the_bisection_and_a_scan(self, n):
+        # every branch taken in every dimension
+        rng = random.Random(f"most-multiple/{n}")
+        branches = set()
+        cases = _most_multiple_cases(n, rng)
+        for _ in range(1500):
+            res, y, top = next(cases)
+            got = _check_most_multiple(res, y, top)
+            ss, yy, c = lorentz_form(res, res), lorentz_form(y, y), lorentz_form(res, y)
+            if ss - 2 * c + yy > 0:
+                branches.add("refused")
+            elif c >= 0:
+                branches.add("c >= 0")
+            elif yy == 0:
+                branches.add("yy = 0")
+            elif c * c == yy * ss:
+                branches.add("zero discriminant")
+            elif got == top < (c + isqrt(c * c - yy * ss - 1) + 1) // yy:
+                branches.add("capped by top")
+        assert len(branches) == 5, branches
+
+    @pytest.mark.parametrize(
+        "res, y, top, want",
+        [
+            ((1, 0, 10), (0, 0, 1), 10, 9),  # discriminant 1, smaller root 9
+            ((2, 0, 10), (0, 0, 1), 10, 8),  # discriminant 4, a root exactly
+            ((0, 0, 6), (0, 0, 2), 3, 3),  # zero discriminant, on the ray
+            ((3, 4, 5), (3, 4, 5), 1, 1),  # c = 0, both on one boundary ray
+            ((3, 0, 5), (3, 4, 5), 1, 0),  # refused at 1
+        ],
+    )
+    def test_boundary_cases(self, res, y, top, want):
+        assert _check_most_multiple(res, y, top) == want
 
 
 class TestSocCertificate:
