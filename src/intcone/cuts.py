@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, neg
 from types import MappingProxyType
-from typing import NamedTuple
 
 from . import linalg, psd, soc
 from .linalg import Rows
@@ -40,17 +39,11 @@ class Cone:
     weight: Flat  # the dot product with it is the trace or the height
     generators: Mapping[str, Callable[[Flat], Flat]]  # label -> letter on flat elements
     roots: tuple  # the default roots, native
-    multiples: Multiples  # icr_search's admission test
-
-
-class Multiples(NamedTuple):
-    """How icr_search admits a candidate y against a residual res.  `norm`
-    is taken once per element of a cached search view and once per
-    residual; most(res, norm(res), y, norm(y), top) is the largest lam <=
-    top with res - lam*y in the cone, 0 if there is none.  Callers keep
-    res in the cone and 1 <= top <= weight(res) // weight(y), so res -
-    lam*y keeps a nonnegative weight."""
-
+    # icr_search's admission test: `norm` is taken once per element of a
+    # cached search view and once per residual; most(res, norm(res), y,
+    # norm(y), top) is the largest lam <= top with res - lam*y in the cone,
+    # 0 if there is none.  Callers keep res in the cone and 1 <= top <=
+    # weight(res) // weight(y), so res - lam*y keeps a nonnegative weight.
     norm: Callable[[Flat], object]
     most: Callable[..., int]
 
@@ -118,7 +111,8 @@ def _psd_cone(n: int) -> Cone:
             {label: _congruence(g) for label, g in psd.gl_generators(n).items()}
         ),
         roots=(e1,) + psd.sporadic_catalog(n),
-        multiples=Multiples(norm=lambda y: None, most=most),
+        norm=lambda y: None,
+        most=most,
     )
     return rec
 
@@ -139,7 +133,8 @@ def _soc_cone(n: int) -> Cone:
         weight=tuple(int(i == n - 1) for i in range(n)),
         generators=soc._letters(n),
         roots=soc.roots(n),
-        multiples=Multiples(norm=lambda y: soc._form(y, y), most=soc._most_multiple),
+        norm=lambda y: soc._form(y, y),
+        most=soc._most_multiple,
     )
 
 
@@ -320,7 +315,7 @@ def _direction(y: Flat) -> Flat:
 
 def _search_view(walk: tuple, norm: Callable[[Flat], object]) -> tuple:
     """(ys, weights, norms, rays): the walk's flat elements, their weights
-    and their admission norms (Multiples.norm) heaviest first, ties in walk
+    and their admission norms (Cone.norm) heaviest first, ties in walk
     order, and for each primitive direction the ascending indices of the
     elements on its ray."""
     order = sorted(walk, key=lambda e: -e[1])
@@ -347,7 +342,7 @@ class _StreamCache:
             self.entries.move_to_end(key)
             return entry
         walk = _walk(*key)
-        entry = walk, _search_view(walk, cone_record(*key[:2]).multiples.norm)
+        entry = walk, _search_view(walk, cone_record(*key[:2]).norm)
         if len(walk) > _MAX_HELD:
             return entry
         self.entries[key] = entry
@@ -482,7 +477,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     of the cached view, and each level starts where the weights drop to
     the residual's.  Subtracting fewer copies of a cone element keeps
     membership, so a candidate's feasible multiplicities run from 1 up to
-    some largest one.  The cone record's `multiples` finds it (0 refuses
+    some largest one.  The cone record's `most` finds it (0 refuses
     the candidate), and the search descends from it to 1 without testing
     again.  PSD bisects with membership tests.  SOC solves the quadratic
     of the Lorentz form B in closed form (soc._most_multiple): each node
@@ -494,7 +489,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     whose weight divides the residual's, found by the ray's primitive
     vector without a membership test.
     """
-    if cap < 0:
+    if linalg.as_int(cap) < 0:
         raise ValueError("cap must be nonnegative")
     rec = gen._cone
     s = rec.flatten(s)
@@ -503,7 +498,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     total = _dot(rec.weight, s)
     limit = total if gen.cap is None else min(total, gen.cap)
     _, (ys, weights, norms, rays) = gen._cached()
-    norm, most = rec.multiples
+    norm, most = rec.norm, rec.most
     first = bisect_left(weights, -limit, key=neg)
 
     chosen = []

@@ -90,16 +90,10 @@ class QuadFormQuery:
             raise ValueError("bound must be nonnegative")
         object.__setattr__(self, "_split", _decompose(self.a))
 
-    def points(self, start=None):
+    def points(self):
         """An iterator over the canonical nonzero solutions in deterministic
         order: ascending in x_{n-1}, then in x_{n-2} and so on down to x_0,
         that is, by the reversed tuple, whatever the form.
-
-        With start, a vector of the form's length, only the solutions at or
-        after start in that order are yielded, whether or not start is a
-        solution itself; a start of another length raises ValueError.  The
-        start floors each level on the first path only, so the enumeration
-        after it is the plain one.
 
         The walk (_points) is one loop over per-level arrays.  The level of
         x_0 is folded into the loop of x_1: each value of x_1 computes the
@@ -107,16 +101,14 @@ class QuadFormQuery:
         0 when the first nonzero entry of x[1:] is positive and from 1
         otherwise.
         """
-        if start is not None:
-            start = tuple(map(linalg.as_int, start))
-            if len(start) != len(self.a):
-                raise ValueError("start must have the form's length")
-        return _points(self._split, self.bound, start)
+        return _points(self._split, self.bound)
 
 
 def _points(split, bound, start=None):
     """The walk of QuadFormQuery.points on a split (d, M) from _decompose,
-    for a bound >= 0 and a start of the form's length or None, unchecked.
+    for a bound >= 0 and a start of the form's length or None, unchecked:
+    the solutions at or after start in that order, as psd.decompose
+    resumes at its last peel, whether or not start is a solution itself.
 
     One loop over per-level arrays: at level k >= 1, x[k] is the value to
     try next and hi[k] the upper end of its interval, cap[k] = d[k] e with
@@ -239,9 +231,9 @@ def _lift(lift, y):
     return x if next(v for v in x if v) > 0 else tuple(-v for v in x)
 
 
-def _kx_first(x_rows, elim=None):
-    """The first point of K(X) = {x != 0 : X - x x^T is PSD}, or None; elim
-    is X's _psd_echelon when the caller holds it."""
-    lift, adj, d = _peel_data(linalg.freeze(x_rows), elim)
+def _kx_first(x, elim):
+    """The first point of K(X) = {x != 0 : X - x x^T is PSD}, or None, for
+    a frozen PSD X and its _psd_echelon elim."""
+    lift, adj, d = _peel_data(x, elim)
     y = next(_points(_decompose(adj), d), None)
     return None if y is None else _lift(lift, y)

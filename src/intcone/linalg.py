@@ -323,30 +323,28 @@ def _xgcd(a: int, b: int):
 def _ladder(z):
     """The gcd ladder of a primitive z: steps (i, p, q, a, b) taking columns
     (0, i) to (p c0 + q ci, a ci - b c0), a p + b q = 1, that fold each z_i
-    into the running gcd, and the sign left on column 0.  The inverse
-    transpose of a step is (i, a, b, p, q), that of the sign the sign."""
+    into the running gcd, which must end at 1, not at -1 as for -e_0, never
+    a _kernel_vector output.  The inverse transpose of a step is (i, a, b,
+    p, q)."""
     z = tuple(map(as_int, z))
-    if vec_gcd(z) != 1:
-        raise ValueError("z must be a nonzero primitive vector")
     steps, g = [], z[0]
     for i, zi in enumerate(z[1:], 1):
         if zi:
             g2, a, b = _xgcd(g, zi)
             steps.append((i, g // g2, zi // g2, a, b))
             g = g2
-    return steps, g
+    if g != 1:
+        raise ValueError("z must be a nonzero primitive vector")
+    return steps
 
 
-def _apply_ladder(m, steps, sign, at=0):
+def _apply_ladder(m, steps, at=0):
     """Right-multiply the list rows m in place by diag(I_at, the ladder)."""
     for i, p, q, a, b in steps:
         i += at
         for row in m:
             c0, ci = row[at], row[i]
             row[at], row[i] = c0 * p + ci * q, ci * a - c0 * b
-    if sign < 0:
-        for row in m:
-            row[at] = -row[at]
 
 
 def inverse_unimodular(u) -> Rows:
@@ -392,16 +390,16 @@ def _reduce_rank(x, elim):
     cur = x
     while len(pivots) < len(cur):
         zeros = len(x) - len(cur)
-        steps, sign = _ladder(_kernel_vector(elim_rows, pivots))
+        steps = _ladder(_kernel_vector(elim_rows, pivots))
         w = [list(row) for row in cur]
-        _apply_ladder(w, steps, sign)  # cur u1
+        _apply_ladder(w, steps)  # cur u1
         w = [list(col) for col in zip(*w)]  # u1^T cur, as cur is symmetric
-        _apply_ladder(w, steps, sign)
+        _apply_ladder(w, steps)
         if any(w[0]):  # w is symmetric, so its first column is zero too
             raise RuntimeError("kernel vector left a nonzero first row")
-        _apply_ladder(u, steps, sign, zeros)  # U diag(I, u1)
+        _apply_ladder(u, steps, zeros)  # U diag(I, u1)
         inv_t = [(i, a, b, p, q) for i, p, q, a, b in steps]
-        _apply_ladder(u_inv_t, inv_t, sign, zeros)
+        _apply_ladder(u_inv_t, inv_t, zeros)
         cur = tuple(tuple(row[1:]) for row in w[1:])
         pivots, elim_rows = _psd_echelon(cur)
     u, u_inv_t = tuple(map(tuple, u)), tuple(map(tuple, u_inv_t))

@@ -72,16 +72,14 @@ class Rank1Certificate:
     witness: UnimodularMatrix | None
 
     def reconstruct(self) -> Rows:
-        total = [[0] * self.n for _ in range(self.n)]
+        """The remainder (or zero) plus each lam x x^T; callers check sizes."""
+        if self.remainder is None:
+            total = ((0,) * self.n,) * self.n
+        else:
+            total = self.remainder.rows
         for x, lam in self.vectors:
-            for i in range(self.n):
-                for j in range(self.n):
-                    total[i][j] += lam * x[i] * x[j]
-        if self.remainder is not None:
-            for i in range(self.n):
-                for j in range(self.n):
-                    total[i][j] += self.remainder.rows[i][j]
-        return tuple(map(tuple, total))
+            total = _sub_outer(total, x, -lam)
+        return total
 
     def to_json(self) -> dict:
         return {

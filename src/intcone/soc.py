@@ -180,8 +180,9 @@ def _peel_candidate(s, h: int, primitive_only: bool):
     end), and the partial sum of (s_i - p_i)^2 within (s_n - h)^2.
 
     A node is entered only if the sphere slice left for the remaining
-    coordinates still meets the remaining ball over the reals.  The root
-    tests that itself; every other node is tested in its parent's loop,
+    coordinates still meets the remaining ball over the reals.  The only
+    caller, _first_peel, tests the root, by a height test that is the
+    root's own on T_n.  Every other node is tested in its parent's loop,
     where the gap of child v is linear in v, so a refused child costs no
     call.  The loop stops at the first refused child after an admitted
     one, and that is exact: child v is admitted exactly when v is an
@@ -201,7 +202,6 @@ def _peel_candidate(s, h: int, primitive_only: bool):
     """
     n = len(s)
     m = n - 1
-    ball = (s[-1] - h) ** 2
     p = [0] * m
     suffix_sq = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -246,11 +246,7 @@ def _peel_candidate(s, h: int, primitive_only: bool):
                 return got
         return None
 
-    c = suffix_sq[0]
-    gap = c + h * h - ball
-    if gap > 0 and gap * gap > 4 * c * h * h:
-        return None
-    return walk(0, h * h, ball)
+    return walk(0, h * h, (s[-1] - h) ** 2)
 
 
 def _first_peel(s, primitive_only: bool, top: int | None = None):
@@ -551,7 +547,7 @@ def pythagorean_orbit(n: int, max_height: int) -> list[tuple[int, ...]]:
     Output sorted by (height, coordinates).
     """
     letters = _letters(n).values()
-    if max_height < 0:
+    if linalg.as_int(max_height) < 0:
         raise ValueError("max_height must be nonnegative")
     seen: set[tuple[int, ...]] = set()
     queue = deque(

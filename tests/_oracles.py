@@ -24,7 +24,9 @@ was before the loop over per-level arrays, one generator per level, on
 the package's split.
 soc_peel_candidate and soc_first_peel are the SOC peel walk as it was
 before each child was tested in its parent's loop and a peel search took
-a top height; soc_decompose_from_each_height is decompose_soc over them,
+a top height, and soc_root_refuted is the root test that _peel_candidate
+made before it left that test to _first_peel;
+soc_decompose_from_each_height is decompose_soc over them,
 with the package's descent and certificate type and its own maximal
 multiple.  lorentz_multiple is the bisection on the Lorentz form that the
 SOC cone record admitted candidates with before soc._most_multiple.
@@ -855,6 +857,16 @@ def soc_peel_candidate(s, h: int, primitive_only: bool):
         return None
 
     return walk(0, h * h, ball)
+
+
+def soc_root_refuted(s, h: int) -> bool:
+    """Whether soc._peel_candidate(s, h, ...) refused its root, as it did
+    before _first_peel alone tested the root: the sphere of radius h misses
+    the ball of radius s_n - h around s[:n-1]."""
+    ball = (s[-1] - h) ** 2
+    c = sum(v * v for v in s[:-1])
+    gap = c + h * h - ball
+    return gap > 0 and gap * gap > 4 * c * h * h
 
 
 def soc_first_peel(s, primitive_only: bool):

@@ -385,20 +385,19 @@ class TestGeneratorStream:
 def spy_admissions(monkeypatch):
     """The admission tests of every icr_search from here on, as (residual,
     candidate, top multiplicity): the cone records that cuts hands out,
-    and so the streams built after this call, carry a `multiples` whose
-    `most` records its arguments before it answers."""
+    and so the streams built after this call, carry a `most` that records
+    its arguments before it answers."""
     tested = []
     record = cuts.cone_record
 
     def spied(name, n):
         rec = record(name, n)
-        norm, most = rec.multiples
 
         def recording(res, rn, y, yn, top):
             tested.append((res, y, top))
-            return most(res, rn, y, yn, top)
+            return rec.most(res, rn, y, yn, top)
 
-        return dataclasses.replace(rec, multiples=cuts.Multiples(norm, recording))
+        return dataclasses.replace(rec, most=recording)
 
     monkeypatch.setattr(cuts, "cone_record", spied)
     return tested
@@ -646,9 +645,8 @@ class TestLorentzAdmission:
     def test_form_agrees_with_membership(self, case):
         res, y = case
         rec = cuts.cone_record("soc", len(y))
-        norm, most = rec.multiples
         top = res[-1] // y[-1]
-        largest = most(res, norm(res), y, norm(y), top)
+        largest = rec.most(res, rec.norm(res), y, rec.norm(y), top)
         assert 0 <= largest <= top
         for lam in range(1, top + 1):
             inside = soc.in_cone(tuple(a - lam * b for a, b in zip(res, y)))
@@ -671,7 +669,7 @@ class TestLorentzAdmission:
     def test_psd_admits_by_membership(self, monkeypatch):
         # the SOC record holds the closed form itself, with no adapter; the
         # PSD record bisects with membership tests on its own record
-        assert cuts.cone_record("soc", 5).multiples.most is soc._most_multiple
+        assert cuts.cone_record("soc", 5).most is soc._most_multiple
         gen = GeneratorStream(cone="psd", n=3, word_cap=2)
         _, (ys, _, norms, _) = gen._cached()
         assert norms == (None,) * len(ys)
@@ -684,7 +682,7 @@ class TestLorentzAdmission:
 
         monkeypatch.setattr(cuts, "in_semigroup", counted)
         res, y = (3, 1, 0, 1, 3, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 0, 0)
-        assert gen._cone.multiples.most(res, None, y, None, 3) == 2
+        assert gen._cone.most(res, None, y, None, 3) == 2
         assert tested and all(cone is gen._cone for cone in tested)
 
 
@@ -896,6 +894,13 @@ class TestIcrSearch:
         gen = GeneratorStream(cone="soc", n=3, word_cap=1)
         with pytest.raises(ValueError, match="cap must be nonnegative"):
             cuts.icr_search((0, 0, 2), gen, cap=-1)
+
+    @pytest.mark.parametrize("cap", [True, 10.5, 3.0, "3"])
+    def test_rejects_a_non_integer_cap(self, cap):
+        # read with linalg.as_int: True is not cap 1, nor 10.5 a cap of 10
+        gen = GeneratorStream(cone="soc", n=3, word_cap=1)
+        with pytest.raises(TypeError, match="is not an integer"):
+            cuts.icr_search((0, 0, 2), gen, cap=cap)
 
     def test_soc_counts_stay_under_the_ambient_bound(self):
         # 2N-2 = 4 in dimension three

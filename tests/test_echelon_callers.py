@@ -6,6 +6,8 @@ LDL^T split, the peel frame's adjugate and the congruence invariants; the
 general `_echelon` serves only the matrix functions that take any matrix.
 The cofactor adjugate (`_cofactors`, n^2 determinants) serves only the
 public adjugate and unimodular inverse, which nothing in the package calls.
+The gcd ladder serves only the rank split, whose kernel vectors never
+start with a negative entry, as the ladder now assumes.
 The scan reads every reference to each of these names in src/intcone, as a
 bare name or as an attribute, and the top-level function (or method) it
 sits in.
@@ -68,3 +70,10 @@ def test_the_cofactor_adjugate_serves_only_the_uncalled_public_inverses():
 def test_psd_questions_run_the_symmetric_elimination():
     missing = SYMMETRIC - set(references("_psd_echelon"))
     assert not missing, f"not running _psd_echelon: {sorted(missing)}"
+
+
+def test_the_gcd_ladder_serves_only_the_rank_split():
+    # _ladder refuses -e_0 instead of flipping a sign: only _reduce_rank,
+    # fed by _kernel_vector, may call it
+    for name in ("_ladder", "_apply_ladder"):
+        assert set(references(name)) == {("linalg", "_reduce_rank")}, name

@@ -25,6 +25,13 @@ def shortest_nonzero(a):
     return form_value(a, x), x
 
 
+def kx_first(rows):
+    """lattice._kx_first of a matrix, frozen and eliminated as
+    psd.is_sporadic hands it over."""
+    x = linalg.freeze(rows)
+    return lattice._kx_first(x, linalg._psd_echelon(x))
+
+
 def outer_sub(x, v):
     return tuple(tuple(a - b * c for a, c in zip(row, v)) for row, b in zip(x, v))
 
@@ -177,11 +184,11 @@ class TestKxNonzeroPoint:
     # K(X) = {x : X - x x^T is PSD}; psd.decompose peels it at every step
     def test_identity(self):
         for n in (1, 2, 3, 5):
-            assert lattice._kx_first(linalg.identity(n)) == (1,) + (0,) * (n - 1)
+            assert kx_first(linalg.identity(n)) == (1,) + (0,) * (n - 1)
 
     def test_singular(self):
         x = ((1, 0), (0, 0))
-        v = lattice._kx_first(x)
+        v = kx_first(x)
         assert v is not None
         assert linalg.is_psd_exact(outer_sub(x, v))
 
@@ -196,7 +203,7 @@ class TestKxNonzeroPoint:
                     for j in range(n):
                         total[i][j] += v[i] * v[j]
             x = tuple(map(tuple, total))
-            got = lattice._kx_first(x)
+            got = kx_first(x)
             if got is None:
                 continue
             assert any(got)
@@ -208,8 +215,8 @@ def by_reversed_tuple(points):
 
 
 class TestResumedEnumeration:
-    # points(start=p) is the suffix of points() from p, in the order by
-    # the reversed tuple, which does not depend on the form
+    # _points(split, t, p) is the suffix of points() from p, in the order
+    # by the reversed tuple, which does not depend on the form
     def test_plain_order_is_by_the_reversed_tuple(self):
         rng = random.Random(53)
         for _ in range(40):
@@ -222,10 +229,11 @@ class TestResumedEnumeration:
         rng = random.Random(59)
         for _ in range(40):
             n = rng.randint(1, 4)
-            q = QuadFormQuery(random_pd(rng, n, 2), rng.randint(0, 14))
-            pts = list(q.points())
+            a, t = random_pd(rng, n, 2), rng.randint(0, 14)
+            split = lattice._decompose(a)
+            pts = enumerate_below(a, t)
             for i, p in enumerate(pts):
-                assert list(q.points(start=p)) == pts[i:]
+                assert list(lattice._points(split, t, p)) == pts[i:]
 
     def test_start_off_the_solutions(self):
         rng = random.Random(61)
@@ -233,21 +241,13 @@ class TestResumedEnumeration:
             n = rng.randint(1, 4)
             a = random_pd(rng, n, 2)
             t = rng.randint(0, 14)
-            q = QuadFormQuery(a, t)
+            split = lattice._decompose(a)
             order = by_reversed_tuple(points_below_box(a, t))
             starts = [(0,) * n, (-9,) * n, (9,) * n]
             starts += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(15)]
             for s in starts:
                 expect = [x for x in order if x[::-1] >= s[::-1]]
-                assert list(q.points(start=s)) == expect, (a, t, s)
-
-    def test_start_of_the_wrong_length_raises(self):
-        q = QuadFormQuery(linalg.identity(3), 2)
-        for s in ((1, 0), (1, 0, 0, 0), ()):
-            with pytest.raises(ValueError, match="start must have the form's length"):
-                list(q.points(start=s))
-        with pytest.raises(TypeError):
-            list(q.points(start=(1, 0, 0.0)))
+                assert list(lattice._points(split, t, s)) == expect, (a, t, s)
 
 
 class TestLoopWalk:
@@ -262,8 +262,7 @@ class TestLoopWalk:
             top = max(a[i][i] for i in range(n)) + 4
             t = 0 if trial % 10 == 0 else rng.randint(1, top)
             split = lattice._decompose(a)
-            q = QuadFormQuery(a, t)
-            pts = list(q.points())
+            pts = list(QuadFormQuery(a, t).points())
             assert pts == list(recursive_points(split, t)), (a, t)
             seen["bound 0"] += t == 0
             # the negation of such a point has x0 = 0 in front of a
@@ -275,7 +274,7 @@ class TestLoopWalk:
             for p in pts:
                 starts += [p, (p[0] + 1,) + p[1:], (-9,) + p[1:], (9,) + p[1:]]
             for s in starts:
-                got = list(q.points(start=s))
+                got = list(lattice._points(split, t, s))
                 assert got == list(recursive_points(split, t, s)), (a, t, s)
                 seen["resumed"] += len(got)
         assert min(seen.values()) >= 10, seen

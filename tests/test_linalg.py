@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -283,7 +283,7 @@ def ladder_completion(z):
     """The identity right-multiplied by z's gcd ladder: a unimodular
     matrix whose first column is z."""
     u = [list(row) for row in identity(len(z))]
-    linalg._apply_ladder(u, *linalg._ladder(z))
+    linalg._apply_ladder(u, linalg._ladder(z))
     return tuple(map(tuple, u))
 
 
@@ -304,14 +304,24 @@ class TestExtendToUnimodular:
             ladder_completion((2, 4))
         with pytest.raises(ValueError):
             ladder_completion((0, 0))
+        with pytest.raises(ValueError):
+            linalg._ladder((-1, 0))
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    @example([-1])
+    @example([-1, 0, 0])
     @settings(max_examples=120, deadline=None)
     def test_random_primitive(self, z):
         g = 0
         for v in z:
             g = linalg.gcd(g, v)
         if g != 1:
+            return
+        if z[0] == -1 and not any(z[1:]):
+            # -e_0: the running gcd ends at -1, and _kernel_vector never
+            # gives a z whose first nonzero entry is negative
+            with pytest.raises(ValueError):
+                linalg._ladder(z)
             return
         u = ladder_completion(tuple(z))
         assert tuple(r[0] for r in u) == tuple(z)

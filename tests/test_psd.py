@@ -36,6 +36,7 @@ from intcone.psd import (
     sporadic_det_bound,
     unimodular_witness,
 )
+from test_lattice import kx_first
 from test_linalg import psd_rank
 
 
@@ -86,20 +87,20 @@ class TestRank1Step:
     # the rank-one step of decompose is lattice._kx_first: the first x != 0
     # with X - x x^T still PSD
     def test_identity(self):
-        assert lattice._kx_first(((1, 0), (0, 1))) == (1, 0)
+        assert kx_first(((1, 0), (0, 1))) == (1, 0)
 
     def test_m6_has_no_step(self):
-        assert lattice._kx_first(M6) is None
+        assert kx_first(M6) is None
 
     def test_small_example(self):
-        assert lattice._kx_first(((2, 1), (1, 1))) == (1, 0)
+        assert kx_first(((2, 1), (1, 1))) == (1, 0)
 
     def test_zero_has_no_step(self):
-        assert lattice._kx_first(((0, 0), (0, 0))) is None
+        assert kx_first(((0, 0), (0, 0))) is None
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
-            lattice._kx_first(((1, 2), (2, 1)))
+            kx_first(((1, 2), (2, 1)))
 
     def test_step_keeps_psd(self):
         rng = random.Random(11)
@@ -108,7 +109,7 @@ class TestRank1Step:
             a = random_psd_sum(rng, n, rng.randint(1, n))
             if not any(v for row in a for v in row):
                 continue
-            x = lattice._kx_first(a)
+            x = kx_first(a)
             assert x is not None
             assert any(x)
             diff = [
@@ -239,7 +240,7 @@ class TestDecompose:
             cur = a
             expect = []
             while any(v for row in cur for v in row):
-                x = lattice._kx_first(cur)
+                x = kx_first(cur)
                 if x is None:
                     break
                 expect.append(x)

@@ -19,6 +19,7 @@ from _oracles import (
     soc_generator_parse,
     soc_inverse_label,
     soc_peel_candidate,
+    soc_root_refuted,
     sporadic_by_search,
 )
 from intcone import cuts, linalg, soc
@@ -99,10 +100,10 @@ def tall_soc_points():
     return sorted(points)
 
 
-def walk_nodes(fn, *args):
-    """fn(*args), and the (i, sphere_left, ball_left) of every call of
-    fn's inner walk made during it, in call order."""
-    consts = fn.__code__.co_consts
+def walk_nodes(fn, *args, walker=None):
+    """fn(*args), and the (i, sphere_left, ball_left) of every call of the
+    inner walk of walker (fn by default) made during it, in call order."""
+    consts = (walker or fn).__code__.co_consts
     walk_code = next(c for c in consts if getattr(c, "co_name", None) == "walk")
     nodes = []
 
@@ -495,20 +496,26 @@ class TestPeelWalk:
                     )
 
     def test_entered_nodes_survive_the_real_relaxation(self):
-        # no node below the root is entered only to be refused, and the
-        # children each node admits are consecutive, so the loop may stop
-        # at the first refused child after an admitted one
+        # no node, the root included, is entered only to be refused, and
+        # the children each node admits are consecutive, so the loop may
+        # stop at the first refused child after an admitted one.  The
+        # searches run as the program runs them, through _first_peel,
+        # which tests the root: each resumes below the last hit, so every
+        # height is walked once
         rng = random.Random(73)
         entered = 0
         for n in (3, 4, 6, 10):
             for s in walk_points(rng, n, 40, max_height=30):
                 m = n - 1
                 suffix_sq = [sum(v * v for v in s[i:m]) for i in range(m + 1)]
-                for h in range(1, s[-1] + 1):
-                    _, nodes = walk_nodes(soc._peel_candidate, s, h, False)
+                top = s[-1]
+                while top > 0:
+                    got, nodes = walk_nodes(
+                        soc._first_peel, s, False, top, walker=soc._peel_candidate
+                    )
                     entered += len(nodes)
                     for i, sphere, ball in nodes:
-                        assert not refuted(suffix_sq[i], sphere, ball), (s, h, i)
+                        assert not refuted(suffix_sq[i], sphere, ball), (s, top, i)
                         if i == m - 1:
                             continue
                         rs, rb = isqrt(sphere), isqrt(ball)
@@ -523,8 +530,33 @@ class TestPeelWalk:
                         if admitted:
                             assert admitted == list(
                                 range(admitted[0], admitted[-1] + 1)
-                            ), (s, h, i, sphere, ball)
+                            ), (s, top, i, sphere, ball)
+                    top = 0 if got is None else got[-1] - 1
         assert entered > 1_000
+
+    def test_first_peel_makes_the_root_test(self, monkeypatch):
+        # _first_peel walks exactly the heights whose root the old root
+        # test admitted, on points of T_n inside the cone and on its
+        # boundary, so _peel_candidate need not test its root again
+        heights = []
+        monkeypatch.setattr(soc, "_peel_candidate", lambda s, h, _: heights.append(h))
+        rng = random.Random(79)
+        refused = walked = 0
+        for n in range(3, 11):
+            points = walk_points(rng, n, 60, max_height=60)
+            while len(points) < 100:
+                p = [rng.randint(-9, 9) for _ in range(n - 1)]
+                r = isqrt(sum(v * v for v in p))
+                if r * r == sum(v * v for v in p):
+                    points.append(tuple(p) + (r,))
+            for s in points:
+                heights.clear()
+                assert soc._first_peel(s, False) is None
+                want = [h for h in range(s[-1], 0, -1) if not soc_root_refuted(s, h)]
+                assert heights == want, s
+                walked += len(want)
+                refused += s[-1] - len(want)
+        assert refused > 1_000 and walked > 1_000, (refused, walked)
 
     def test_walk_node_count(self):
         # a shorter cousin of the slow tall point (ROADMAP item 1): over
@@ -979,6 +1011,12 @@ class TestPythagoreanOrbit:
 
     def test_height_zero_is_empty(self):
         assert pythagorean_orbit(3, 0) == []
+
+    @pytest.mark.parametrize("max_height", [True, 2.5, 2.0])
+    def test_rejects_a_non_integer_height(self, max_height):
+        # read with linalg.as_int: True is not height 1, nor 2.5 a cap of 2
+        with pytest.raises(TypeError, match="is not an integer"):
+            pythagorean_orbit(3, max_height)
 
     def test_sorted_by_height_then_lex(self):
         pts = pythagorean_orbit(4, 6)
