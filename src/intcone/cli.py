@@ -390,11 +390,29 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         for flag, options in cmd.flags:
             p.add_argument(flag, **options)
+    parser.commands = subs.choices  # command name -> its subparser, for _parse
     return parser
 
 
+def _parse(argv):
+    """The parsed arguments of argv.  A command named first is parsed by
+    its own subparser, skipping the full parser's dispatch; arguments it
+    does not know are reported under the prog intcone, as the full parser
+    reports them.  Anything else (no arguments, --help, --version, an
+    unknown command) goes to the full parser."""
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     cmd = _COMMANDS[args.command]
 
     raw = b""

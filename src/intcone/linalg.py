@@ -181,8 +181,17 @@ def _cofactors(rows) -> Rows:
     )
 
 
+def _require_symmetric(rows):
+    """The symmetry check of the PSD questions asked of outside matrices:
+    is_psd_exact, reduce_rank and psd's decompose, is_sporadic and
+    unimodular_witness.  _psd_echelon itself trusts its input."""
+    if not is_symmetric(rows):
+        raise ValueError("is_psd_exact expects a symmetric matrix")
+
+
 def is_psd_exact(rows) -> bool:
     """Exact positive-semidefiniteness: whether _psd_echelon completes."""
+    _require_symmetric(rows)
     return _psd_echelon(rows) is not None
 
 
@@ -200,9 +209,11 @@ def _psd_echelon(rows):
     k-th step.  While the pivots run 0, 1, ..., k, the general echelon
     takes the same steps without a swap, so rows 0..k agree with its rows
     on and above the diagonal (lattice's LDL^T split, _kernel_vector).
+    The rows must be symmetric, which is not checked here: the entries
+    that take outside matrices check it once (_require_symmetric), and
+    every other matrix eliminated is a block, residue or adjugate built
+    symmetric by the package.
     """
-    if not is_symmetric(rows):
-        raise ValueError("is_psd_exact expects a symmetric matrix")
     a = [list(row) for row in rows]
     idx = list(range(len(a)))
     prev = 1
@@ -366,6 +377,7 @@ def reduce_rank(rows):
     matrix returns an empty block.  Input that is not PSD raises ValueError.
     """
     x = freeze(rows)
+    _require_symmetric(x)
     return _reduce_rank(x, _psd_echelon(x))[:3]
 
 

@@ -50,6 +50,7 @@ def is_sporadic(x_rows) -> bool:
     two on is the first peel searched for (lattice._kx_first).
     """
     x_rows = linalg.freeze(x_rows)
+    linalg._require_symmetric(x_rows)
     elim = linalg._psd_echelon(x_rows)
     if elim is None:
         raise ValueError("is_sporadic expects a PSD matrix")
@@ -133,7 +134,8 @@ def _rank_one_peel(rows):
 def decompose(x_rows) -> Rank1Certificate:
     """Peel deterministic rank-one summands until zero or a sporadic residue.
 
-    Each step peels the first peel of the residue (lattice._kx_first) at its
+    Each step peels the first peel of the residue (the first point that
+    lattice._points finds in the frame lattice._peel_data builds) at its
     maximal multiple, so each distinct peel vector is one step.  The
     residue is reduced to its full-rank block B once (lattice._peel_data:
     one symmetric elimination of B gives the frame, its leading minors and
@@ -150,9 +152,12 @@ def decompose(x_rows) -> Rank1Certificate:
     q = 0 the rank, taken once by _psd_echelon, drops by one, and the
     residue is reduced again, except at rank one: there it is lam x x^T,
     closed from one of its rows (_rank_one_peel).  The vectors are those of
-    peeling one copy at a time and merging equal neighbours.
+    peeling one copy at a time and merging equal neighbours.  X is tested
+    for symmetry once, here; the residues, blocks and adjugates built from
+    it are symmetric by construction and are not tested again.
     """
     x0 = linalg.freeze(x_rows)
+    linalg._require_symmetric(x0)
     elim = linalg._psd_echelon(x0)
     if elim is None:
         raise ValueError("decompose expects a PSD matrix")
@@ -324,6 +329,7 @@ def unimodular_witness(x_rows, y_rows):
         return UnimodularMatrix(())
     elims, invariants = [], []
     for m in (x, y):
+        linalg._require_symmetric(m)
         elim = linalg._psd_echelon(m)
         if elim is None:
             raise ValueError("unimodular_witness expects PSD matrices")

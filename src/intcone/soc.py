@@ -183,8 +183,8 @@ def _peel_candidate(s, h: int, primitive_only: bool):
     coordinates still meets the remaining ball over the reals.  The only
     caller, _first_peel, tests the root, by a height test that is the
     root's own on T_n.  Every other node is tested in its parent's loop,
-    where the gap of child v is linear in v, so a refused child costs no
-    call.  The loop stops at the first refused child after an admitted
+    where the gap of child v is linear in v, so a refused child is never
+    entered.  The loop stops at the first refused child after an admitted
     one, and that is exact: child v is admitted exactly when v is an
     integer in the projection onto coordinate i of the real cap
     {x in R^k : |x|^2 = S, |x - s[i:]|^2 <= B} (S and B the sphere and
@@ -193,12 +193,21 @@ def _peel_candidate(s, h: int, primitive_only: bool):
     dimension k-1 >= 1 cut by a half-space is connected, so its
     projection is an interval.
 
-    An admitted child is still skipped, with no call, when no integer
+    An admitted child is still skipped, and not entered, when no integer
     point lies under it: one that would leave three coordinates on a
     budget that is no sum of three squares (_three_squares), or two on
     one that _not_two_squares refuses.  The node of coordinate n-2 tests
     each child's leaf in its own loop, with one isqrt.  A skipped child
     stays admitted for the stop rule, as it lies in the real cap.
+
+    The walk is one loop over a stack of suspended levels, with no call
+    per node (the Schnorr-Euchner form of Fincke-Pohst enumeration, as in
+    lattice._points).  A level is entered on its budgets S and B.
+    Descending into child v keeps v in p[i] and pushes the level's (hi,
+    S, B, t2); backtracking pops them and resumes the level at p[i] + 1
+    with the level admitted, as it admitted p[i].  So the nodes are
+    entered in depth-first order, as by one call per node, and the first
+    hit is the same.
     """
     n = len(s)
     m = n - 1
@@ -206,31 +215,36 @@ def _peel_candidate(s, h: int, primitive_only: bool):
     suffix_sq = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_sq[i] = suffix_sq[i + 1] + s[i] * s[i]
-
-    def walk(i, sphere_left, ball_left):
+    last = m - 2  # the level that tests its children's leaves
+    stack = []
+    i, S, B = 0, h * h, (s[-1] - h) ** 2
+    lo = None  # None while level i is to be entered, else where it resumes
+    while True:
         si = s[i]
-        rs = isqrt(sphere_left)
-        rb = isqrt(ball_left)
-        lo = max(-rs, si - rb)
-        hi = min(rs, si + rb)
         c4 = 4 * suffix_sq[i + 1]
-        t2 = suffix_sq[i] + sphere_left - ball_left
-        admitted = False
-        leaf, two, three = i == m - 2, i == m - 3, i == m - 4
+        if lo is None:
+            rs, rb = isqrt(S), isqrt(B)  # level entry: i, S, B
+            lo, hi = si - rb, si + rb
+            if lo < -rs:
+                lo = -rs
+            if hi > rs:
+                hi = rs
+            t2 = suffix_sq[i] + S - B
+            admitted = False
         for v in range(lo, hi + 1):
-            left = sphere_left - v * v
+            left = S - v * v
             gap = t2 - 2 * si * v
             if gap > 0 and gap * gap > c4 * left:
                 if admitted:
                     break
                 continue
             admitted = True
-            if leaf:
+            if i == last:
                 # the last coordinate w must square to left exactly
                 r = isqrt(left)
                 if r * r != left:
                     continue
-                ball_left_w = ball_left - (si - v) ** 2
+                ball_left_w = B - (si - v) ** 2
                 for w in ((-r, r) if r else (0,)):
                     d = s[m - 1] - w
                     if d * d <= ball_left_w:
@@ -238,15 +252,20 @@ def _peel_candidate(s, h: int, primitive_only: bool):
                         if not primitive_only or gcd(vec_gcd(p), h) == 1:
                             return tuple(p) + (h,)
                 continue
-            if two and _not_two_squares(left) or three and not _three_squares(left):
+            if i == m - 3 and _not_two_squares(left) or i == m - 4 and not _three_squares(left):
                 continue
             p[i] = v
-            got = walk(i + 1, left, ball_left - (si - v) ** 2)
-            if got is not None:
-                return got
-        return None
-
-    return walk(0, h * h, (s[-1] - h) ** 2)
+            stack.append((hi, S, B, t2))
+            i, S, B = i + 1, left, B - (si - v) ** 2
+            lo = None
+            break
+        if lo is None:
+            continue
+        if not stack:
+            return None
+        i -= 1
+        hi, S, B, t2 = stack.pop()
+        lo, admitted = p[i] + 1, True
 
 
 def _first_peel(s, primitive_only: bool, top: int | None = None):

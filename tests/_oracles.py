@@ -25,7 +25,9 @@ the package's split.
 soc_peel_candidate and soc_first_peel are the SOC peel walk as it was
 before each child was tested in its parent's loop and a peel search took
 a top height, and soc_root_refuted is the root test that _peel_candidate
-made before it left that test to _first_peel;
+made before it left that test to _first_peel; soc_recursive_peel_candidate
+is the walk as it was before it became one loop, one call per node, with
+the package's square-sum tests;
 soc_decompose_from_each_height is decompose_soc over them,
 with the package's descent and certificate type and its own maximal
 multiple.  lorentz_multiple is the bisection on the Lorentz form that the
@@ -857,6 +859,60 @@ def soc_peel_candidate(s, h: int, primitive_only: bool):
         return None
 
     return walk(0, h * h, ball)
+
+
+def soc_recursive_peel_candidate(s, h: int, primitive_only: bool):
+    """soc._peel_candidate as it was before it became one loop over a
+    stack of suspended levels: one call of the inner walk per node
+    entered, with the same interval, gap test, stop rule, square-sum
+    skips, leaf test and primitivity test."""
+    n = len(s)
+    m = n - 1
+    p = [0] * m
+    suffix_sq = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix_sq[i] = suffix_sq[i + 1] + s[i] * s[i]
+
+    def walk(i, sphere_left, ball_left):
+        si = s[i]
+        rs = isqrt(sphere_left)
+        rb = isqrt(ball_left)
+        lo = max(-rs, si - rb)
+        hi = min(rs, si + rb)
+        c4 = 4 * suffix_sq[i + 1]
+        t2 = suffix_sq[i] + sphere_left - ball_left
+        admitted = False
+        leaf, two, three = i == m - 2, i == m - 3, i == m - 4
+        for v in range(lo, hi + 1):
+            left = sphere_left - v * v
+            gap = t2 - 2 * si * v
+            if gap > 0 and gap * gap > c4 * left:
+                if admitted:
+                    break
+                continue
+            admitted = True
+            if leaf:
+                # the last coordinate w must square to left exactly
+                r = isqrt(left)
+                if r * r != left:
+                    continue
+                ball_left_w = ball_left - (si - v) ** 2
+                for w in ((-r, r) if r else (0,)):
+                    d = s[m - 1] - w
+                    if d * d <= ball_left_w:
+                        p[i], p[m - 1] = v, w
+                        if not primitive_only or gcd(linalg.vec_gcd(p), h) == 1:
+                            return tuple(p) + (h,)
+                continue
+            if two and soc._not_two_squares(left) or three and not soc._three_squares(left):
+                continue
+            p[i] = v
+            got = walk(i + 1, left, ball_left - (si - v) ** 2)
+            if got is not None:
+                return got
+        return None
+
+    return walk(0, h * h, (s[-1] - h) ** 2)
 
 
 def soc_root_refuted(s, h: int) -> bool:

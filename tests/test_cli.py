@@ -271,6 +271,67 @@ class TestEnvelope:
         assert json.loads(plain)["provenance"]["seed"] is None
 
 
+# argument lists the parser refuses, after any command name: unknown
+# options and extra positionals, bad and missing option values, a
+# top-level flag after the command, and "--" ahead of an option
+BAD_TAILS = (
+    ["--bogus"],
+    ["a.json", "b.json"],
+    ["--seed", "x"],
+    ["--seed"],
+    ["--se", "3", "--bogus"],
+    ["--version"],
+    ["--", "--seed", "3"],
+    ["--n", "x", "--diag-bound", "y", "--max-height", "z", "--word-cap", "w", "--cap", "v"],
+    ["--lines", "--minimal-roots"],
+)
+
+
+def _exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse of argv that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParsing:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_named_command_fails_as_the_full_parser_does(self, command, capsys):
+        # main parses a named command with its own subparser; every refusal
+        # keeps the full parser's exit code and bytes
+        full = cli._build_parser().parse_args
+        for tail in BAD_TAILS + (["-h"],):
+            argv = [command, *tail]
+            want = _exit_of(full, argv, capsys)
+            assert _exit_of(cli.main, argv, capsys) == want, argv
+            assert want[0] == (0 if tail == ["-h"] else 2), argv
+        if command in ("psd-search-sporadic", "soc-roots", "soc-tree"):
+            want = _exit_of(full, [command], capsys)
+            assert _exit_of(cli.main, [command], capsys) == want
+            assert "required" in want[2]
+
+    def test_other_argument_lists_go_to_the_full_parser(self, capsys):
+        full = cli._build_parser().parse_args
+        for argv in ([], ["-h"], ["--version"], ["frobnicate"], ["--bogus", "soc-roots"]):
+            assert _exit_of(cli.main, argv, capsys) == _exit_of(full, argv, capsys), argv
+
+    def test_a_named_command_parses_as_the_full_parser_does(self):
+        full = cli._build_parser().parse_args
+        for argv in (
+            ["psd-decompose"],
+            ["psd-decompose", "in.json", "--seed", "4"],
+            ["psd-search-sporadic", "--n", "5", "--lines"],
+            ["soc-decompose", "--minimal-roots", "-"],
+            ["soc-roots", "--n", "9", "--minimal-roots"],
+            ["soc-tree", "--max-height", "7", "--n", "4"],
+            ["cg-cuts", "--word-cap", "3", "--max-height", "9", "--lines"],
+            ["icr-search", "--cap", "2", "--", "x.json"],
+            ["verify", "--se", "1"],
+        ):
+            assert vars(cli._parse(argv)) == vars(full(argv)), argv
+
+
 class TestPsdCommands:
     def test_sporadic_on_the_known_class(self, invoke):
         rc, out = invoke(["psd-sporadic"], [list(r) for r in M6])

@@ -363,8 +363,8 @@ class TestDecompose:
 
     def test_peels_enumerate_the_adjugate_unchecked(self, monkeypatch):
         # each peel walks the split of the adjugate decompose built itself:
-        # no QuadFormQuery, one freeze (the input's), and every symmetry
-        # test is _psd_echelon's own
+        # no QuadFormQuery, one freeze (the input's), and one symmetry
+        # test, the input's, at decompose's entry
         def refuse(*_):
             raise AssertionError("decompose built a QuadFormQuery")
 
@@ -372,7 +372,7 @@ class TestDecompose:
         freeze, is_symmetric = linalg.freeze, linalg.is_symmetric
 
         def symmetric(rows):
-            callers.append(sys._getframe(1).f_code.co_name)
+            callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
             return is_symmetric(rows)
 
         monkeypatch.setattr(lattice.QuadFormQuery, "__post_init__", refuse)
@@ -390,12 +390,13 @@ class TestDecompose:
         peels = 0
         for a in inputs:
             frozen.clear()
+            callers.clear()
             cert = decompose(a)
             assert cert.reconstruct() == a and cert.remainder is None
             assert len(frozen) == 1
+            assert callers == [("_require_symmetric", "decompose")]
             peels += len(cert.vectors)
-        assert set(callers) == {"_psd_echelon"}
-        assert len(callers) > len(inputs) and peels > 2 * len(inputs)
+        assert peels > 2 * len(inputs)
 
     def test_certificates_keep_their_bytes(self):
         # sha256 of the to_json of 500 criterion-02 decompositions (n 2..5,
@@ -592,6 +593,29 @@ class TestNoGeneralElimination:
         assert unimodular_witness(((1, 0), (0, 1)), ((1, 0), (0, 2))) is None
         assert unimodular_witness(((1, 0), (0, 4)), ((2, 0), (0, 2))) is None
         assert unimodular_witness(((1, 0), (0, 0)), ((1, 1), (1, 2))) is None
+
+
+ASYMMETRIC = ((2, 1), (0, 2))
+SYMMETRIC_PSD = ((2, 1), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda: linalg.is_psd_exact(ASYMMETRIC),
+        lambda: linalg.reduce_rank(ASYMMETRIC),
+        lambda: decompose(ASYMMETRIC),
+        lambda: is_sporadic(ASYMMETRIC),
+        lambda: unimodular_witness(ASYMMETRIC, SYMMETRIC_PSD),
+        lambda: unimodular_witness(SYMMETRIC_PSD, ASYMMETRIC),
+    ],
+    ids=["is_psd_exact", "reduce_rank", "decompose", "is_sporadic", "witness-x", "witness-y"],
+)
+def test_outside_matrices_are_checked_for_symmetry_at_the_entry(ask):
+    # _psd_echelon no longer checks symmetry; each public PSD question on
+    # an outside matrix does, with the text the elimination used to raise
+    with pytest.raises(ValueError, match="is_psd_exact expects a symmetric matrix"):
+        ask()
 
 
 class TestSearchSporadic:

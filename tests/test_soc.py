@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import inspect
 import json
 import pathlib
 import random
@@ -19,6 +22,7 @@ from _oracles import (
     soc_generator_parse,
     soc_inverse_label,
     soc_peel_candidate,
+    soc_recursive_peel_candidate,
     soc_root_refuted,
     sporadic_by_search,
 )
@@ -100,24 +104,70 @@ def tall_soc_points():
     return sorted(points)
 
 
-def walk_nodes(fn, *args, walker=None):
-    """fn(*args), and the (i, sphere_left, ball_left) of every call of the
-    inner walk of walker (fn by default) made during it, in call order."""
-    consts = (walker or fn).__code__.co_consts
-    walk_code = next(c for c in consts if getattr(c, "co_name", None) == "walk")
-    nodes = []
+# soc._peel_candidate marks the line where its loop enters a level, on
+# whose budgets that level's names i, S and B then hold; both it and its
+# recursive oracles test each child's gap on a line with this text
+ENTRY_MARK = "# level entry: i, S, B"
+GAP_TEXT = "gap = t2 - 2 * si * v"
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is walk_code:
+
+@functools.cache
+def walk_lines(walker):
+    """The inner walk's code object of a recursive walker (None for the
+    loop), the code object whose frames are traced, and the numbers of the
+    lines with the entry mark and with the gap test."""
+    inner = next(
+        (c for c in walker.__code__.co_consts if getattr(c, "co_name", None) == "walk"),
+        None,
+    )
+    lines, first = inspect.getsourcelines(walker)
+    entry = frozenset(first + k for k, line in enumerate(lines) if ENTRY_MARK in line)
+    gaps = frozenset(first + k for k, line in enumerate(lines) if GAP_TEXT in line)
+    assert inner or len(entry) == 1, "the walk lost its entry mark"
+    return inner, inner or walker.__code__, entry, gaps
+
+
+def walk_events(fn, *args, walker=None):
+    """fn(*args), and the peel walk's events during it, in order: ("node",
+    i, sphere_left, ball_left) for each node entered and ("child", i, v)
+    for each child whose gap is tested.  walker (fn by default) is the
+    walk: soc._peel_candidate, whose nodes are read by a line hook on its
+    marked entry line, or a recursive oracle, whose inner walk enters one
+    node per call."""
+    inner, target, entry, gaps = walk_lines(walker or fn)
+    events = []
+
+    def line_hook(frame, event, arg):
+        if event == "line" and frame.f_lineno in gaps:
             loc = frame.f_locals
-            nodes.append((loc["i"], loc["sphere_left"], loc["ball_left"]))
+            events.append(("child", loc["i"], loc["v"]))
+        elif event == "line" and frame.f_lineno in entry:
+            loc = frame.f_locals
+            events.append(("node", loc["i"], loc["S"], loc["B"]))
+        return line_hook
 
-    sys.setprofile(profile)
+    def call_hook(frame, event, arg):
+        if frame.f_code is not target:
+            return None
+        if inner is not None:
+            loc = frame.f_locals
+            events.append(("node", loc["i"], loc["sphere_left"], loc["ball_left"]))
+        return line_hook if entry or gaps else None
+
+    old = sys.gettrace()
+    sys.settrace(call_hook)
     try:
         out = fn(*args)
     finally:
-        sys.setprofile(None)
-    return out, nodes
+        sys.settrace(old)
+    return out, events
+
+
+def walk_nodes(fn, *args, walker=None):
+    """fn(*args), and the (i, sphere_left, ball_left) of every node the
+    peel walk enters during it, in order (walk_events)."""
+    out, events = walk_events(fn, *args, walker=walker)
+    return out, [e[1:] for e in events if e[0] == "node"]
 
 
 def refuted(suffix_sq, sphere_left, ball_left):
@@ -559,7 +609,7 @@ class TestPeelWalk:
         assert refused > 1_000 and walked > 1_000, (refused, walked)
 
     def test_walk_node_count(self):
-        # a shorter cousin of the slow tall point (ROADMAP item 1): over
+        # a shorter cousin of the slow tall point (ROADMAP item 3): over
         # every height the unpruned walk enters 19,693 nodes, the walk
         # that tests each child in its parent's loop 2,427
         s = (8, -1, -3, 3, 2, 4, -3, -2, 20, 23)
@@ -572,6 +622,28 @@ class TestPeelWalk:
             unpruned += len(entered)
         assert unpruned == 19_693
         assert nodes <= 3_000
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_loop_walks_like_the_recursion(self, n):
+        # the loop over suspended levels enters the nodes of the recursive
+        # walk it replaced and tests the same children, in the same order,
+        # at every height, and returns the same hit
+        rng = random.Random(90 + n)
+        points = walk_points(rng, n, 30, max_height=24)
+        points += [s for s in STOP_RULE_PINS if len(s) == n]
+        nodes = resumed = 0
+        for s in points:
+            for h in range(1, s[-1] + 1):
+                for prim in (False, True):
+                    got, events = walk_events(soc._peel_candidate, s, h, prim)
+                    want, expected = walk_events(soc_recursive_peel_candidate, s, h, prim)
+                    assert got == want, (s, h, prim)
+                    assert events == expected, (s, h, prim)
+                    entered = [e[1] for e in events if e[0] == "node"]
+                    nodes += len(entered)
+                    # a node no deeper than the one before follows a pop
+                    resumed += sum(b <= a for a, b in zip(entered, entered[1:]))
+        assert nodes > 300 and (resumed > 30 or n == 3), (nodes, resumed)
 
 
 class TestDescend:
@@ -804,6 +876,19 @@ class TestDecomposeSoc:
                 assert in_cone(moved)
                 if lorentz_form(root, root) == 0:
                     assert soc.vec_gcd(moved) == 1
+
+    def test_certificates_keep_their_bytes(self):
+        # sha256 of the to_json of 500 criterion-10 decompositions (n 3..10
+        # in a fixed cycle, height <= 50), one JSON line each; any change
+        # to the peel walk's order or first hit moves it
+        rng = random.Random(2031)
+        h = hashlib.sha256()
+        for i in range(500):
+            s = random_cone_point(rng, 3 + i % 8, 50)
+            h.update(json.dumps(decompose_soc(s).to_json()).encode() + b"\n")
+        assert h.hexdigest() == (
+            "2ef6078ab81ee0415d917dd7e41e585975f8cd0b3160f2c041e8f16a1bbbb01c"
+        )
 
     def test_matches_a_search_from_each_residual_height(self):
         # each later peel search starts at the last peel's height; the
