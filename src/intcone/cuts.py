@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import OrderedDict, deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul, neg
 from types import MappingProxyType
 
@@ -29,16 +29,18 @@ Flat = tuple[int, ...]
 @dataclass(frozen=True)
 class Cone:
     """One cone in one dimension.  `flatten` reads a native element (a
-    matrix or a vector of ints, see linalg.as_int) and checks its shape."""
+    matrix or a vector of ints, see linalg.as_int) and checks its shape.
+    The letters and default roots are built on first use: a PSD record
+    holds nothing of size n^2, so a misshapen element fails at once."""
 
     shape: str  # "matrix" or "vector"
     ambient_dim: int
     flatten: Callable[[object], Flat]
     unflatten: Callable[[Flat], object]
     member: Callable[[Flat], bool]
-    weight: Flat  # the dot product with it is the trace or the height
-    generators: Mapping[str, Callable[[Flat], Flat]]  # label -> letter on flat elements
-    roots: tuple  # the default roots, native
+    weight: Callable[[Flat], int]  # the trace or the height
+    letters: Callable[[], Mapping[str, Callable[[Flat], Flat]]]  # builds `generators`
+    default_roots: Callable[[], tuple]  # builds `roots`, native
     # icr_search's admission test: `norm` is taken once per element of a
     # cached search view and once per residual; most(res, norm(res), y,
     # norm(y), top) is the largest lam <= top with res - lam*y in the cone,
@@ -46,6 +48,8 @@ class Cone:
     # weight(res) // weight(y), so res - lam*y keeps a nonnegative weight.
     norm: Callable[[Flat], object]
     most: Callable[..., int]
+    generators = cached_property(lambda self: self.letters())  # label -> flat letter
+    roots = cached_property(lambda self: self.default_roots())
 
 
 def _bisected_multiple(cone, res, y, top) -> int:
@@ -84,6 +88,9 @@ def _congruence(g: Rows) -> Callable[[Flat], Flat]:
 
 
 def _psd_cone(n: int) -> Cone:
+    if n < 2:
+        raise ValueError("need n >= 2")  # psd.gl_generators' refusal, taken eagerly
+
     def flatten(obj):
         rows = [tuple(row) for row in obj]  # a non-list row fails before a bad entry
         rows = linalg.int_rows(rows)
@@ -99,18 +106,21 @@ def _psd_cone(n: int) -> Cone:
     def most(res, _, y, __, top):
         return _bisected_multiple(rec, res, y, top)
 
-    e1 = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))
+    def default_roots():  # e_11, whose n - 1 zero rows are one tuple, then the catalog
+        e11 = ((1,) + (0,) * (n - 1),) + ((0,) * n,) * (n - 1)
+        return (e11,) + psd.sporadic_catalog(n)
+
     rec = Cone(
         shape="matrix",
         ambient_dim=n * (n + 1) // 2,
         flatten=flatten,
         unflatten=unflatten,
         member=lambda y: linalg.is_psd_exact(unflatten(y)),
-        weight=tuple(int(i == j) for i in range(n) for j in range(n)),
-        generators=MappingProxyType(
+        weight=lambda y: sum(y[:: n + 1]),
+        letters=lambda: MappingProxyType(
             {label: _congruence(g) for label, g in psd.gl_generators(n).items()}
         ),
-        roots=(e1,) + psd.sporadic_catalog(n),
+        default_roots=default_roots,
         norm=lambda y: None,
         most=most,
     )
@@ -118,6 +128,8 @@ def _psd_cone(n: int) -> Cone:
 
 
 def _soc_cone(n: int) -> Cone:
+    soc._require_dim(n)
+
     def flatten(obj):
         vec = tuple(map(linalg.as_int, obj))
         if len(vec) != n:
@@ -130,9 +142,9 @@ def _soc_cone(n: int) -> Cone:
         flatten=flatten,
         unflatten=lambda y: y,
         member=soc.in_cone,
-        weight=tuple(int(i == n - 1) for i in range(n)),
-        generators=soc._letters(n),
-        roots=soc.roots(n),
+        weight=lambda y: y[n - 1],
+        letters=lambda: soc._letters(n),
+        default_roots=lambda: soc.roots(n),
         norm=lambda y: soc._form(y, y),
         most=soc._most_multiple,
     )
@@ -197,10 +209,6 @@ class LCISystem:
             for k, v in enumerate(ai):
                 out[k] -= xi * v
         return tuple(out)
-
-    def slack(self, x):
-        """c - A(x) as a cone element, for x read with as_int."""
-        return self._cone.unflatten(self._slack(x))
 
     def is_feasible(self, x) -> bool:
         return in_semigroup(self._cone, self._slack(x))
@@ -296,7 +304,7 @@ def _walk(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
     out = []
     while queue:
         y, root, word = queue.popleft()
-        out.append((y, _dot(rec.weight, y), root, word))
+        out.append((y, rec.weight(y), root, word))
         if len(word) == word_cap:
             continue
         for label, g in gens:
@@ -379,14 +387,17 @@ class GeneratorStream:
             raise ValueError("word_cap must be nonnegative")
         if self.cap is not None and linalg.as_int(self.cap) < 0:
             raise ValueError("cap must be nonnegative")
-        roots = rec.roots if self.roots is None else self.roots
-        flat = tuple(dict.fromkeys(rec.flatten(r) for r in roots))
-        if not all(any(r) for r in flat):
-            raise ValueError("roots must be nonzero")
-        if not all(rec.member(r) for r in flat):
-            raise ValueError("roots must lie in the cone")
+        if self.roots is None:  # the record's own: distinct, nonzero, in the cone
+            roots = rec.roots
+        else:
+            flat = tuple(dict.fromkeys(rec.flatten(r) for r in self.roots))
+            if not all(any(r) for r in flat):
+                raise ValueError("roots must be nonzero")
+            if not all(rec.member(r) for r in flat):
+                raise ValueError("roots must lie in the cone")
+            roots = tuple(rec.unflatten(r) for r in flat)
         object.__setattr__(self, "_cone", rec)
-        object.__setattr__(self, "roots", tuple(rec.unflatten(r) for r in flat))
+        object.__setattr__(self, "roots", roots)
 
     def _cached(self) -> tuple:
         return _streams.get((self.cone, self.n, self.word_cap, self.roots))
@@ -495,7 +506,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
     s = rec.flatten(s)
     if not in_semigroup(rec, s):
         raise ValueError("element is outside the cone")
-    total = _dot(rec.weight, s)
+    total = rec.weight(s)
     limit = total if gen.cap is None else min(total, gen.cap)
     _, (ys, weights, norms, rays) = gen._cached()
     norm, most = rec.norm, rec.most

@@ -181,18 +181,26 @@ def _cofactors(rows) -> Rows:
     )
 
 
-def _require_symmetric(rows):
-    """The symmetry check of the PSD questions asked of outside matrices:
-    is_psd_exact, reduce_rank and psd's decompose, is_sporadic and
-    unimodular_witness.  _psd_echelon itself trusts its input."""
-    if not is_symmetric(rows):
-        raise ValueError("is_psd_exact expects a symmetric matrix")
-
-
 def is_psd_exact(rows) -> bool:
     """Exact positive-semidefiniteness: whether _psd_echelon completes."""
-    _require_symmetric(rows)
+    if not is_symmetric(rows):
+        raise ValueError("is_psd_exact expects a symmetric matrix")
     return _psd_echelon(rows) is not None
+
+
+def _psd_input(rows, error):
+    """An outside matrix as (X, _psd_echelon(X)), X frozen: the one entry
+    check of reduce_rank and psd's decompose, is_sporadic and
+    unimodular_witness.  An asymmetric X raises is_psd_exact's ValueError,
+    one that is not PSD ValueError(error); _psd_echelon itself trusts its
+    input."""
+    x = freeze(rows)
+    if not is_symmetric(x):
+        raise ValueError("is_psd_exact expects a symmetric matrix")
+    elim = _psd_echelon(x)
+    if elim is None:
+        raise ValueError(error)
+    return x, elim
 
 
 def _psd_echelon(rows):
@@ -210,7 +218,7 @@ def _psd_echelon(rows):
     takes the same steps without a swap, so rows 0..k agree with its rows
     on and above the diagonal (lattice's LDL^T split, _kernel_vector).
     The rows must be symmetric, which is not checked here: the entries
-    that take outside matrices check it once (_require_symmetric), and
+    that take outside matrices check it once (_psd_input), and
     every other matrix eliminated is a block, residue or adjugate built
     symmetric by the package.
     """
@@ -376,9 +384,7 @@ def reduce_rank(rows):
     Full-rank input returns (identity, identity, X) unchanged; the all-zero
     matrix returns an empty block.  Input that is not PSD raises ValueError.
     """
-    x = freeze(rows)
-    _require_symmetric(x)
-    return _reduce_rank(x, _psd_echelon(x))[:3]
+    return _reduce_rank(*_psd_input(rows, "reduce_rank expects a PSD matrix"))[:3]
 
 
 def _reduce_rank(x, elim):

@@ -49,12 +49,8 @@ def is_sporadic(x_rows) -> bool:
     is b x x^T with x integral and b >= 1, and x peels off.  Only from rank
     two on is the first peel searched for (lattice._kx_first).
     """
-    x_rows = linalg.freeze(x_rows)
-    linalg._require_symmetric(x_rows)
-    elim = linalg._psd_echelon(x_rows)
-    if elim is None:
-        raise ValueError("is_sporadic expects a PSD matrix")
-    return len(elim[0]) >= 2 and lattice._kx_first(x_rows, elim) is None
+    x, elim = linalg._psd_input(x_rows, "is_sporadic expects a PSD matrix")
+    return len(elim[0]) >= 2 and lattice._kx_first(x, elim) is None
 
 
 @dataclass(frozen=True)
@@ -156,11 +152,7 @@ def decompose(x_rows) -> Rank1Certificate:
     for symmetry once, here; the residues, blocks and adjugates built from
     it are symmetric by construction and are not tested again.
     """
-    x0 = linalg.freeze(x_rows)
-    linalg._require_symmetric(x0)
-    elim = linalg._psd_echelon(x0)
-    if elim is None:
-        raise ValueError("decompose expects a PSD matrix")
+    x0, elim = linalg._psd_input(x_rows, "decompose expects a PSD matrix")
     r = len(elim[0])
     n = len(x0)
     cur = x0
@@ -311,56 +303,43 @@ def _shell_record(rows, d, cap) -> _ShellRecord:
 def unimodular_witness(x_rows, y_rows):
     """A unimodular U with U X U^T = Y, or None when none exists.
 
-    Cheap congruence invariants first: rank and determinant (from the
-    _psd_echelon pass that also checks PSD), and the count of vectors at each
-    form value up to the largest diagonal entry of Y.  The _shell_record of
-    each matrix, one enumeration below that value, holds these counts; only
-    when they agree does the shell product table backtrack of X's record
-    (_ShellRecord.witness, the one _join_class uses) look for the first U,
-    building the table rows it reads.  Singular pairs are compared through
-    their full-rank cores.
+    One pass over the full-rank cores.  Each matrix is checked and split
+    once (linalg._psd_input, then linalg._reduce_rank): U_X^T X U_X =
+    diag(0, B_X), and likewise for Y.  The congruence invariants come
+    cheapest first: the rank and determinant of the cores, read off their
+    eliminations, then the count of vectors at each form value up to the
+    largest diagonal entry of B_Y.  The _shell_record of each core, one
+    enumeration below that value, holds these counts; only when they agree
+    does the shell product table backtrack of B_X's record
+    (_ShellRecord.witness, the one _join_class uses) look for the first W
+    with W B_X W^T = B_Y, building the table rows it reads.  W bordered
+    with the identity on the kernels, diag(I, W), maps diag(0, B_X) onto
+    diag(0, B_Y), so U = U_Y^{-T} diag(I, W) U_X^T maps X onto Y, and U is
+    checked once.  Full-rank matrices are their own cores, with U_X = U_Y =
+    I; the zero and the empty matrix have empty cores and W = ().
     """
     x = linalg.freeze(x_rows)
     y = linalg.freeze(y_rows)
     if len(x) != len(y):
         raise ValueError("unimodular_witness expects matrices of equal size")
-    n = len(x)
-    if n == 0:
-        return UnimodularMatrix(())
-    elims, invariants = [], []
-    for m in (x, y):
-        linalg._require_symmetric(m)
-        elim = linalg._psd_echelon(m)
-        if elim is None:
-            raise ValueError("unimodular_witness expects PSD matrices")
-        pivots, rows = elim  # at full rank the last pivot is the determinant
-        d = rows[pivots[-1]][pivots[-1]] if len(pivots) == n else 0
-        elims.append(elim)
-        invariants.append((len(pivots), d))
-    if invariants[0] != invariants[1]:
+    error = "unimodular_witness expects PSD matrices"
+    (ux, _, bx, (_, ex)), (_, uy_inv_t, by, (_, ey)) = (
+        linalg._reduce_rank(*linalg._psd_input(m, error)) for m in (x, y)
+    )
+    # a core pivots on 0, 1, ... in turn, so its last pivot is its determinant
+    n, r = len(x), len(bx)
+    d = ex[-1][-1] if r else 1
+    if len(by) != r or r and ey[-1][-1] != d:
         return None
-    r, d = invariants[0]
-    if r < n:
-        ux, _, bx, _ = linalg._reduce_rank(x, elims[0])
-        _, uy_inv_t, by, _ = linalg._reduce_rank(y, elims[1])
-        if r == 0:
-            core: Rows = ()
-        else:
-            wit = unimodular_witness(bx, by)
-            if wit is None:
-                return None
-            core = wit.rows
-        w = linalg.identity(n)[: n - r] + tuple((0,) * (n - r) + row for row in core)
-        u = linalg.mat_mul(uy_inv_t, linalg.mat_mul(w, linalg.transpose(ux)))
-        _check_witness(u, x, y)
-        return UnimodularMatrix(u)
-    cap = max(y[i][i] for i in range(n))
-    rec = _shell_record(x, d, cap)
-    if rec.counts != _shell_record(y, d, cap).counts:
+    cap = max([by[i][i] for i in range(r)], default=0)
+    rec = _shell_record(bx, d, cap)
+    if rec.counts != _shell_record(by, d, cap).counts:
         return None
-    u = rec.witness(y)
-    if u is None:
+    core = rec.witness(by) if r else ()
+    if core is None:
         return None
+    w = linalg.identity(n)[: n - r] + tuple((0,) * (n - r) + row for row in core)
+    u = linalg.mat_mul(uy_inv_t, linalg.mat_mul(w, linalg.transpose(ux)))
     _check_witness(u, x, y)
     return UnimodularMatrix(u)
 
@@ -593,7 +572,8 @@ def _join_class(rows, d, cap, reps, sporadic):
     record in reps is sporadic, so a match is a known sporadic class.
 
     Only records with rows' determinant d are searched, each by its table
-    backtrack (_ShellRecord.witness), and every find is checked.  When two
+    backtrack (_ShellRecord.witness, which unimodular_witness runs on the
+    full-rank cores of its pair), and every find is checked.  When two
     or more records share d, rows' record is built first, and records
     whose shell counts differ from its counts are skipped; a new class
     keeps that record, so rows is enumerated at most once.  With a single

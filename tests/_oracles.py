@@ -19,6 +19,9 @@ took from the general echelon before the symmetric elimination served it.
 peel_by_one_decompose is the peel loop that psd.decompose replaced, with
 the package's frame, enumeration, lift, catalog match and certificate
 type, and its own one-copy adjugate downdate.
+recursive_unimodular_witness is psd.unimodular_witness as it was before
+it made one pass over the full-rank cores, calling itself on the cores
+of a singular pair.
 recursive_points is the enumeration walk of QuadFormQuery.points as it
 was before the loop over per-level arrays, one generator per level, on
 the package's split.
@@ -633,9 +636,9 @@ def dense_generators(rec):
     """label -> dense matrix on flat elements for a cuts cone record, in
     the record's label order: the SOC rows of soc._generators, or the
     Kronecker squares of psd.gl_generators."""
+    n = len(rec.roots[0])
     if rec.shape == "vector":
-        return dict(soc._generators(len(rec.weight)))
-    n = isqrt(len(rec.weight))
+        return dict(soc._generators(n))
     return {label: kronecker_square(g) for label, g in psd.gl_generators(n).items()}
 
 
@@ -651,7 +654,7 @@ def uncached_walk(rec, roots, word_cap, cap=None):
     out = []
     while queue:
         y, root, word = queue.popleft()
-        if cap is None or _rec_dot(rec.weight, y) <= cap:
+        if cap is None or rec.weight(y) <= cap:
             out.append((rec.unflatten(y), root, word))
         if len(word) == word_cap:
             continue
@@ -669,11 +672,11 @@ def uncached_icr_search(s, rec, roots, word_cap, stream_cap, cap):
     kept at weight 1..weight(s) and sorted heaviest first; the same
     iterative-deepening search over them."""
     s = rec.flatten(s)
-    total = _rec_dot(rec.weight, s)
+    total = rec.weight(s)
     cands = []
     for y, _, _ in uncached_walk(rec, roots, word_cap, stream_cap):
         y = rec.flatten(y)
-        w = _rec_dot(rec.weight, y)
+        w = rec.weight(y)
         if 1 <= w <= total:
             cands.append((y, w))
     cands.sort(key=lambda yw: -yw[1])
@@ -716,7 +719,7 @@ def tuple_icr_search(s, gen, cap):
     test at 1 and a bisection for the largest multiplicity."""
     rec = gen._cone
     s = rec.flatten(s)
-    total = _rec_dot(rec.weight, s)
+    total = rec.weight(s)
     limit = total if gen.cap is None else min(total, gen.cap)
     _, view = gen._cached()
     ys, weights, rays = view[0], view[1], view[-1]
@@ -816,6 +819,59 @@ def peel_by_one_decompose(x_rows):
     return psd.Rank1Certificate(
         n=n, vectors=vectors, remainder=linalg.SymIntMatrix(cur), witness=witness
     )
+
+
+def recursive_unimodular_witness(x_rows, y_rows):
+    """psd.unimodular_witness as it was before it made one pass over the
+    full-rank cores: it checks both matrices, compares rank and
+    determinant, and on a singular pair splits both with _reduce_rank and
+    calls itself on the blocks, then borders and checks that witness.  The
+    package's shell records, table backtrack and witness check; the entry
+    symmetry check written out, with the package's error text."""
+    x = linalg.freeze(x_rows)
+    y = linalg.freeze(y_rows)
+    if len(x) != len(y):
+        raise ValueError("unimodular_witness expects matrices of equal size")
+    n = len(x)
+    if n == 0:
+        return linalg.UnimodularMatrix(())
+    elims, invariants = [], []
+    for m in (x, y):
+        if not linalg.is_symmetric(m):
+            raise ValueError("is_psd_exact expects a symmetric matrix")
+        elim = linalg._psd_echelon(m)
+        if elim is None:
+            raise ValueError("unimodular_witness expects PSD matrices")
+        pivots, rows = elim  # at full rank the last pivot is the determinant
+        d = rows[pivots[-1]][pivots[-1]] if len(pivots) == n else 0
+        elims.append(elim)
+        invariants.append((len(pivots), d))
+    if invariants[0] != invariants[1]:
+        return None
+    r, d = invariants[0]
+    if r < n:
+        ux, _, bx, _ = linalg._reduce_rank(x, elims[0])
+        _, uy_inv_t, by, _ = linalg._reduce_rank(y, elims[1])
+        if r == 0:
+            core = ()
+        else:
+            wit = recursive_unimodular_witness(bx, by)
+            if wit is None:
+                return None
+            core = wit.rows
+        w = linalg.identity(n)[: n - r] + tuple((0,) * (n - r) + row for row in core)
+        u = linalg.mat_mul(uy_inv_t, linalg.mat_mul(w, linalg.transpose(ux)))
+        psd._check_witness(u, x, y)
+        return linalg.UnimodularMatrix(u)
+    cap = max(y[i][i] for i in range(n))
+    rec = psd._shell_record(x, d, cap)
+    if rec.counts != psd._shell_record(y, d, cap).counts:
+        return None
+    u = rec.witness(y)
+    if u is None:
+        return None
+    psd._check_witness(u, x, y)
+    return linalg.UnimodularMatrix(u)
 
 
 def soc_peel_candidate(s, h: int, primitive_only: bool):

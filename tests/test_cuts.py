@@ -45,11 +45,11 @@ class TestLCISystem:
 
     def test_slack_soc(self):
         sys = LCISystem(cone="soc", n=3, c=(0, 0, 5), a=((1, 0, 0), (0, 1, 1)))
-        assert sys.slack((2, 3)) == (-2, -3, 2)
+        assert sys._slack((2, 3)) == (-2, -3, 2)
 
     def test_slack_psd(self):
         sys = LCISystem(cone="psd", n=2, c=I2, a=(E11_2,))
-        assert sys.slack((3,)) == ((-2, 0), (0, 1))
+        assert sys._slack((3,)) == (-2, 0, 0, 1)
 
     def test_feasibility(self):
         sys = soc_system()
@@ -63,8 +63,8 @@ class TestLCISystem:
             rec = cuts.cone_record(sys.cone, sys.n)
             for _ in range(50):
                 x = tuple(rng.randint(-3, 3) for _ in range(sys.m))
-                assert sys.is_feasible(x) == rec.member(rec.flatten(sys.slack(x)))
-            for read in (sys.slack, sys.is_feasible):
+                assert sys.is_feasible(x) == rec.member(sys._slack(x))
+            for read in (sys._slack, sys.is_feasible):
                 with pytest.raises(TypeError, match="is not an integer"):
                     read((1.0,))
 
@@ -81,7 +81,7 @@ class TestLCISystem:
         with pytest.raises(ValueError):
             LCISystem(cone="soc", n=3, c=(0, 0, 1, 0), a=())
         with pytest.raises(ValueError):
-            soc_system().slack((1, 2))
+            soc_system()._slack((1, 2))
 
     def test_json_roundtrip(self):
         for sys in (soc_system(), LCISystem(cone="psd", n=2, c=I2, a=(E11_2,))):
@@ -169,6 +169,33 @@ class TestLetters:
             tracemalloc.stop()
         assert len(walk) > 1
         assert peak < 4_000_000, peak
+
+    def test_psd_record_builds_nothing_of_size_n_squared(self, monkeypatch):
+        # at n = 800 the record's n^2 weight vector, default root and five
+        # Kronecker letters took over 3 s and 400 MB before an element's
+        # shape was checked; a record of any n now refuses one at once
+        def refuse(_):
+            raise AssertionError("built a congruence letter")
+
+        n = 2000
+        cuts.cone_record.cache_clear()
+        monkeypatch.setattr(cuts, "_congruence", refuse)
+        tracemalloc.start()
+        try:
+            rec = cuts.cone_record("psd", n)
+            with pytest.raises(ValueError, match="matrix element has the wrong shape"):
+                rec.flatten([[1]])
+            with pytest.raises(ValueError, match="matrix element has the wrong shape"):
+                LCISystem(cone="psd", n=n, c=((1,),), a=())
+            gen = GeneratorStream(cone="psd", n=n, word_cap=2)
+            with pytest.raises(ValueError, match="matrix element has the wrong shape"):
+                cuts.icr_search(((1,),), gen, cap=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            cuts.cone_record.cache_clear()
+        assert gen.roots[0][0][0] == 1 and len(gen.roots[0]) == n
+        assert peak < 500_000, peak
 
 
 class TestCGCutJson:
@@ -944,7 +971,7 @@ class TestIcrSearch:
             assert cuts.icr_search(s, gen, cap=8).status == "ok", s
             weight = gen._cone.weight
             left = [
-                cuts._dot(weight, res) - top * cuts._dot(weight, y)
+                weight(res) - top * weight(y)
                 for res, y, top in tested
             ]
             assert tested and min(top for _, _, top in tested) >= 1, s

@@ -7,7 +7,9 @@ general `_echelon` serves only the matrix functions that take any matrix.
 The cofactor adjugate (`_cofactors`, n^2 determinants) serves only the
 public adjugate and unimodular inverse, which nothing in the package calls.
 The gcd ladder serves only the rank split, whose kernel vectors never
-start with a negative entry, as the ladder now assumes.
+start with a negative entry, as the ladder now assumes.  The entries that
+take an outside matrix reach the elimination through one entry check,
+`_psd_input`, which freezes, tests symmetry, eliminates and raises.
 The scan reads every reference to each of these names in src/intcone, as a
 bare name or as an attribute, and the top-level function (or method) it
 sits in.
@@ -22,10 +24,13 @@ GENERAL = {("linalg", name) for name in ("det", "rank", "primitive_kernel_vector
 INVERSES = ("adjugate", "inverse_unimodular")
 SYMMETRIC = {
     ("linalg", "is_psd_exact"),
-    ("linalg", "reduce_rank"),
+    ("linalg", "_psd_input"),
     ("linalg", "_reduce_rank"),
     ("lattice", "_peel_data"),
     ("lattice", "_decompose"),
+}
+OUTSIDE = {
+    ("linalg", "reduce_rank"),
     ("psd", "decompose"),
     ("psd", "is_sporadic"),
     ("psd", "unimodular_witness"),
@@ -70,6 +75,14 @@ def test_the_cofactor_adjugate_serves_only_the_uncalled_public_inverses():
 def test_psd_questions_run_the_symmetric_elimination():
     missing = SYMMETRIC - set(references("_psd_echelon"))
     assert not missing, f"not running _psd_echelon: {sorted(missing)}"
+
+
+def test_outside_matrices_enter_through_one_check():
+    # the entries on outside matrices leave freezing, the symmetry test,
+    # the elimination and the refusal to _psd_input alone
+    assert set(references("_psd_input")) == OUTSIDE
+    direct = OUTSIDE & set(references("_psd_echelon"))
+    assert not direct, f"eliminating past _psd_input: {sorted(direct)}"
 
 
 def test_the_gcd_ladder_serves_only_the_rank_split():

@@ -4,6 +4,7 @@ import pathlib
 import random
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -21,6 +22,7 @@ from _oracles import (
     plain_shells,
     psd_by_minors,
     random_unimodular,
+    recursive_unimodular_witness,
     sporadic_leaf_candidates,
     subtractable_vector_box,
 )
@@ -394,7 +396,7 @@ class TestDecompose:
             cert = decompose(a)
             assert cert.reconstruct() == a and cert.remainder is None
             assert len(frozen) == 1
-            assert callers == [("_require_symmetric", "decompose")]
+            assert callers == [("_psd_input", "decompose")]
             peels += len(cert.vectors)
         assert peels > 2 * len(inputs)
 
@@ -533,6 +535,16 @@ class TestUnimodularWitness:
         b = ((2, 0), (0, 2))
         assert unimodular_witness(a, b) is None
 
+    def test_matches_the_recursive_witness(self):
+        # the one pass over the cores against the recursion it replaced:
+        # the same witness rows, the same None, the same error and text
+        kinds = Counter()
+        for x, y in _witness_pairs():
+            got = _witness_outcome(unimodular_witness, x, y)
+            assert got == _witness_outcome(recursive_unimodular_witness, x, y), (x, y)
+            kinds[got[0]] += 1
+        assert kinds["witness"] > 200 and kinds["none"] > 80 and kinds["error"] > 150, kinds
+
     def test_random_conjugates(self):
         rng = random.Random(47)
         for _ in range(25):
@@ -543,6 +555,64 @@ class TestUnimodularWitness:
             wit = unimodular_witness(a, y)
             assert wit is not None
             assert conjugate(wit.rows, a) == y
+
+
+def _witness_outcome(find, x, y):
+    """("witness", its rows), ("none", None) or ("error", its type and
+    text) for find(x, y)."""
+    try:
+        wit = find(x, y)
+    except (TypeError, ValueError) as exc:
+        return "error", (type(exc), str(exc))
+    return ("none", None) if wit is None else ("witness", wit.rows)
+
+
+def _full_rank_core(rng, r):
+    """A positive definite r x r matrix with entries of at most a few units."""
+    while True:
+        core = random_psd_sum(rng, r, r + 1, -1, 1)
+        if psd_rank(core) == r:
+            return core
+
+
+def _move(rng, x):
+    """x moved by a word of at most two GL(n, Z) letters; longer words grow
+    the diagonal, and with it the shell enumeration, past a test's budget."""
+    return conjugate(random_unimodular(len(x), rng.randint(0, 2), rng), x)
+
+
+def _embed(rng, core, n):
+    """diag(0, core) of size n, moved."""
+    k = n - len(core)
+    return _move(rng, ((0,) * n,) * k + tuple((0,) * k + row for row in core))
+
+
+def _witness_pairs():
+    """Seeded (X, Y) pairs for n 1..6 and every rank 0..n: congruent pairs,
+    pairs of unequal rank, pairs of equal rank and unequal determinant,
+    unrelated pairs, and inputs that are not PSD, not symmetric, not
+    square, not integral or not of equal size."""
+    rng = random.Random(89)
+    pairs = [((), ()), SAME_COUNTS_4, (((1,),), ((1, 2),)), (((1.0,),), ((1,),))]
+    for n in range(1, 7):
+        for r in range(n + 1):
+            core = _full_rank_core(rng, r)
+            x = _embed(rng, core, n)
+            pairs += [(x, _move(rng, x)) for _ in range(8)]
+            other_rank = rng.choice([k for k in range(n + 1) if k != r])
+            pairs.append((x, _embed(rng, _full_rank_core(rng, other_rank), n)))
+            pairs += [(x, _embed(rng, _full_rank_core(rng, r), n)) for _ in range(3)]
+            if r:
+                # a positive definite core's last cofactor is positive, so
+                # raising its last diagonal entry raises its determinant
+                bumped = core[:-1] + (core[-1][:-1] + (core[-1][-1] + 1,),)
+                pairs.append((_embed(rng, bumped, n), x))
+            not_psd = ((-1,) + x[0][1:],) + x[1:]
+            pairs += [(x, not_psd), (not_psd, x), (x, ((0,) * (n + 1),) * (n + 1))]
+            if n > 1:
+                skew = ((x[0][0], x[0][1] + 1) + x[0][2:],) + x[1:]
+                pairs += [(skew, x), (x, skew), (not_psd, skew)]
+    return pairs
 
 
 def _raise(*args):

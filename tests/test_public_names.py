@@ -1,7 +1,9 @@
-"""Every public top-level name of the package is used by the program itself.
+"""Every public name of the package is used by the program itself.
 
 A public name is a module-level function, class or assignment of
-src/intcone whose name does not start with an underscore.  It counts as
+src/intcone whose name does not start with an underscore, or a method or
+property of such a class whose name does not (dunders are excluded with
+every other underscored name).  It counts as
 used when src/, scripts/ or perfbench/ refers to it outside its own
 definition: as a name, an attribute, an imported name or a string (the
 benchmark wraps names given as strings).  Like a grep, the scan does not
@@ -20,7 +22,9 @@ USERS = ("src", "scripts", "perfbench")
 
 
 def _definitions(tree):
-    """(name, first line, last line) of each public top-level definition."""
+    """(label, name, first line, last line) of each public top-level
+    definition and, labelled Class.name, of each public method or property
+    of a public class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -32,7 +36,13 @@ def _definitions(tree):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+                yield name, name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not item.name.startswith("_")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
 
 
 def _references(tree):
@@ -79,14 +89,14 @@ def test_the_scan_sees_every_module():
 
 
 @pytest.mark.parametrize(
-    "path, name, first, last",
+    "path, label, name, first, last",
     public_names(),
-    ids=[f"{path.stem}.{name}" for path, name, *_ in public_names()],
+    ids=[f"{path.stem}.{label}" for path, label, *_ in public_names()],
 )
-def test_public_name_is_used_outside_its_definition(uses, path, name, first, last):
+def test_public_name_is_used_outside_its_definition(uses, path, label, name, first, last):
     outside = [
         (where, line)
         for where, line in uses.get(name, [])
         if where != path or not first <= line <= last
     ]
-    assert outside, f"{path.stem}.{name} is referenced only by its own definition"
+    assert outside, f"{path.stem}.{label} is referenced only by its own definition"
