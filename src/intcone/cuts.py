@@ -153,12 +153,12 @@ def _soc_cone(n: int) -> Cone:
 _CONES = {"psd": _psd_cone, "soc": _soc_cone}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cone_record(name: str, n: int) -> Cone:
     """The record of cone `name` in dimension n, built once."""
     if name not in _CONES:
         raise ValueError("cone must be " + " or ".join(map(repr, _CONES)))
-    return _CONES[name](n)
+    return _CONES[name](linalg.as_int(n))
 
 
 def pair(cone: str, y, other) -> int:

@@ -20,36 +20,9 @@ scanned for its sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from . import linalg
-
-
-_GAMMA_EXACT = {
-    1: Fraction(1),
-    2: Fraction(4, 3),
-    3: Fraction(2),
-    4: Fraction(4),
-    5: Fraction(8),
-    6: Fraction(64, 3),
-    7: Fraction(64),
-    8: Fraction(256),
-    24: Fraction(4) ** 24,
-}
-
-
-def hermite_gamma(n: int) -> Fraction:
-    """gamma_n^n: exact for n <= 8 and n = 24, Mordell-style bound otherwise.
-
-    These are the constants in lambda_1(L)^n <= gamma_n^n * det(Gram), i.e.
-    already raised to the n-th power so every comparison stays rational.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n in _GAMMA_EXACT:
-        return _GAMMA_EXACT[n]
-    return Fraction(4, 3) ** (n * (n - 1) // 2)
 
 
 def _decompose(rows):
@@ -201,10 +174,10 @@ def enumerate_below(a, t: int) -> list[tuple[int, ...]]:
     return list(QuadFormQuery(a, t).points())
 
 
-def _peel_data(x, elim=None):
+def _peel_data(x, elim):
     """The first-peel search of a frozen PSD X, as (lift, adj(B), det(B));
-    elim is X's _psd_echelon when the caller holds it, else it is taken
-    here.
+    elim is X's _psd_echelon when the caller holds it (_kx_first, and
+    decompose on its first frame), or None, and then it is taken here.
 
     linalg._reduce_rank gives U^T X U = diag(0, B) with B full rank, U^{-T}
     from the same gcd ladder, and B's own symmetric elimination.  The peels

@@ -388,9 +388,10 @@ def reduce_rank(rows):
 
 
 def _reduce_rank(x, elim):
-    """reduce_rank of a frozen X from elim = _psd_echelon(X), as (U, U^{-T},
-    block, the block's _psd_echelon); elim None (X not PSD) raises
-    ValueError, and at full rank X is its own block at once.
+    """reduce_rank of a frozen PSD X from elim = _psd_echelon(X), as (U,
+    U^{-T}, block, the block's _psd_echelon); at full rank X is its own
+    block at once.  Each caller holds elim from _psd_input or for a
+    residue it built PSD, so nothing is refused here.
 
     While the block's symmetric elimination finds fewer pivots than it has
     rows, the kernel vector read off it (_kernel_vector) acts by its gcd
@@ -398,8 +399,6 @@ def _reduce_rank(x, elim):
     U^{-T}: nothing is inverted.  The closing check X U[:, :n-r] = 0 says
     the same as a zero kernel block of U^T X U, as U is invertible.
     """
-    if elim is None:
-        raise ValueError("reduce_rank expects a PSD matrix")
     pivots, elim_rows = elim
     if len(pivots) == len(x):
         eye = identity(len(x))

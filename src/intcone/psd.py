@@ -31,14 +31,37 @@ M6: Rows = (
 )
 
 
+_GAMMA_EXACT = {
+    1: Fraction(1),
+    2: Fraction(4, 3),
+    3: Fraction(2),
+    4: Fraction(4),
+    5: Fraction(8),
+    6: Fraction(64, 3),
+    7: Fraction(64),
+    8: Fraction(256),
+    24: Fraction(4) ** 24,
+}
+
+
 def sporadic_catalog(n: int) -> tuple[Rows, ...]:
     """Known sporadic classes per dimension; complete only through n = 6."""
-    return (M6,) if n == 6 else ()
+    return (M6,) if linalg.as_int(n) == 6 else ()
 
 
 def sporadic_det_bound(n: int) -> Fraction:
-    """Upper bound on the determinant of any sporadic matrix in dimension n."""
-    return lattice.hermite_gamma(n)
+    """Upper bound on the determinant of a sporadic matrix in dimension n:
+    Hermite's gamma_n^n, exact for n <= 8 and n = 24, else its bound
+    (4/3)^(n(n-1)/2).  A full-rank sporadic X has y^T adj(X) y > det(X) for
+    all integer y != 0, and lambda_1(adj X)^n <= gamma_n^n det(X)^(n-1), so
+    det(X) < gamma_n^n; kept to the n-th power, the bound stays rational.
+    """
+    n = linalg.as_int(n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n in _GAMMA_EXACT:
+        return _GAMMA_EXACT[n]
+    return Fraction(4, 3) ** (n * (n - 1) // 2)
 
 
 def is_sporadic(x_rows) -> bool:
@@ -114,15 +137,14 @@ def _rank_one_peel(rows):
     """(x, lam) with rows = lam x x^T, for a PSD rows of rank one.
 
     Row i of lam x x^T is lam x_i x, so x is the primitive part of any
-    nonzero row, signed so that its first nonzero entry is positive, and
-    lam = X_ii / x_i^2 for that row.  This is the peel the enumeration
+    nonzero row, and lam = X_ii / x_i^2 for that row.  The first nonzero
+    row's first nonzero entry is its diagonal lam x_i^2 > 0, so its
+    primitive part needs no sign flip.  This is the peel the enumeration
     would find: the peels of lam x x^T are t x with 1 <= t^2 <= lam, the
     first of them x, and x goes lam times.
     """
     i, row = next((i, row) for i, row in enumerate(rows) if any(row))
     g = linalg.vec_gcd(row)
-    if next(v for v in row if v) < 0:
-        g = -g
     x = tuple(v // g for v in row)
     return x, rows[i][i] // (x[i] * x[i])
 
@@ -143,14 +165,13 @@ def decompose(x_rows) -> Rank1Certificate:
     (linalg._rank1_update).  The peel set only shrinks and the enumeration
     order does not depend on the form, so no later peel comes before y: while
     d - lam q > 0 the frame holds and the next enumeration resumes at y
-    (lattice._points' start; each enumeration walks the split of an
-    adjugate built here, with no QuadFormQuery to re-read it).  At d - lam
-    q = 0 the rank, taken once by _psd_echelon, drops by one, and the
-    residue is reduced again, except at rank one: there it is lam x x^T,
-    closed from one of its rows (_rank_one_peel).  The vectors are those of
-    peeling one copy at a time and merging equal neighbours.  X is tested
-    for symmetry once, here; the residues, blocks and adjugates built from
-    it are symmetric by construction and are not tested again.
+    (lattice._points' start).  At d - lam q = 0 the rank, taken once by
+    _psd_echelon, drops by one, and the residue is reduced again, except at
+    rank one: there it is lam x x^T, closed from one of its rows
+    (_rank_one_peel).  The vectors are those of peeling one copy at a time
+    and merging equal neighbours.  X is tested for symmetry once, here; the
+    residues, blocks and adjugates built from it are symmetric by
+    construction and are not tested again.
     """
     x0, elim = linalg._psd_input(x_rows, "decompose expects a PSD matrix")
     r = len(elim[0])

@@ -20,7 +20,7 @@ from operator import mul
 from types import MappingProxyType
 
 from . import linalg
-from .linalg import Rows, UnimodularMatrix, vec_gcd
+from .linalg import UnimodularMatrix, vec_gcd
 
 MIN_DIM = 3
 MAX_DIM = 10
@@ -47,7 +47,7 @@ def in_cone(s) -> bool:
 
 
 def _require_dim(n: int):
-    if not MIN_DIM <= n <= MAX_DIM:
+    if not MIN_DIM <= linalg.as_int(n) <= MAX_DIM:
         raise ValueError(f"dimension must be between {MIN_DIM} and {MAX_DIM}")
 
 
@@ -101,7 +101,7 @@ def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
     return aplus, aplus_inv
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _letters(n: int) -> Mapping[str, linalg.Letter]:
     """The one definition of the generator alphabet of dimension n, label
     -> letter in label order: Aplus and AplusInv (_sum_letters), the sign
@@ -121,19 +121,12 @@ def _letters(n: int) -> Mapping[str, linalg.Letter]:
     return MappingProxyType(table)
 
 
-@lru_cache(maxsize=None)
-def _generators(n: int) -> Mapping[str, Rows]:
-    """_letters(n) as rows, each read off its letter as the images of the
-    unit vectors.  Read-only, as it is cached."""
-    eye = linalg.identity(n)
-    return MappingProxyType(
-        {k: linalg.transpose([g(e) for e in eye]) for k, g in _letters(n).items()}
-    )
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generator_matrix(label: str, n: int) -> UnimodularMatrix:
-    return UnimodularMatrix(_generators(n)[label])
+    """The matrix of letter `label` of dimension n, its columns read off the
+    letter as the images of the unit vectors."""
+    g = _letters(n)[label]
+    return UnimodularMatrix(linalg.transpose([g(e) for e in linalg.identity(n)]))
 
 
 def apply_word(word, s):
@@ -381,7 +374,7 @@ def _descent(s):
     return cur, tuple(word)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def roots(n: int, minimal: bool = False) -> tuple[tuple[int, ...], ...]:
     """The root list per dimension, in the source listing order.
 

@@ -10,7 +10,7 @@ inverse_unimodular, as the code it replaced did.  The uncached stream walk
 and icr search take the package's cone record (weight, membership,
 flatten) from the caller, as the stream code they copy did, but not its
 letters: dense_generators builds the dense matrices the walk multiplies
-by, from soc._generators rows and from Kronecker squares of
+by, from soc.generator_matrix rows and from Kronecker squares of
 psd.gl_generators formed here.  tuple_icr_search is icr_search as it was
 before the SOC record admitted candidates on the Lorentz form; it reads
 the stream's cached search view and admits by membership alone.
@@ -634,11 +634,11 @@ def kronecker_square(g):
 
 def dense_generators(rec):
     """label -> dense matrix on flat elements for a cuts cone record, in
-    the record's label order: the SOC rows of soc._generators, or the
+    the record's label order: the SOC rows of soc.generator_matrix, or the
     Kronecker squares of psd.gl_generators."""
     n = len(rec.roots[0])
     if rec.shape == "vector":
-        return dict(soc._generators(n))
+        return {label: soc.generator_matrix(label, n).rows for label in soc._letters(n)}
     return {label: kronecker_square(g) for label, g in psd.gl_generators(n).items()}
 
 
@@ -795,7 +795,7 @@ def peel_by_one_decompose(x_rows):
     d = 0
     while any(v for row in cur for v in row):
         if d == 0:
-            lift, adj, d = lattice._peel_data(cur)
+            lift, adj, d = lattice._peel_data(cur, None)
         y = next(lattice.QuadFormQuery(adj, d).points(), None)
         if y is None:
             break

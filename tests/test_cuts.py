@@ -90,6 +90,47 @@ class TestLCISystem:
             back = LCISystem.from_json(blob)
             assert back.cone == sys.cone and back.c == sys.c and back.a == sys.a
 
+    def test_a_float_dimension_leaves_later_streams_working(self):
+        # a float n must not reach soc.roots through the record cache the
+        # int uses, where it would break every later int stream
+        with pytest.raises(TypeError, match="is not an integer"):
+            LCISystem(cone="soc", n=3.0, c=(0, 0, 1), a=((1, 0, 0),))
+        assert any(GeneratorStream(cone="soc", n=3, word_cap=1))
+        assert any(GeneratorStream(cone="psd", n=2, word_cap=1))
+        with pytest.raises(TypeError, match="is not an integer"):
+            GeneratorStream(cone="psd", n=2.0, word_cap=1)
+
+
+# (entry on a dimension, its lru cache or None, a valid dimension)
+DIMENSION_ENTRIES = {
+    "cone_record-soc": (lambda n: cuts.cone_record("soc", n), cuts.cone_record, 4),
+    "cone_record-psd": (lambda n: cuts.cone_record("psd", n), cuts.cone_record, 2),
+    "soc._letters": (soc._letters, soc._letters, 3),
+    "soc.roots": (soc.roots, soc.roots, 3),
+    "soc.generator_matrix": (lambda n: soc.generator_matrix("Q1", n), soc.generator_matrix, 3),
+    "psd.sporadic_det_bound": (psd.sporadic_det_bound, None, 6),
+    "psd.sporadic_catalog": (psd.sporadic_catalog, None, 6),
+}
+
+
+@pytest.mark.parametrize("name", DIMENSION_ENTRIES)
+def test_a_non_int_dimension_is_refused_before_and_after_the_int(name):
+    # a cache keyed on a float or bool must not answer for the int it equals
+    entry, cache, n = DIMENSION_ENTRIES[name]
+    for bad in (float(n), True):
+        if cache is not None:
+            cache.cache_clear()
+        with pytest.raises(TypeError, match="is not an integer"):
+            entry(bad)
+        want = entry(n)
+        try:
+            entry(int(bad))  # True equals 1, outside some entries' range
+        except ValueError:
+            pass
+        with pytest.raises(TypeError, match="is not an integer"):
+            entry(bad)
+        assert entry(n) == want
+
 
 class TestFrozenRecords:
     def test_assigning_any_field_raises(self):

@@ -9,7 +9,10 @@ public adjugate and unimodular inverse, which nothing in the package calls.
 The gcd ladder serves only the rank split, whose kernel vectors never
 start with a negative entry, as the ladder now assumes.  The entries that
 take an outside matrix reach the elimination through one entry check,
-`_psd_input`, which freezes, tests symmetry, eliminates and raises.
+`_psd_input`, which freezes, tests symmetry, eliminates and raises, so
+the rank split and the peel frame take an elimination and never refuse.
+Of the modules, only psd, which holds the Hermite constants, imports
+fractions.
 The scan reads every reference to each of these names in src/intcone, as a
 bare name or as an attribute, and the top-level function (or method) it
 sits in.
@@ -90,3 +93,30 @@ def test_the_gcd_ladder_serves_only_the_rank_split():
     # fed by _kernel_vector, may call it
     for name in ("_ladder", "_apply_ladder"):
         assert set(references(name)) == {("linalg", "_reduce_rank")}, name
+
+
+def test_the_rank_split_is_handed_a_psd_elimination():
+    # _reduce_rank does not refuse a missing elimination: each caller holds
+    # one from _psd_input, or of a residue it built PSD
+    assert set(references("_reduce_rank")) == {
+        ("linalg", "reduce_rank"),
+        ("lattice", "_peel_data"),
+        ("psd", "unimodular_witness"),
+    }
+    assert set(references("_peel_data")) == {("lattice", "_kx_first"), ("psd", "decompose")}
+
+
+def test_only_psd_imports_fractions():
+    # the Hermite constants are the package's only rationals
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.add(path.stem)
+    assert importers == {"psd"}

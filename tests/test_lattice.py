@@ -5,7 +5,8 @@ import pytest
 
 from _oracles import echelon_split, form_value, points_below_box, recursive_points
 from intcone import lattice, linalg
-from intcone.lattice import QuadFormQuery, enumerate_below, hermite_gamma
+from intcone.lattice import QuadFormQuery, enumerate_below
+from intcone.psd import sporadic_det_bound
 from test_linalg import M6_ADJ, random_symmetric
 
 
@@ -34,29 +35,6 @@ def kx_first(rows):
 
 def outer_sub(x, v):
     return tuple(tuple(a - b * c for a, c in zip(row, v)) for row, b in zip(x, v))
-
-
-class TestHermiteGamma:
-    def test_exact_values(self):
-        expected = {
-            2: Fraction(4, 3),
-            3: Fraction(2),
-            4: Fraction(4),
-            5: Fraction(8),
-            6: Fraction(64, 3),
-            7: Fraction(64),
-            8: Fraction(256),
-            24: Fraction(4) ** 24,
-        }
-        for n, v in expected.items():
-            assert hermite_gamma(n) == v
-
-    def test_fallback(self):
-        assert hermite_gamma(9) == Fraction(4, 3) ** 36
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            hermite_gamma(0)
 
 
 class TestEnumerateBelow:
@@ -166,7 +144,7 @@ class TestShortestNonzero:
             a = random_pd(rng, n, 2)
             t0 = min(a[i][i] for i in range(n))
             lam = min(form_value(a, x) for x in points_below_box(a, t0))
-            assert Fraction(lam) ** n <= hermite_gamma(n) * linalg.det(a)
+            assert Fraction(lam) ** n <= sporadic_det_bound(n) * linalg.det(a)
 
     def test_minimum_matches_oracle(self):
         rng = random.Random(41)

@@ -80,9 +80,26 @@ class TestCatalog:
 
 class TestSporadicDetBound:
     def test_table_values(self):
-        assert sporadic_det_bound(2) == Fraction(4, 3)
-        assert sporadic_det_bound(5) == 8
-        assert sporadic_det_bound(6) == Fraction(64, 3)
+        expected = {
+            1: Fraction(1),
+            2: Fraction(4, 3),
+            3: Fraction(2),
+            4: Fraction(4),
+            5: Fraction(8),
+            6: Fraction(64, 3),
+            7: Fraction(64),
+            8: Fraction(256),
+            24: Fraction(4) ** 24,
+        }
+        for n, v in expected.items():
+            assert sporadic_det_bound(n) == v
+
+    def test_fallback(self):
+        assert sporadic_det_bound(9) == Fraction(4, 3) ** 36
+
+    def test_rejects_bad_n(self):
+        with pytest.raises(ValueError):
+            sporadic_det_bound(0)
 
 
 class TestRank1Step:
@@ -101,8 +118,9 @@ class TestRank1Step:
         assert kx_first(((0, 0), (0, 0))) is None
 
     def test_rejects_non_psd(self):
+        # the entry check refuses it before any step is searched
         with pytest.raises(ValueError):
-            kx_first(((1, 2), (2, 1)))
+            is_sporadic(((1, 2), (2, 1)))
 
     def test_step_keeps_psd(self):
         rng = random.Random(11)
@@ -336,6 +354,25 @@ class TestDecompose:
             cert = decompose(a)
             assert cert.reconstruct() == a
             assert sum(tuple(map(tuple, rows)) == a for rows in calls) == 1
+
+    def test_rank_one_peel_reads_x_and_b_off_a_row(self):
+        # b x x^T for primitive x whose first nonzero entry is positive,
+        # with negative and zero entries among the rest
+        rng = random.Random(59)
+        signs = Counter()
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            x = [rng.choice((0, rng.randint(-9, 9))) for _ in range(n)]
+            if not any(x):
+                continue
+            g = linalg.vec_gcd(x)
+            lead = next(v for v in x if v)
+            x = tuple(v // g if lead > 0 else -v // g for v in x)
+            b = rng.randint(1, 40)
+            signs.update((v > 0) - (v < 0) for v in x)
+            rows = tuple(tuple(b * xi * xj for xj in x) for xi in x)
+            assert psd._rank_one_peel(rows) == (x, b), (x, b)
+        assert min(signs[-1], signs[0]) > 100
 
     def test_rank_one_close_checks_its_residue(self, monkeypatch):
         monkeypatch.setattr(psd, "_rank_one_peel", lambda rows: ((1, 1), 1))

@@ -207,11 +207,11 @@ class TestLorentzForm:
 
 class TestGenerators:
     def test_descent_matrix_dim3(self):
-        assert soc._generators(3)["Aplus"] == ((1, 2, -2), (2, 1, -2), (-2, -2, 3))
-        assert soc._generators(3)["AplusInv"] == ((1, 2, 2), (2, 1, 2), (2, 2, 3))
+        assert generator_matrix("Aplus", 3).rows == ((1, 2, -2), (2, 1, -2), (-2, -2, 3))
+        assert generator_matrix("AplusInv", 3).rows == ((1, 2, 2), (2, 1, 2), (2, 2, 3))
 
     def test_descent_matrix_dim4(self):
-        assert soc._generators(4)["Aplus"] == (
+        assert generator_matrix("Aplus", 4).rows == (
             (0, 1, 1, -1),
             (1, 0, 1, -1),
             (1, 1, 0, -1),
@@ -219,22 +219,22 @@ class TestGenerators:
         )
 
     def test_sign_flip_and_swap(self):
-        assert soc._generators(3)["Q1"] == ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert soc._generators(3)["P12"] == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        assert generator_matrix("Q1", 3).rows == ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert generator_matrix("P12", 3).rows == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
     def test_labels(self):
-        assert tuple(soc._generators(3)) == ("Aplus", "AplusInv", "Q1", "Q2", "P12")
-        assert len(soc._generators(10)) == 2 + 9 + 8
+        assert tuple(soc._letters(3)) == ("Aplus", "AplusInv", "Q1", "Q2", "P12")
+        assert len(soc._letters(10)) == 2 + 9 + 8
 
     def test_table_matches_the_replaced_parser(self):
         # every label of every dimension, in the parser's label order
         for n in range(3, 11):
-            table = soc._generators(n)
-            assert tuple(table) == soc_generator_labels(n)
-            assert len(table) == 2 + (n - 1) + (n - 2)
-            for label, rows in table.items():
+            labels = tuple(soc._letters(n))
+            assert labels == soc_generator_labels(n)
+            assert len(labels) == 2 + (n - 1) + (n - 2)
+            for label in labels:
+                rows = soc.generator_matrix(label, n).rows
                 assert rows == soc_generator_parse(label, n), (label, n)
-                assert soc.generator_matrix(label, n).rows == rows
 
     def test_bad_labels(self):
         # a label outside its dimension's table, or a dimension outside
@@ -251,21 +251,22 @@ class TestGenerators:
             with pytest.raises(ValueError):
                 cuts.apply_group_word("soc", len(point), ("Q1",), point)
         with pytest.raises(ValueError):
-            soc._generators(11)
+            soc.generator_matrix("Q1", 11)
 
     def test_letters_match_the_rows(self):
         # every letter a word is applied through is the rows of the replaced
-        # parser, as the table's own rows are read off the letters
+        # parser, as generator_matrix reads its rows off the letters
         rng = random.Random(47)
         for n in range(3, 11):
-            table, letters = soc._generators(n), soc._letters(n)
-            assert tuple(letters) == tuple(table)
+            letters = soc._letters(n)
+            assert tuple(letters) == soc_generator_labels(n)
             for label, g in letters.items():
                 parsed = soc_generator_parse(label, n)
+                rows = soc.generator_matrix(label, n).rows
                 for _ in range(20):
                     v = tuple(rng.randint(-50, 50) for _ in range(n))
                     want = linalg.mat_vec(parsed, v)
-                    assert g(v) == want == linalg.mat_vec(table[label], v), (label, n)
+                    assert g(v) == want == linalg.mat_vec(rows, v), (label, n)
                 assert g.size == n
             # the closed-form sum letters: inverse to each other, preserving
             # the Lorentz form, and equal on large entries to the parser's rows
@@ -292,19 +293,19 @@ class TestGenerators:
     def test_form_preserved_by_every_generator(self):
         for n in range(3, 11):
             j = signature_matrix(n)
-            for label in soc._generators(n):
-                g = soc._generators(n)[label]
+            for label in soc._letters(n):
+                g = generator_matrix(label, n).rows
                 gt = linalg.transpose(g)
                 assert linalg.mat_mul(gt, linalg.mat_mul(j, g)) == j, (label, n)
 
     def test_inverse_pairs(self):
         for n in range(3, 11):
-            a = soc._generators(n)["Aplus"]
-            b = soc._generators(n)["AplusInv"]
+            a = generator_matrix("Aplus", n).rows
+            b = generator_matrix("AplusInv", n).rows
             assert linalg.mat_mul(a, b) == linalg.identity(n)
-        g4 = soc._generators(4)
-        assert linalg.mat_mul(g4["Q2"], g4["Q2"]) == linalg.identity(4)
-        assert linalg.mat_mul(g4["P13"], g4["P13"]) == linalg.identity(4)
+        for label in ("Q2", "P13"):
+            g = generator_matrix(label, 4).rows
+            assert linalg.mat_mul(g, g) == linalg.identity(4)
 
 
 class TestWords:
@@ -322,7 +323,7 @@ class TestWords:
     def test_inversion(self):
         rng = random.Random(5)
         for n in range(3, 7):
-            labels = tuple(soc._generators(n))
+            labels = tuple(soc._letters(n))
             for _ in range(20):
                 word = tuple(rng.choice(labels) for _ in range(rng.randint(0, 6)))
                 s = random_cone_point(rng, n, 9)
@@ -334,7 +335,7 @@ class TestWords:
         rng = random.Random(6)
         for _ in range(40):
             n = rng.randint(3, 10)
-            word = tuple(rng.choice(tuple(soc._generators(n))) for _ in range(4))
+            word = tuple(rng.choice(tuple(soc._letters(n))) for _ in range(4))
             cases.append((word, tuple(rng.randint(-8, 8) for _ in range(n))))
         for word, s in cases:
             moved = apply_word(word, s)
@@ -1111,7 +1112,7 @@ class TestPythagoreanOrbit:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
 def test_word_action_preserves_cone(n, rnd):
-    labels = tuple(soc._generators(n))
+    labels = tuple(soc._letters(n))
     word = tuple(rnd.choice(labels) for _ in range(rnd.randint(0, 5)))
     s = random_cone_point(rnd, n, 10)
     moved = apply_word(word, s)
