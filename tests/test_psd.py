@@ -80,6 +80,11 @@ class TestCatalog:
 
 class TestSporadicDetBound:
     def test_table_values(self):
+        assert sporadic_det_bound(2) == Fraction(4, 3)
+        assert sporadic_det_bound(5) == 8
+        assert sporadic_det_bound(6) == Fraction(64, 3)
+
+    def test_exact_values(self):
         expected = {
             1: Fraction(1),
             2: Fraction(4, 3),
