@@ -315,12 +315,6 @@ def _walk(cone: str, n: int, word_cap: int, roots: tuple) -> tuple:
     return tuple(out)
 
 
-def _direction(y: Flat) -> Flat:
-    """The primitive integer vector on the ray of a nonzero y."""
-    g = linalg.vec_gcd(y)
-    return y if g == 1 else tuple(v // g for v in y)
-
-
 def _search_view(walk: tuple, norm: Callable[[Flat], object]) -> tuple:
     """(ys, weights, norms, rays): the walk's flat elements, their weights
     and their admission norms (Cone.norm) heaviest first, ties in walk
@@ -331,7 +325,7 @@ def _search_view(walk: tuple, norm: Callable[[Flat], object]) -> tuple:
     weights = tuple(w for _, w, _, _ in order)
     rays = {}
     for i, y in enumerate(ys):
-        rays.setdefault(_direction(y), []).append(i)
+        rays.setdefault(linalg._primitive(y), []).append(i)
     return ys, weights, tuple(map(norm, ys)), rays
 
 
@@ -525,7 +519,7 @@ def icr_search(s, gen: GeneratorStream, cap: int) -> IcrResult:
         if k_left == 0:
             return None
         if k_left == 1:
-            for i in rays.get(_direction(res), ()):
+            for i in rays.get(linalg._primitive(res), ()):
                 if i >= i0 and res_weight % weights[i] == 0:
                     chosen.append((res_weight // weights[i], ys[i]))
                     return True

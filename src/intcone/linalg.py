@@ -18,9 +18,10 @@ Matrices stay well under 11x11 here, so the code favours clarity
 over asymptotics.  A generator acts on vectors as a letter, a function built
 once by `sparse_letter` from the generator's nonzero entries (or written
 as a closed form with the same `size` attribute), and `apply_word` is the
-one fold of a word of letters.  `as_int` is the one rule for
-integers read from JSON or passed to a constructor, `as_str` the one for
-JSON strings, and `as_labels` the one for lists of labels.
+one fold of a word of letters; `_primitive` is the one primitive vector on
+a ray.  `as_int` is the one rule for integers read from JSON, passed to a
+constructor or handed to a public SOC entry, `as_str` the one for JSON
+strings, and `as_labels` the one for lists of labels.
 """
 
 from __future__ import annotations
@@ -142,6 +143,13 @@ def vec_gcd(v) -> int:
     for a in v:
         g = gcd(g, a)
     return g
+
+
+def _primitive(v):
+    """The primitive integer vector on the ray of a nonzero v: v itself when
+    its entries are coprime."""
+    g = vec_gcd(v)
+    return v if g == 1 else tuple(a // g for a in v)
 
 
 def det(rows) -> int:

@@ -144,8 +144,7 @@ def _rank_one_peel(rows):
     first of them x, and x goes lam times.
     """
     i, row = next((i, row) for i, row in enumerate(rows) if any(row))
-    g = linalg.vec_gcd(row)
-    x = tuple(v // g for v in row)
+    x = linalg._primitive(row)
     return x, rows[i][i] // (x[i] * x[i])
 
 

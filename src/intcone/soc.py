@@ -51,11 +51,15 @@ def _require_dim(n: int):
         raise ValueError(f"dimension must be between {MIN_DIM} and {MAX_DIM}")
 
 
-def _require_point(s):
-    """The public entry check: a dimension in 3..10, then a point of T_n."""
+def _require_point(s) -> tuple[int, ...]:
+    """The public entry check: s read with linalg.as_int as a tuple, of a
+    dimension in 3..10 and in T_n.  Returns that tuple, which the entries
+    use in place of s, so a bool or float entry raises TypeError."""
+    s = tuple(map(linalg.as_int, s))
     _require_dim(len(s))
     if not in_cone(s):
         raise ValueError("point is outside the cone")
+    return s
 
 
 def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
@@ -66,39 +70,39 @@ def _sum_letters(n: int) -> tuple[linalg.Letter, linalg.Letter]:
     reflection v -> v - 2 B(v, r) / B(r, r) r in r = (1, 1, 1) for n = 3
     and r = (1, 1, 1, 0, ..., 0, 1) otherwise; both are involutions, so
     AplusInv = R_r D.  With k = 2, c = 2 for n = 3 and k = 3, c = 1
-    otherwise, and b = c (v_1 + ... + v_k - v_n),
-        Aplus(v) = (b - v_1, ..., b - v_k, -v_{k+1}, ..., -v_{n-1}, v_n - b),
-    and AplusInv is the same with b = c (v_1 + ... + v_k + v_n) and last
-    entry v_n + b.  Like a linalg letter, each indexes v without checking
-    its length.
+    otherwise, sigma = +-1 and b = c (v_1 + ... + v_k - sigma v_n),
+        v -> (b - v_1, ..., b - v_k, -v_{k+1}, ..., -v_{n-1}, v_n - sigma b)
+    is Aplus for sigma = 1 and AplusInv for sigma = -1: one body per
+    dimension family.  Like a linalg letter, each indexes v without
+    checking its length.
     """
-    if n == 3:
+    m = n - 1
 
-        def aplus(v):
-            x, y, z = v
-            b = 2 * (x + y - z)
-            return (b - x, b - y, z - b)
+    def letter(sigma):
+        if n == 3:
 
-        def aplus_inv(v):
-            x, y, z = v
-            b = 2 * (x + y + z)
-            return (b - x, b - y, z + b)
+            def g(v):
+                x, y, z = v
+                b = 2 * (x + y - sigma * z)
+                return (b - x, b - y, z - sigma * b)
 
-    else:
-        m = n - 1
+        else:
 
-        def aplus(v):
-            x, y, z, t = v[0], v[1], v[2], v[m]
-            b = x + y + z - t
-            return (b - x, b - y, b - z, *[-u for u in v[3:m]], t - b)
+            def g(v):
+                x, y, z, t = v[0], v[1], v[2], v[m]
+                b = x + y + z - sigma * t
+                return (b - x, b - y, b - z, *[-u for u in v[3:m]], t - sigma * b)
 
-        def aplus_inv(v):
-            x, y, z, t = v[0], v[1], v[2], v[m]
-            b = x + y + z + t
-            return (b - x, b - y, b - z, *[-u for u in v[3:m]], t + b)
+        g.size = n
+        return g
 
-    aplus.size = aplus_inv.size = n
-    return aplus, aplus_inv
+    return letter(1), letter(-1)
+
+
+# _SIGN_LABELS[k] flips coordinate k, _SWAP_LABELS[j] swaps coordinate j
+# with the first (j >= 1: _SWAP_LABELS[0] is no label)
+_SIGN_LABELS = tuple(f"Q{k + 1}" for k in range(MAX_DIM - 1))
+_SWAP_LABELS = tuple(f"P1{j + 1}" for j in range(MAX_DIM - 1))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -106,27 +110,30 @@ def _letters(n: int) -> Mapping[str, linalg.Letter]:
     """The one definition of the generator alphabet of dimension n, label
     -> letter in label order: Aplus and AplusInv (_sum_letters), the sign
     flips Q1..Q{n-1} of one coordinate and the transpositions P12..P1{n-1}
-    of the first coordinate with another.  These are the only labels; a
-    word is read by lookup, never parsed.  Read-only, as it is cached.
+    of the first coordinate with another, keyed by _SIGN_LABELS and
+    _SWAP_LABELS.  These are the only labels; a word is read by lookup,
+    never parsed.  Read-only, as it is cached.
     """
     _require_dim(n)
     table = dict(zip(("Aplus", "AplusInv"), _sum_letters(n)))
-    for k in range(1, n):
-        table[f"Q{k}"] = linalg.sparse_letter(
-            [(i, -1 if i == k - 1 else 1)] for i in range(n)
+    for k in range(n - 1):
+        table[_SIGN_LABELS[k]] = linalg.sparse_letter(
+            [(i, -1 if i == k else 1)] for i in range(n)
         )
-    for j in range(2, n):
-        swap = {0: j - 1, j - 1: 0}
-        table[f"P1{j}"] = linalg.sparse_letter([(swap.get(i, i), 1)] for i in range(n))
+    for j in range(1, n - 1):
+        swap = {0: j, j: 0}
+        table[_SWAP_LABELS[j]] = linalg.sparse_letter([(swap.get(i, i), 1)] for i in range(n))
     return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None, typed=True)
 def generator_matrix(label: str, n: int) -> UnimodularMatrix:
-    """The matrix of letter `label` of dimension n, its columns read off the
-    letter as the images of the unit vectors."""
-    g = _letters(n)[label]
-    return UnimodularMatrix(linalg.transpose([g(e) for e in linalg.identity(n)]))
+    """The matrix of letter `label` of dimension n, its columns the images
+    of the unit vectors under linalg.apply_word, so a label outside the
+    alphabet raises its ValueError."""
+    letters = _letters(n)
+    cols = [linalg.apply_word(letters, (label,), e) for e in linalg.identity(n)]
+    return UnimodularMatrix(linalg.transpose(cols))
 
 
 def apply_word(word, s):
@@ -293,8 +300,8 @@ def is_sporadic_soc(s) -> bool:
     of any kind ends the walk; a primitive one exists too (_first_peel),
     but the walk to it can run much longer.
     """
-    _require_point(s)
-    f = lorentz_form(s, s)
+    s = _require_point(s)
+    f = _form(s, s)
     if f == -1:
         return True
     if f == 0:
@@ -303,12 +310,6 @@ def is_sporadic_soc(s) -> bool:
 
 
 # -- normal form and descent ------------------------------------------------
-
-# the labels _normalize_steps applies: _SIGN_LABELS[k] flips coordinate k,
-# _SWAP_LABELS[j] swaps coordinate j with the first (j >= 1)
-_SIGN_LABELS = tuple(f"Q{k + 1}" for k in range(MAX_DIM - 1))
-_SWAP_LABELS = tuple(f"P1{j + 1}" for j in range(MAX_DIM - 1))
-
 
 def _normalize_steps(s):
     """Applied labels (in application order) bringing the first n-1
@@ -343,23 +344,21 @@ def descend(s):
     inverse of each applied letter in application order: AplusInv for
     Aplus, the other letters as they are (they are involutions).
     """
-    _require_point(s)
+    s = _require_point(s)
     if vec_gcd(s) != 1:
         raise ValueError("point must be primitive")
-    f = lorentz_form(s, s)
-    if f != 0 and not is_sporadic_soc(s):
+    if _form(s, s) != 0 and not is_sporadic_soc(s):
         raise ValueError("point is neither Pythagorean nor sporadic")
     return _descent(s)
 
 
-def _descent(s):
-    """descend's loop without its entry checks, for a point its caller
+def _descent(cur):
+    """descend's loop without its entry checks, for a tuple its caller
     already knows to be a primitive Pythagorean or sporadic point of T_n,
-    n in 3..10: decompose_soc's peels and its residual."""
-    n = len(s)
+    n in 3..10: descend's point, decompose_soc's peels and its residual."""
+    n = len(cur)
     aplus = _letters(n)["Aplus"]
     found = _ROOT_SETS[n]
-    cur = tuple(s)
     word: list[str] = []
     while True:
         cur, steps = _normalize_steps(cur)
@@ -521,17 +520,15 @@ def decompose_soc(s, minimal_roots: bool = False) -> SocCertificate:
     all, by the argument above and _first_peel's; nor has its primitive
     part q, since cur - p' = (g - 1) q + (q - p') for any peel p' of q.
     """
-    _require_point(s)
-    n = len(s)
-    cur = tuple(s)
+    cur = _require_point(s)
+    n = len(cur)
     top = cur[-1]
     terms: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
     while any(cur):
         p = _first_peel(cur, primitive_only=True, top=top)
         if p is None:
             g = vec_gcd(cur)
-            prim = tuple(v // g for v in cur)
-            root, word = _descent(prim)
+            root, word = _descent(linalg._primitive(cur))
             if minimal_roots and root in root_splits(n):
                 x, y = root_splits(n)[root]
                 terms.append((g, word, x))

@@ -252,6 +252,10 @@ class TestGenerators:
                 cuts.apply_group_word("soc", len(point), ("Q1",), point)
         with pytest.raises(ValueError):
             soc.generator_matrix("Q1", 11)
+        # generator_matrix reads its columns through linalg.apply_word
+        for label in ("B2", "Q3"):
+            with pytest.raises(ValueError, match="unknown generator label"):
+                soc.generator_matrix(label, 3)
 
     def test_letters_match_the_rows(self):
         # every letter a word is applied through is the rows of the replaced
@@ -392,6 +396,14 @@ class TestSporadicSoc:
     def test_zero_point(self):
         # nothing can be subtracted from the origin, so it passes the test
         assert is_sporadic_soc((0, 0, 0, 0))
+
+    def test_reads_entries_with_as_int(self):
+        with pytest.raises(TypeError, match="true is not an integer"):
+            is_sporadic_soc((0, True, 2))
+        with pytest.raises(TypeError, match="0.0 is not an integer"):
+            is_sporadic_soc((0.0, 0, 1))
+        assert is_sporadic_soc([2, 2, 3])
+        assert not is_sporadic_soc([3, 4, 5])
 
     def test_rejects_outside_cone(self):
         with pytest.raises(ValueError):
@@ -690,6 +702,15 @@ class TestDescend:
         with pytest.raises(ValueError):
             descend((1, 1))
 
+    def test_reads_entries_with_as_int(self):
+        with pytest.raises(TypeError, match="true is not an integer"):
+            descend((True, 0, True))
+        with pytest.raises(TypeError, match="0.0 is not an integer"):
+            descend((0.0, 0, 1))
+        root, word = descend([3, 4, 5])
+        assert (root, word) == ((1, 0, 1), ("P12", "AplusInv", "P12"))
+        assert type(root) is tuple and all(type(v) is int for v in root)
+
     def test_replay_with_monotone_heights(self):
         rng = random.Random(31)
         for n in (3, 4, 5):
@@ -862,6 +883,20 @@ class TestDecomposeSoc:
     def test_rejects_outside_cone(self):
         with pytest.raises(ValueError):
             decompose_soc((2, 2, 1))
+
+    def test_reads_entries_with_as_int(self):
+        with pytest.raises(TypeError, match="true is not an integer"):
+            decompose_soc((True, 0, True))
+        with pytest.raises(TypeError, match="0.0 is not an integer"):
+            decompose_soc((0.0, 0, 1))
+        cert = decompose_soc([5, 6, 8])
+        assert cert.terms == (
+            (1, ("P12", "AplusInv", "P12"), (1, 0, 1)),
+            (1, ("AplusInv",), (0, 0, 1)),
+        )
+        for _, _, root in cert.terms:
+            assert type(root) is tuple and all(type(v) is int for v in root)
+        assert cert.reconstruct() == (5, 6, 8)
 
     def test_random_reconstruction(self):
         rng = random.Random(41)
