@@ -7,7 +7,10 @@ accept --lines to stream the items as newline-delimited JSON instead.  The
 `verify` subcommand re-checks any certificate payload this tool emits and
 exits nonzero on a mismatch, which is the whole tamper-detection story:
 exit 0 success, exit 1 domain error or failed verification, exit 2
-malformed input.
+malformed input.  `main`'s exception table alone decides malformed input:
+invalid JSON, a value of the wrong JSON type anywhere in the document (the
+TypeError its reader raises) and a missing key (a KeyError) exit 2, so no
+command catches either error itself.
 """
 
 from __future__ import annotations
@@ -30,27 +33,14 @@ class MalformedInput(Exception):
     pass
 
 
-# the exit code of each error kind a command may raise (see the module doc)
-_EXIT_CODES = {MalformedInput: 2, ValueError: 1, RuntimeError: 1}
-
-
-def _rows(obj):
-    try:
-        return linalg.int_rows(obj)
-    except TypeError as exc:
-        raise MalformedInput(f"expected a matrix of integers: {exc}")
+# the exit code of each error kind a command may raise (see the module doc);
+# TypeError (a value of the wrong JSON type, raised where it is read) and
+# KeyError (a missing key) are malformed input, caught here and nowhere else
+_EXIT_CODES = {MalformedInput: 2, TypeError: 2, KeyError: 2, ValueError: 1, RuntimeError: 1}
 
 
 def _vec(obj):
-    try:
-        return tuple(map(linalg.as_int, obj))
-    except TypeError as exc:
-        raise MalformedInput(f"expected a vector of integers: {exc}")
-
-
-# the cut commands read an element in its cone's native shape: the entries
-# must be integers (exit 2), the shape is checked where it is used (exit 1)
-_READERS = {"matrix": _rows, "vector": _vec}
+    return tuple(map(linalg.as_int, obj))
 
 
 def _load(raw: bytes):
@@ -61,18 +51,9 @@ def _load(raw: bytes):
 
 
 def _field(obj, key):
-    if not isinstance(obj, dict) or key not in obj:
-        raise MalformedInput(f"missing field {key!r}")
+    if not isinstance(obj, dict):  # report the key, not the bad index a list would
+        raise KeyError(key)
     return obj[key]
-
-
-def _read_field(obj, key, rule):
-    """The field read by `rule` (linalg.as_int or as_str): a value of the
-    wrong type is malformed input."""
-    try:
-        return rule(_field(obj, key))
-    except TypeError as exc:
-        raise MalformedInput(f"field {key!r}: {exc}")
 
 
 def _unwrap(doc, key):
@@ -85,7 +66,7 @@ def _dump(obj) -> str:
 
 
 def _cmd_psd_decompose(doc, args):
-    x = _rows(_unwrap(doc, "matrix"))
+    x = linalg.int_rows(_unwrap(doc, "matrix"))
     cert = psd.decompose(x)
     if cert.reconstruct() != x:
         raise RuntimeError("certificate failed its reconstruction check")
@@ -97,7 +78,7 @@ def _cmd_psd_decompose(doc, args):
 
 
 def _cmd_psd_sporadic(doc, args):
-    x = _rows(_unwrap(doc, "matrix"))
+    x = linalg.int_rows(_unwrap(doc, "matrix"))
     return {"sporadic": psd.is_sporadic(x), "det": linalg.det(x)}
 
 
@@ -111,8 +92,8 @@ def _cmd_psd_search_sporadic(doc, args):
 
 
 def _cmd_psd_equiv(doc, args):
-    x = _rows(_field(doc, "x"))
-    y = _rows(_field(doc, "y"))
+    x = linalg.int_rows(_field(doc, "x"))
+    y = linalg.int_rows(_field(doc, "y"))
     witness = psd.unimodular_witness(x, y)
     return {
         "equivalent": witness is not None,
@@ -173,17 +154,10 @@ def _system_input(doc):
         sys_doc, roots_doc = doc["system"], doc.get("roots")
     else:
         sys_doc, roots_doc = doc, None
-    try:
-        system = LCISystem.from_json(sys_doc)
-    except (TypeError, KeyError) as exc:
-        raise MalformedInput(f"bad system document: {exc!r}")
-    roots = None
-    if roots_doc is not None:
-        if not isinstance(roots_doc, list):
-            raise MalformedInput("field 'roots' must be a list")
-        read = _READERS[cuts.cone_record(system.cone, system.n).shape]
-        roots = tuple(read(r) for r in roots_doc)
-    return system, roots
+    system = LCISystem.from_json(sys_doc)
+    if roots_doc is not None and not isinstance(roots_doc, list):
+        raise MalformedInput("field 'roots' must be a list")
+    return system, roots_doc
 
 
 def _cmd_cg_cuts(doc, args):
@@ -206,12 +180,10 @@ def _cmd_cg_cuts(doc, args):
 
 
 def _cmd_icr_search(doc, args):
-    name = _read_field(doc, "cone", linalg.as_str)
-    n = _read_field(doc, "n", linalg.as_int)
-    raw = _field(doc, "element")
-    cone = cuts.cone_record(name, n)
-    element = _READERS[cone.shape](raw)
-    bound = 2 * cone.ambient_dim - 2
+    name = linalg.as_str(_field(doc, "cone"))
+    n = linalg.as_int(_field(doc, "n"))
+    element = _field(doc, "element")
+    bound = 2 * cuts.cone_record(name, n).ambient_dim - 2
     cap = args.cap if args.cap is not None else bound
     gen = GeneratorStream(cone=name, n=n, word_cap=args.word_cap)
     got = cuts.icr_search(element, gen, cap=cap)
@@ -224,7 +196,7 @@ def _cmd_icr_search(doc, args):
 
 
 def _verify_psd_certificate(payload):
-    x = _rows(_field(payload, "matrix"))
+    x = linalg.int_rows(_field(payload, "matrix"))
     cert = Rank1Certificate.from_json(_field(payload, "certificate"))
     rem, wit = cert.remainder, cert.witness
     sizes = [cert.n] + [len(vec) for vec, _ in cert.vectors]
@@ -302,14 +274,11 @@ def _cmd_verify(doc, args):
     payload = doc
     if isinstance(doc, dict) and "payload" in doc:
         payload = doc["payload"]
-    kind = _read_field(payload, "kind", linalg.as_str)
+    kind = linalg.as_str(_field(payload, "kind"))
     checker = _VERIFIERS.get(kind)
     if checker is None:
         raise MalformedInput(f"unknown certificate kind {kind!r}")
-    try:
-        reason = checker(payload)
-    except (TypeError, KeyError) as exc:
-        raise MalformedInput(f"bad {kind} payload: {exc!r}")
+    reason = checker(payload)
     if reason is not None:
         raise ValueError(f"verification failed: {reason}")
     return {"verified": True, "kind": kind}
@@ -437,7 +406,8 @@ def main(argv=None) -> int:
         doc = _load(raw) if cmd.reads_input else None
         payload = cmd.handler(doc, args)
     except tuple(_EXIT_CODES) as exc:
-        error = {"error": str(exc)}
+        missing = isinstance(exc, KeyError)
+        error = {"error": f"missing field {exc.args[0]!r}" if missing else str(exc)}
         print(_dump({"status": "error", "payload": error, "provenance": provenance}))
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 

@@ -28,12 +28,13 @@ Flat = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Cone:
-    """One cone in one dimension.  `flatten` reads a native element (a
-    matrix or a vector of ints, see linalg.as_int) and checks its shape.
-    The letters and default roots are built on first use: a PSD record
-    holds nothing of size n^2, so a misshapen element fails at once."""
+    """One cone in one dimension.  `flatten` is the one reader of a native
+    element, a matrix or a vector: an entry that is not an int raises
+    TypeError (linalg.as_int), a wrong shape ValueError, so no caller
+    reads an element by its cone's shape first.  The letters and default
+    roots are built on first use: a PSD record holds nothing of size n^2,
+    so a misshapen element fails at once."""
 
-    shape: str  # "matrix" or "vector"
     ambient_dim: int
     flatten: Callable[[object], Flat]
     unflatten: Callable[[Flat], object]
@@ -111,7 +112,6 @@ def _psd_cone(n: int) -> Cone:
         return (e11,) + psd.sporadic_catalog(n)
 
     rec = Cone(
-        shape="matrix",
         ambient_dim=n * (n + 1) // 2,
         flatten=flatten,
         unflatten=unflatten,
@@ -137,7 +137,6 @@ def _soc_cone(n: int) -> Cone:
         return vec
 
     return Cone(
-        shape="vector",
         ambient_dim=n,
         flatten=flatten,
         unflatten=lambda y: y,

@@ -137,10 +137,10 @@ def generator_matrix(label: str, n: int) -> UnimodularMatrix:
 
 
 def apply_word(word, s):
-    """Apply the word's matrix to s by linalg.apply_word on the letters of
-    s's dimension.  An empty word reads no table, so it returns s of any
-    length unchanged."""
-    s = tuple(s)
+    """Apply the word's matrix to s, read with linalg.as_int, by
+    linalg.apply_word on the letters of s's dimension.  An empty word
+    reads no table, so it returns s of any length unchanged."""
+    s = tuple(map(linalg.as_int, s))
     return linalg.apply_word(_letters(len(s)), word, s) if word else s
 
 
@@ -148,7 +148,9 @@ def apply_word(word, s):
 
 
 def is_pythagorean(s) -> bool:
-    return in_cone(s) and lorentz_form(s, s) == 0
+    """Whether s, read with linalg.as_int, lies in T_n with form 0."""
+    s = tuple(map(linalg.as_int, s))
+    return in_cone(s) and _form(s, s) == 0
 
 
 def _three_squares(x: int) -> bool:
@@ -347,7 +349,9 @@ def descend(s):
     s = _require_point(s)
     if vec_gcd(s) != 1:
         raise ValueError("point must be primitive")
-    if _form(s, s) != 0 and not is_sporadic_soc(s):
+    # is_sporadic_soc's test on the point already read: form 0 is
+    # Pythagorean, form -1 sporadic, any other sporadic iff it has no peel
+    if _form(s, s) not in (0, -1) and _first_peel(s, primitive_only=False) is not None:
         raise ValueError("point is neither Pythagorean nor sporadic")
     return _descent(s)
 

@@ -636,8 +636,9 @@ def dense_generators(rec):
     """label -> dense matrix on flat elements for a cuts cone record, in
     the record's label order: the SOC rows of soc.generator_matrix, or the
     Kronecker squares of psd.gl_generators."""
-    n = len(rec.roots[0])
-    if rec.shape == "vector":
+    root = rec.roots[0]
+    n = len(root)
+    if isinstance(root[0], int):  # an SOC root is a vector, a PSD root a matrix
         return {label: soc.generator_matrix(label, n).rows for label in soc._letters(n)}
     return {label: kronecker_square(g) for label, g in psd.gl_generators(n).items()}
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import copy
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 
 import intcone
 from _oracles import soc_generator_labels
-from intcone import cli, linalg, soc
+from intcone import cli, linalg, psd, soc
 
 M6 = (
     (2, 0, 1, 1, 1, 1),
@@ -51,12 +52,16 @@ def _recording(name):
     return json.loads((pathlib.Path(__file__).parent / "data" / name).read_text())
 
 
+def _on_stdin(text, monkeypatch):
+    stdin = types.SimpleNamespace(buffer=io.BytesIO(text.encode()))
+    monkeypatch.setattr(cli.sys, "stdin", stdin)
+
+
 def _replay(case, capsys, monkeypatch):
     # a recorded input of null marks a command that reads no input
     argv = case["argv"]
     if case["input"] is not None:
-        stdin = types.SimpleNamespace(buffer=io.BytesIO(case["input"].encode()))
-        monkeypatch.setattr(cli.sys, "stdin", stdin)
+        _on_stdin(case["input"], monkeypatch)
         argv = argv + ["-"]
     rc = cli.main(argv)
     assert (rc, capsys.readouterr().out) == (case["rc"], case["stdout"])
@@ -884,3 +889,132 @@ class TestVerify:
         rc, out2 = invoke(["verify"], env)
         assert rc == 1
         assert "replay" in payload_of(out2)["error"]
+
+
+def _full_psd_certificate():
+    """A psd-certificate of M6 + e_1 e_1^T with every field filled: one peel
+    vector, the remainder M6 and its catalog witness."""
+    cert = psd.decompose(M6).to_json()
+    cert["vectors"] = [{"x": [1, 0, 0, 0, 0, 0], "lambda": 1}]
+    matrix = [list(row) for row in M6]
+    matrix[0][0] += 1
+    return {"kind": "psd-certificate", "matrix": matrix, "certificate": cert}
+
+
+# a well-formed document for each command that reads one, and for each
+# verify kind, with a non-empty list wherever the format allows one
+WELL_FORMED = {
+    "psd-decompose": (["psd-decompose"], {"matrix": I2}),
+    "psd-sporadic": (["psd-sporadic"], {"matrix": I2}),
+    "psd-equiv": (["psd-equiv"], {"x": I2, "y": I2}),
+    "soc-decompose": (["soc-decompose"], {"point": [3, 4, 5]}),
+    "soc-descend": (["soc-descend"], {"point": [3, 4, 5]}),
+    "soc-sporadic": (["soc-sporadic"], {"point": [2, 2, 3]}),
+    "cg-cuts-soc": (["cg-cuts", "--word-cap", "0"], {"system": SOC3, "roots": [[1, 0, 1]]}),
+    "cg-cuts-psd": (["cg-cuts", "--word-cap", "0"], {"system": PSD2, "roots": [I2]}),
+    "icr-search-soc": (["icr-search"], {"cone": "soc", "n": 3, "element": [0, 0, 2]}),
+    "icr-search-psd": (["icr-search"], {"cone": "psd", "n": 2, "element": I2}),
+    "verify-psd-certificate": (["verify"], _full_psd_certificate()),
+    "verify-soc-certificate": (["verify"], _soc_certificate(1, word=["Q1"])),
+    "verify-soc-descent": (["verify"], {**_SOC_DESCENT, "word": ["Q1"]}),
+    "verify-cut-list-soc": (["verify"], _soc_cut_list(u=(-1,), word=["Q1"])),
+    "verify-cut-list-psd": (
+        ["verify"],
+        {
+            "kind": "cut-list",
+            "system": PSD2,
+            "cuts": [{"u": [1], "rhs": 1, "root": [[1, 0], [0, 0]], "word": []}],
+        },
+    ),
+}
+
+# the malformations that are not malformed input, and their exit codes: a
+# bare list is an empty matrix (0) or a point of dimension 0 (1); roots are
+# optional (0); without its remainder or witness a certificate is a false
+# claim (1); a cut root is read by its nesting and fits its cone or not (1)
+NOT_MALFORMED = {
+    "psd-decompose:doc:list": 0,
+    "psd-sporadic:doc:list": 0,
+    "soc-decompose:doc:list": 1,
+    "soc-descend:doc:list": 1,
+    "soc-sporadic:doc:list": 1,
+    "cg-cuts-soc:roots:missing": 0,
+    "cg-cuts-psd:roots:missing": 0,
+    "verify-psd-certificate:certificate.remainder:missing": 1,
+    "verify-psd-certificate:certificate.witness:missing": 1,
+    "verify-cut-list-psd:cuts.0.root.0:scalar": 1,
+}
+
+# a cg-cuts document without "system" reads as a bare system, without "cone"
+READ_AS_MISSING = {"cg-cuts-soc:system:missing": "cone", "cg-cuts-psd:system:missing": "cone"}
+
+
+def _malformations(node, path=()):
+    """(path, how, value): each way to break the document at each place.
+    An object becomes a list and loses each key in turn, a list becomes a
+    scalar (and only its first item is walked into), a string becomes an
+    int and an int a string."""
+    if isinstance(node, dict):
+        yield path, "list", []
+        for key, value in node.items():
+            yield path + (key,), "missing", None
+            yield from _malformations(value, path + (key,))
+    elif isinstance(node, list):
+        yield path, "scalar", 5
+        if node:
+            yield from _malformations(node[0], path + (0,))
+    elif isinstance(node, str):
+        yield path, "int", 5
+    elif isinstance(node, int):
+        yield path, "str", "x"
+
+
+def _broken(doc, path, how, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *outer, last = path
+    parent = doc
+    for step in outer:
+        parent = parent[step]
+    if how == "missing":
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+MALFORMED = {
+    f"{name}:{'.'.join(map(str, path)) or 'doc'}:{how}": (
+        argv,
+        _broken(doc, path, how, value),
+        path[-1] if how == "missing" else None,
+    )
+    for name, (argv, doc) in WELL_FORMED.items()
+    for path, how, value in _malformations(doc)
+}
+
+
+class TestMalformedInput:
+    """main's exception table is the one malformed-input rule: a document
+    broken at any one place exits 2 with one error envelope line, and no
+    exception leaves main."""
+
+    @pytest.mark.parametrize("name", list(WELL_FORMED))
+    def test_the_well_formed_documents_pass(self, name, capsys, monkeypatch):
+        argv, doc = WELL_FORMED[name]
+        _on_stdin(json.dumps(doc), monkeypatch)
+        assert cli.main(argv + ["-"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_one_broken_place_exits_cleanly(self, case, capsys, monkeypatch):
+        argv, doc, missing = MALFORMED[case]
+        _on_stdin(json.dumps(doc), monkeypatch)
+        rc = cli.main(argv + ["-"])
+        [line] = capsys.readouterr().out.splitlines()
+        assert rc == NOT_MALFORMED.get(case, 2)
+        if rc == 2:
+            error = json.loads(line)["payload"]["error"]
+            if missing is not None:
+                assert error == f"missing field {READ_AS_MISSING.get(case, missing)!r}"

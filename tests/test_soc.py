@@ -345,6 +345,15 @@ class TestWords:
             moved = apply_word(word, s)
             assert lorentz_form(moved, moved) == lorentz_form(s, s)
 
+    def test_reads_entries_with_as_int(self):
+        with pytest.raises(TypeError, match="1.5 is not an integer"):
+            apply_word(("Q1",), (1.5, 0, 2))
+        with pytest.raises(TypeError, match="true is not an integer"):
+            apply_word((), (True, 0, 1))
+        # the empty word reads no letter table, so any length comes back
+        assert apply_word((), [1, 2]) == (1, 2)
+        assert apply_word(("Q1",), [1, 0, 2]) == (-1, 0, 2)
+
 
 class TestPythagorean:
     def test_examples(self):
@@ -356,6 +365,13 @@ class TestPythagorean:
     def test_needs_cone_membership(self):
         # the form vanishes but the height is negative
         assert not is_pythagorean((3, 4, -5))
+
+    def test_reads_entries_with_as_int(self):
+        with pytest.raises(TypeError, match="true is not an integer"):
+            is_pythagorean((True, 0, True))
+        with pytest.raises(TypeError, match="0.0 is not an integer"):
+            is_pythagorean((0.0, 0, 0))
+        assert is_pythagorean([3, 4, 5])
 
 
 class TestNormalize:
@@ -710,6 +726,17 @@ class TestDescend:
         root, word = descend([3, 4, 5])
         assert (root, word) == ((1, 0, 1), ("P12", "AplusInv", "P12"))
         assert type(root) is tuple and all(type(v) is int for v in root)
+
+    def test_reads_its_point_once(self, monkeypatch):
+        # the sporadic test runs on the tuple already read, not through the
+        # public is_sporadic_soc, which would read the point again
+        calls = []
+        read = soc._require_point
+        monkeypatch.setattr(soc, "_require_point", lambda s: calls.append(s) or read(s))
+        for s in ((0, 0, 1), (3, 4, 5), (2, 2, 3)):
+            calls.clear()
+            descend(s)
+            assert len(calls) == 1, s
 
     def test_replay_with_monotone_heights(self):
         rng = random.Random(31)
