@@ -222,6 +222,7 @@ class LCISystem:
 
     @classmethod
     def from_json(cls, obj) -> "LCISystem":
+        obj = linalg.as_obj(obj)
         return cls(
             cone=linalg.as_str(obj["cone"]),
             n=linalg.as_int(obj["n"]),
@@ -258,6 +259,7 @@ class CGCut:
 
     @classmethod
     def from_json(cls, obj) -> "CGCut":
+        obj = linalg.as_obj(obj)
         return cls(
             u=tuple(map(linalg.as_int, obj["u"])),
             rhs=linalg.as_int(obj["rhs"]),

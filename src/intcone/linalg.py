@@ -61,6 +61,15 @@ def as_labels(v) -> tuple[str, ...]:
     return tuple(map(as_str, v))
 
 
+def as_obj(v) -> dict:
+    """v itself if it is a dict: the one rule for objects read from JSON.
+    A list, a string or any other value raises TypeError instead of
+    Python's indexing error."""
+    if type(v) is not dict:
+        raise TypeError(f"{json.dumps(v)} is not an object")
+    return v
+
+
 def int_rows(obj) -> Rows:
     """Rows read with as_int; the shape is left to the caller."""
     return tuple(tuple(map(as_int, row)) for row in obj)
@@ -493,6 +502,7 @@ class _IntMatrix:
 
     @classmethod
     def from_json(cls, obj):
+        obj = as_obj(obj)
         rows = int_rows(obj["rows"])
         if as_int(obj["n"]) != len(rows):
             raise ValueError("n does not match row count")

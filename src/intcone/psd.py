@@ -111,15 +111,14 @@ class Rank1Certificate:
 
     @classmethod
     def from_json(cls, obj) -> "Rank1Certificate":
-        if not isinstance(obj, dict):
-            raise TypeError("certificate must be a JSON object")
+        obj = linalg.as_obj(obj)
         rem = obj.get("remainder")
         wit = obj.get("witness")
         return cls(
             n=linalg.as_int(obj["n"]),
             vectors=tuple(
                 (tuple(map(linalg.as_int, t["x"])), linalg.as_int(t["lambda"]))
-                for t in obj["vectors"]
+                for t in map(linalg.as_obj, obj["vectors"])
             ),
             remainder=None if rem is None else SymIntMatrix.from_json(rem),
             witness=None if wit is None else UnimodularMatrix.from_json(wit),
@@ -378,8 +377,17 @@ def search_sporadic(n: int, diag_bound: int) -> list[Rows]:
     Congruence keeps the values of the form, so no matrix in the orbit of
     such an X is sporadic either, and the walk drops them without changing
     the classes found or their order: every diagonal starts at 2 (e_i has
-    norm X_ii), and an entry X_ik = v with X_ii + X_kk - 2|v| = 1 (the norm
-    of e_i -+ e_k) is skipped with its whole subtree.
+    norm X_ii), and an entry X_ik = v that completes a vector of norm 1 on
+    two or three coordinates is skipped with its whole subtree.  With b = 0
+    or b = e_j for some j < i, the norm of b + s1 e_i + s2 e_k (s1, s2 =
+    +-1) is b.X b + X_ii + X_kk + 2 s1 X_ji + 2 s2 X_jk + 2 s1 s2 v (X_ji =
+    X_jk = 0 for b = 0), so it is 1 exactly when v = s1 s2 (h - s1 X_ji -
+    s2 X_jk) with h = (1 - b.X b - X_ii - X_kk) / 2, which needs b.X b +
+    X_ii + X_kk odd: two values of v for b = 0 (|v| = (X_ii + X_kk - 1) /
+    2) and four for each such j.  X_ik is the last of the entries these
+    vectors read, so every leaf below a skipped value represents 1: no
+    sporadic leaf and no class representative is lost.  With no odd
+    diagonal entry in 0..k no such b exists, and column k skips nothing.
 
     So the walk exhausts positive definite integer matrices with 2 <= X_11
     <= ... <= X_nn <= diag_bound column by column over exact integer
@@ -443,6 +451,17 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
     # k-1 unflipped (its first nonzero entry is positive), so the leaf
     # survives _swap_minimal only if col[:k-1] >= a[:k-1][k-1] in lex order
     prev = [a[i][k - 1] for i in range(k - 1)] if a[k - 1][k - 1] == t else []
+    # the norm-1 rule of search_sporadic: rules[i] holds (h, X_ji, j) for
+    # each b whose b.X b + X_ii + t is odd, b = 0 as j = i (X_ji = 0, and
+    # col[i] is still zero at entry i); the entry X_ik skips s1 s2 (h - s1
+    # X_ji - s2 col[j]) for s1, s2 = +-1.  An all-even diagonal builds none
+    rules = []
+    if any(a[j][j] & 1 for j in range(k + 1)):
+        for i in range(k):
+            s = a[i][i] + t
+            rule = [((1 - s) >> 1, 0, i)] if s & 1 else []
+            rule += [((1 - s - a[j][j]) >> 1, a[j][i], j) for j in range(i) if (s + a[j][j]) & 1]
+            rules.append(rule)
 
     def entry(i, q, seen, tight):
         # q is col^T adj(A_i) col for the i entries chosen so far; seen
@@ -488,12 +507,15 @@ def _fill_column(a, k, n, adjs, dets, bound, cap, reps):
         tight = tight and i < len(prev)
         if tight:
             lo = max(lo, prev[i])
-        # e_i -+ e_k has norm X_ii + t - 2|v|, and norm 1 means no leaf below
-        # this entry is sporadic; that |v| exists only when X_ii + t is odd
-        s = a[i][i] + t
-        norm1 = (s >> 1, -(s >> 1)) if s & 1 else ()
+        # a norm-1 vector means no leaf below this entry is sporadic
+        skip = ()
+        if rules:
+            skip = set()
+            for h, x, j in rules[i]:
+                c = col[j]
+                skip.update((h - x - c, x - c - h, c - x - h, h + x + c))
         for v in range(lo, hi + 1):
-            if v in norm1:
+            if v in skip:
                 continue
             col[i] = v
             entry(

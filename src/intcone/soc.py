@@ -469,6 +469,7 @@ class SocCertificate:
 
     @classmethod
     def from_json(cls, obj) -> "SocCertificate":
+        obj = linalg.as_obj(obj)
         return cls(
             n=linalg.as_int(obj["n"]),
             terms=tuple(
@@ -477,7 +478,7 @@ class SocCertificate:
                     linalg.as_labels(t["word"]),
                     tuple(map(linalg.as_int, t["root"])),
                 )
-                for t in obj["terms"]
+                for t in map(linalg.as_obj, obj["terms"])
             ),
         )
 

@@ -77,9 +77,12 @@ CUT_ENVELOPES = _recording("cut_envelopes.json")
 
 # psd-decompose, psd-sporadic and psd-equiv envelopes recorded from the
 # Fraction-based elimination and the recursive first-peel search that the
-# integer-only peel path replaced; the last two, psd-search-sporadic at
+# integer-only peel path replaced; the next two, psd-search-sporadic at
 # n = 6, diag-bound 2, plain and --lines, from the search that filtered
-# column order and the determinant only at the leaves
+# column order and the determinant only at the leaves; the last three,
+# psd-search-sporadic at (5, 3), (4, 5) and (6, 3), whose diagonals have
+# odd entries, from the walk that skipped norm-1 vectors on two
+# coordinates only
 PSD_ENVELOPES = _recording("psd_envelopes.json")
 
 # soc-decompose (heights up to 50 in n = 3..10, plus taller points),
@@ -1018,3 +1021,6 @@ class TestMalformedInput:
             error = json.loads(line)["payload"]["error"]
             if missing is not None:
                 assert error == f"missing field {READ_AS_MISSING.get(case, missing)!r}"
+            if case.endswith(":list"):
+                # an object turned list names the value, not Python's index
+                assert "indices" not in error and "subscriptable" not in error

@@ -574,6 +574,15 @@ class TestDataclasses:
         m = SymIntMatrix(M6)
         assert SymIntMatrix.from_json(m.to_json()) == m
 
+    def test_from_json_reads_its_object_with_as_obj(self):
+        doc = {"n": 1, "rows": [[1]]}
+        assert linalg.as_obj(doc) is doc
+        for v in ([], [["n", 1]], "rows", 5, None):
+            with pytest.raises(TypeError, match="is not an object$"):
+                linalg.as_obj(v)
+            with pytest.raises(TypeError, match="is not an object$"):
+                UnimodularMatrix.from_json(v)
+
     def test_shared_record_keeps_names_and_equality(self):
         rows = identity(2)
         assert repr(SymIntMatrix(rows)) == "SymIntMatrix(rows=((1, 0), (0, 1)))"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -1018,15 +1019,16 @@ SURVIVORS = json.loads(
 
 
 def norm_one_vector(m):
-    """Some e_i or e_i +- e_j with v^T m v = 1, or None."""
+    """Some e_i, e_i +- e_j or e_i +- e_j +- e_k with v^T m v = 1, or None."""
     n = len(m)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    vectors = units + [
-        tuple(p + s * q for p, q in zip(units[i], units[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-        for s in (1, -1)
-    ]
+    vectors = []
+    for size in (1, 2, 3):
+        for support in itertools.combinations(range(n), size):
+            for signs in itertools.product((1, -1), repeat=size - 1):
+                v = [0] * n
+                for i, s in zip(support, (1,) + signs):
+                    v[i] = s
+                vectors.append(tuple(v))
     return next(
         (v for v in vectors if sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n)) == 1),
         None,
@@ -1037,8 +1039,9 @@ def norm_one_vector(m):
     "search", SURVIVORS, ids=[f"n{s['n']}b{s['diag_bound']}" for s in SURVIVORS]
 )
 def test_swap_survivors_match_the_recording(search, monkeypatch):
-    # the walk skips every leaf where some e_i or e_i +- e_j has norm 1, and
-    # each such recorded survivor X has the rank-one peel X v
+    # the walk skips every leaf where some e_i, e_i +- e_j or e_i +- e_j +-
+    # e_k has norm 1, and each such recorded survivor X has the rank-one
+    # peel X v
     swap_minimal = psd._swap_minimal
     passed = []
 
@@ -1115,8 +1118,10 @@ def test_swap_minimal_matches_the_oracle_on_random_matrices():
     }
 
 
-@pytest.mark.parametrize("n, b", [(5, 3), (6, 2)])
+@pytest.mark.parametrize("n, b", [(4, 5), (6, 2)])
 def test_swap_minimal_matches_the_oracle_in_the_search(n, b, monkeypatch):
+    # (4, 5) sees 6 passes and 4 refusals; the (5, 3) walk skips every leaf
+    # that would reach the swap check, each having a norm-1 vector
     swap_minimal = psd._swap_minimal
     seen = []
 
@@ -1135,8 +1140,8 @@ def test_swap_minimal_matches_the_oracle_in_the_search(n, b, monkeypatch):
 def test_walk_prunes_only_non_minimal_leaves(n, monkeypatch):
     # the walk's column-order bound, determinant test and norm-1 skip may
     # drop a leaf only when the brute-force oracle, less the leaves where
-    # some e_i or e_i +- e_j has norm 1, drops it too; and no leaf it keeps
-    # has such a vector
+    # some e_i, e_i +- e_j or e_i +- e_j +- e_k has norm 1, drops it too;
+    # and no leaf it keeps has such a vector
     check_leaf = psd._check_leaf
     reached = set()
 
@@ -1153,6 +1158,23 @@ def test_walk_prunes_only_non_minimal_leaves(n, monkeypatch):
         expected = [m for m in candidates if norm_one_vector(m) is None]
         assert set(expected) <= reached
         assert all(norm_one_vector(m) is None for m in reached)
+
+
+@pytest.mark.parametrize("n, b, leaves", [(5, 3, 860), (4, 5, 336), (6, 2, 3163)])
+def test_walk_leaf_counts(n, b, leaves, monkeypatch):
+    # work-count pin: the norm-1 skip on three coordinates cut (5, 3) from
+    # 5,348 leaves and (4, 5) from 1,531; (6, 2) has an all-even diagonal,
+    # where every norm is even and nothing is skipped
+    check_leaf = psd._check_leaf
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return check_leaf(*args)
+
+    monkeypatch.setattr(psd, "_check_leaf", counting)
+    search_sporadic(n, b)
+    assert count[0] == leaves
 
 
 class TestGlGenerators:
